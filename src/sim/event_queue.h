@@ -1,18 +1,37 @@
-// Allocation-free event queue: a 4-ary heap of POD entries over out-of-line
-// slot storage, with generation-tagged O(1) lazy cancellation.
+// Allocation-free two-level event queue: a small 4-ary heap for the due
+// horizon over a calendar of unsorted far buckets, with generation-tagged
+// O(1) lazy cancellation.
 //
 // Design notes (this is the simulator's hottest structure):
-//  - Heap entries are 24-byte PODs {time, seq, slot}; sift operations move
-//    only these, never the callbacks.
-//  - Callbacks live in a slot arena (EventAction, small-buffer optimized) and
-//    are addressed by index; slots are recycled through a freelist, so
-//    steady-state schedule/cancel/fire churn performs zero heap traffic once
-//    the arena and heap vectors reach their high-water marks.
+//  - Near level: a 4-ary min-heap of 32-byte POD entries {time, key, seq,
+//    slot} holding every event whose ~1 ms bucket (time >> kBucketShift) is
+//    at or before the current bucket. Sift operations move only these,
+//    never the callbacks.
+//  - Far level: later events wait unsorted in one shared node pool, linked
+//    into one list per calendar bucket of the current lap (kBuckets
+//    buckets, aligned to a multiple of kBuckets) or into a single overflow
+//    list past the lap. When the heap runs dry, the earliest occupied
+//    bucket moves into it wholesale (found via an occupancy bitmap); when
+//    the lap runs dry, the queue jumps straight to the overflow's earliest
+//    lap and spreads the overflow entries of that lap into the calendar.
+//    So a timer tens of milliseconds out costs a list push, not a walk
+//    through ~log4(n) cache-missing heap levels, and each overflow entry is
+//    touched once per lap. This follows Varghese & Lauck's timing wheels
+//    (SOSP '87) and Brown's calendar queues (CACM '88).
+//  - Every heap entry belongs to a bucket at or before every far entry's,
+//    so the heap top is the global minimum and the pop order is exactly
+//    (time, key, seq) whatever the level an event waited in.
+//  - Callbacks live in a slot arena (EventAction, small-buffer optimized)
+//    and are addressed by index; slots and far nodes are recycled through
+//    freelists, so steady-state schedule/cancel/fire churn performs zero
+//    heap traffic once the arena, the node pool and the heap reach their
+//    high-water marks.
 //  - An EventId packs {generation, slot}. cancel() validates the generation,
-//    so a stale id (slot since recycled) is a no-op — the same contract the
-//    old unordered_set gave, without the per-cancel node allocation.
+//    so a stale id (slot since recycled) is a no-op. Cancelled far entries
+//    are reaped when their bucket moves, so they never touch the heap;
+//    cancelled heap entries are reaped when they reach the top.
 //  - Ties break by an optional explicit key first, then schedule order
-//    (monotonic `seq`), preserving the seed's determinism contract exactly.
+//    (monotonic `seq`), preserving the determinism contract exactly.
 //    The key exists for packet-delivery events: a content-derived canonical
 //    key makes same-timestamp deliveries order identically on the serial
 //    and sharded engines, where insertion order necessarily differs (a
@@ -21,7 +40,9 @@
 //    same timestamp.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -57,6 +78,12 @@ inline constexpr std::uint64_t mail_tie_seq(std::uint32_t src_shard,
 
 class EventQueue {
  public:
+  // Calendar geometry: 2^20 ns (~1.05 ms) buckets, 256 to a lap (~268 ms).
+  static constexpr int kBucketShift = 20;
+  static constexpr std::size_t kBuckets = 256;
+
+  EventQueue() { bucket_head_.fill(kNone); }
+
   // Schedules `action` at absolute time `at`. Ties are broken by insertion
   // order so the simulation is deterministic.
   EventId schedule(Time at, EventAction action);
@@ -66,11 +93,16 @@ class EventQueue {
   EventId schedule(Time at, std::uint64_t key, EventAction action);
 
   // As above, but with a caller-supplied tie sequence instead of the
-  // insertion counter. Used for cross-shard mail so (at, key) collisions
-  // order deterministically regardless of drain timing; `tie_seq` must have
-  // kExplicitTieSeqBit set (see mail_tie_seq) and be unique per (at, key).
+  // insertion counter. Cross-shard mail passes a mail_tie_seq (bit 63 set,
+  // unique per (at, key)) so (at, key) collisions order deterministically
+  // regardless of drain timing; a deadline timer passes a number it took
+  // earlier with take_seq().
   EventId schedule(Time at, std::uint64_t key, std::uint64_t tie_seq,
                    EventAction action);
+
+  // Consumes the insertion sequence number the next plain schedule() would
+  // have used, for a later schedule(at, key, tie_seq, action).
+  std::uint64_t take_seq() { return next_seq_++; }
 
   // Cancels a pending event. Cancelling an already-fired, already-cancelled
   // or invalid id is a no-op, which keeps timer bookkeeping in callers
@@ -80,8 +112,9 @@ class EventQueue {
   bool empty() const { return live_count_ == 0; }
   std::size_t size() const { return live_count_; }
 
-  // Time of the earliest pending event; kNoTime when empty.
-  Time next_time() const;
+  // Time of the earliest pending event; kNoTime when empty. May move the
+  // next far bucket into the heap, so only the queue's owner may call it.
+  Time next_time();
 
   struct Next {
     Time at = 0;
@@ -94,27 +127,32 @@ class EventQueue {
 
   std::uint64_t executed_count() const { return executed_; }
 
-  // Capacity introspection for the perf tests: arena / heap high-water
-  // marks (steady state must not grow them).
+  // Capacity introspection for the perf tests: arena / heap / far-pool
+  // high-water marks (steady state must not grow them).
   std::size_t slot_capacity() const { return slots_.size(); }
   std::size_t heap_capacity() const { return heap_.capacity(); }
+  std::size_t far_capacity() const { return far_.size(); }
 
  private:
-  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+  static constexpr std::int64_t kLapMask = kBuckets - 1;
+  static constexpr std::int64_t kNoBucket =
+      std::numeric_limits<std::int64_t>::max();
 
   struct Entry {
     Time at = 0;
     std::uint64_t key = kUnkeyedTieKey;  // tie-break 1: explicit key
     std::uint64_t seq = 0;               // tie-break 2: insertion order
     std::uint32_t slot = 0;              // index into slots_
+    std::uint32_t next = kNone;          // far-list link (unused in heap_)
   };
 
   struct Slot {
     EventAction action;
     std::uint32_t generation = 1;
-    std::uint32_t next_free = kNoSlot;
+    std::uint32_t next_free = kNone;
     bool armed = false;      // between schedule and fire/skip
-    bool cancelled = false;  // lazily reaped when it reaches the heap top
+    bool cancelled = false;  // lazily reaped (heap top or bucket move)
   };
 
   static bool earlier(const Entry& a, const Entry& b) {
@@ -123,16 +161,44 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
+  static std::int64_t bucket_of(Time at) { return at >> kBucketShift; }
+
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void pop_heap_top();
-  void drop_cancelled_head();
+  // Links far node `node` into its calendar bucket or the overflow list.
+  void link_far(std::uint32_t node);
+  // Returns an unlinked far node to the pool.
+  void free_far(std::uint32_t node);
+  // Frees far node `node` and its slot if its event was cancelled.
+  bool reap_far(std::uint32_t node);
+  // Moves the earliest far bucket into the empty heap, or, when the lap is
+  // exhausted, jumps to the overflow's earliest lap.
+  void pull_next_bucket();
+  void spread_overflow();
+  // Reaps cancelled heap tops and refills an empty heap from the far
+  // level; false when no live event remains.
+  bool settle();
 
   std::vector<Entry> heap_;  // 4-ary min-heap ordered by earlier()
   std::vector<Slot> slots_;
-  std::uint32_t free_head_ = kNoSlot;
+  std::uint32_t free_slot_ = kNone;
+
+  // Far level. The heap holds every event with bucket <= cur_bucket_; the
+  // calendar holds the rest of the current lap (buckets up to
+  // lap_end_ - 1); the overflow list holds everything from lap_end_ on.
+  std::vector<Entry> far_;  // shared node pool; `next` links lists
+  std::uint32_t free_node_ = kNone;
+  std::size_t far_size_ = 0;  // nodes on lists, cancelled ones included
+  std::array<std::uint32_t, kBuckets> bucket_head_;
+  std::array<std::uint64_t, kBuckets / 64> occupied_{};  // bit per bucket
+  std::uint32_t overflow_head_ = kNone;
+  std::int64_t overflow_min_ = kNoBucket;  // lower bound on its buckets
+  std::int64_t cur_bucket_ = 0;
+  std::int64_t lap_end_ = static_cast<std::int64_t>(kBuckets);
+
   std::uint64_t next_seq_ = 1;
   std::size_t live_count_ = 0;
   std::uint64_t executed_ = 0;

@@ -1,38 +1,59 @@
 #include "sim/simulator.h"
 
-#include <cassert>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::sim {
 
+namespace {
+
+// Causality guard shared by every schedule path: an event in the past
+// would either run out of order or land below the calendar's current
+// bucket, so it must fail loudly in every build.
+inline void check_causal(Time at, Time now) {
+  ACDC_CHECK(at >= now, "event scheduled into the past: at=%lld now=%lld",
+             static_cast<long long>(at), static_cast<long long>(now));
+}
+
+}  // namespace
+
 EventId Simulator::schedule(Time delay, EventAction action) {
-  assert(delay >= 0);
+  check_causal(now_ + delay, now_);
   return queue_.schedule(now_ + delay, std::move(action));
 }
 
 EventId Simulator::schedule_at(Time at, EventAction action) {
-  assert(at >= now_);
+  check_causal(at, now_);
   return queue_.schedule(at, std::move(action));
 }
 
 EventId Simulator::schedule_keyed(Time delay, std::uint64_t key,
                                   EventAction action) {
-  assert(delay >= 0);
+  check_causal(now_ + delay, now_);
   return queue_.schedule(now_ + delay, key, std::move(action));
 }
 
 EventId Simulator::schedule_at_keyed(Time at, std::uint64_t key,
                                      EventAction action) {
-  assert(at >= now_);
+  check_causal(at, now_);
   return queue_.schedule(at, key, std::move(action));
 }
 
 EventId Simulator::schedule_at_keyed_seq(Time at, std::uint64_t key,
                                          std::uint64_t tie_seq,
                                          EventAction action) {
-  assert(at >= now_);
-  assert(tie_seq & kExplicitTieSeqBit);
+  check_causal(at, now_);
+  ACDC_CHECK(tie_seq & kExplicitTieSeqBit,
+             "explicit tie sequence %llx lacks kExplicitTieSeqBit",
+             static_cast<unsigned long long>(tie_seq));
   return queue_.schedule(at, key, tie_seq, std::move(action));
+}
+
+EventId Simulator::schedule_at_seq(Time at, std::uint64_t seq,
+                                   EventAction action) {
+  check_causal(at, now_);
+  return queue_.schedule(at, kUnkeyedTieKey, seq, std::move(action));
 }
 
 void Simulator::run() {

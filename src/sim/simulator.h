@@ -23,7 +23,8 @@ class Simulator {
 
   // Schedules `action` to run `delay` from now (delay >= 0). EventAction is
   // small-buffer optimized: callables up to kInlineFunctionBytes schedule
-  // without touching the heap.
+  // without touching the heap. Scheduling into the past aborts in every
+  // build (ACDC_CHECK): the calendar's ordering depends on causality.
   EventId schedule(Time delay, EventAction action);
 
   // Schedules `action` at absolute time `at` (at >= now()).
@@ -62,7 +63,9 @@ class Simulator {
   void run_before(Time bound);
   // Timestamp of the earliest pending event; kNoTime when the queue is
   // empty. The shard executor uses this to compute the global safe window.
-  Time next_event_time() const { return queue_.next_time(); }
+  // It may move a far bucket into the near heap (see EventQueue), so only
+  // the thread that runs this simulator may call it.
+  Time next_event_time() { return queue_.next_time(); }
   // Moves the clock forward without running anything (end-of-window catch-up
   // so periodic samplers and run_until callers see a full final interval).
   void advance_to(Time t) {
@@ -72,6 +75,12 @@ class Simulator {
   std::uint64_t executed_events() const { return queue_.executed_count(); }
 
  private:
+  friend class DeadlineTimer;
+
+  // For DeadlineTimer: schedules an unkeyed event with an insertion
+  // sequence number taken earlier from queue_.take_seq().
+  EventId schedule_at_seq(Time at, std::uint64_t seq, EventAction action);
+
   Time now_ = 0;
   EventQueue queue_;
 };

@@ -33,7 +33,15 @@ TcpConnection::TcpConnection(sim::Simulator* sim, TcpConfig config,
       local_(local),
       remote_(remote),
       out_(out),
-      rtt_(config_.min_rto, config_.initial_rto) {
+      rtt_(config_.min_rto, config_.initial_rto),
+      rto_timer_(sim, this,
+                 [](void* self) {
+                   static_cast<TcpConnection*>(self)->on_rto_fire();
+                 }),
+      delack_timer_(sim, this, [](void* self) {
+        auto* conn = static_cast<TcpConnection*>(self);
+        if (conn->pending_ack_segments_ > 0) conn->send_ack_now();
+      }) {
   cc_ = make_congestion_control(config_.cc);
   assert(cc_ != nullptr && "unknown congestion control algorithm");
   dctcp_echo_ = config_.cc == CcId::kDctcp;
@@ -53,11 +61,6 @@ TcpConnection::TcpConnection(sim::Simulator* sim, TcpConfig config,
                           remote_.ip) ^
                     (static_cast<std::uint64_t>(local_.port) << 16 |
                      remote_.port));
-}
-
-TcpConnection::~TcpConnection() {
-  cancel_rto();
-  if (delack_timer_ != sim::kInvalidEventId) sim_->cancel(delack_timer_);
 }
 
 // ---------------------------------------------------------------- open/close
@@ -130,11 +133,8 @@ void TcpConnection::abort() {
   ++stats_.segments_sent;
   transmit(std::move(rst));
   enter_state(State::kDone);
-  cancel_rto();
-  if (delack_timer_ != sim::kInvalidEventId) {
-    sim_->cancel(delack_timer_);
-    delack_timer_ = sim::kInvalidEventId;
-  }
+  rto_timer_.disarm();
+  delack_timer_.disarm();
   segments_.clear();
   if (on_closed) on_closed();
 }
@@ -219,7 +219,7 @@ void TcpConnection::try_send() {
     sent = true;
   }
   enqueue_fin_if_ready();
-  if (sent && rto_timer_ == sim::kInvalidEventId) arm_rto();
+  if (sent && !rto_timer_.armed()) arm_rto();
 }
 
 net::PacketPtr TcpConnection::build_packet(const TxSegment& seg) const {
@@ -368,7 +368,7 @@ void TcpConnection::receive(net::PacketPtr packet) {
   const net::Packet& p = *packet;
   if (p.tcp.flags.rst) {
     enter_state(State::kDone);
-    cancel_rto();
+    rto_timer_.disarm();
     if (on_closed) on_closed();
     return;
   }
@@ -403,7 +403,7 @@ void TcpConnection::handle_syn_states(net::PacketPtr& packet) {
       cc_state_.min_rtt = rtt_.min_rtt();
     }
     segments_.clear();  // the SYN is acked
-    cancel_rto();
+    rto_timer_.disarm();
     rto_backoff_ = 1;
     enter_state(State::kEstablished);
     send_ack_now();
@@ -425,7 +425,7 @@ void TcpConnection::handle_syn_states(net::PacketPtr& packet) {
   if (!p.tcp.flags.ack || p.tcp.ack_seq != iss_ + 1) return;
   snd_una_ = p.tcp.ack_seq;
   segments_.clear();
-  cancel_rto();
+  rto_timer_.disarm();
   rto_backoff_ = 1;
   peer_rwnd_bytes_ =
       effective_window(p.tcp.window_raw, wscale_ok_, peer_wscale_);
@@ -562,7 +562,7 @@ void TcpConnection::process_ack(const net::Packet& p) {
     if (fin_just_acked) fin_acked_ = true;
 
     if (snd_una_ == snd_nxt_) {
-      cancel_rto();
+      rto_timer_.disarm();
     } else {
       arm_rto();
     }
@@ -570,13 +570,13 @@ void TcpConnection::process_ack(const net::Packet& p) {
 
     if (fin_acked_ && state_ == State::kLastAck) {
       enter_state(State::kDone);
-      cancel_rto();
+      rto_timer_.disarm();
       if (on_closed) on_closed();
       return;
     }
     if (fin_acked_ && fin_received_ && state_ == State::kFinWait) {
       enter_state(State::kDone);
-      cancel_rto();
+      rto_timer_.disarm();
       if (on_closed) on_closed();
       return;
     }
@@ -726,7 +726,7 @@ void TcpConnection::process_payload(const net::Packet& p) {
 
   if (fin_received_ && fin_acked_ && state_ == State::kFinWait) {
     enter_state(State::kDone);
-    cancel_rto();
+    rto_timer_.disarm();
     if (on_closed) on_closed();
   }
 }
@@ -749,10 +749,7 @@ net::SackBlocks TcpConnection::current_sack_blocks() const {
 
 void TcpConnection::send_ack_now() {
   pending_ack_segments_ = 0;
-  if (delack_timer_ != sim::kInvalidEventId) {
-    sim_->cancel(delack_timer_);
-    delack_timer_ = sim::kInvalidEventId;
-  }
+  delack_timer_.disarm();
   auto p = net::make_packet();
   p->ip.src = local_.ip;
   p->ip.dst = remote_.ip;
@@ -779,31 +776,12 @@ void TcpConnection::maybe_send_ack(bool forced) {
     send_ack_now();
     return;
   }
-  if (delack_timer_ == sim::kInvalidEventId) {
-    delack_timer_ = sim_->schedule(config_.delayed_ack_timeout, [this] {
-      delack_timer_ = sim::kInvalidEventId;
-      if (pending_ack_segments_ > 0) send_ack_now();
-    });
-  }
+  if (!delack_timer_.armed()) delack_timer_.arm(config_.delayed_ack_timeout);
 }
 
 // --------------------------------------------------------------------- RTO
 
-void TcpConnection::arm_rto() {
-  cancel_rto();
-  const sim::Time timeout = rtt_.rto() * rto_backoff_;
-  rto_timer_ = sim_->schedule(timeout, [this] {
-    rto_timer_ = sim::kInvalidEventId;
-    on_rto_fire();
-  });
-}
-
-void TcpConnection::cancel_rto() {
-  if (rto_timer_ != sim::kInvalidEventId) {
-    sim_->cancel(rto_timer_);
-    rto_timer_ = sim::kInvalidEventId;
-  }
-}
+void TcpConnection::arm_rto() { rto_timer_.arm(rtt_.rto() * rto_backoff_); }
 
 void TcpConnection::on_rto_fire() {
   cc_state_.now = sim_->now();

@@ -21,6 +21,7 @@
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "sim/deadline_timer.h"
 #include "sim/simulator.h"
 #include "tcp/cc/congestion_control.h"
 #include "tcp/rtt_estimator.h"
@@ -87,7 +88,6 @@ class TcpConnection {
 
   TcpConnection(sim::Simulator* sim, TcpConfig config, Endpoint local,
                 Endpoint remote, net::PacketSink* out);
-  ~TcpConnection();
 
   TcpConnection(const TcpConnection&) = delete;
   TcpConnection& operator=(const TcpConnection&) = delete;
@@ -138,8 +138,7 @@ class TcpConnection {
   std::int64_t delivered_bytes() const { return delivered_bytes_; }
   std::int64_t acked_payload_bytes() const { return acked_payload_bytes_; }
   std::int64_t queued_unsent_bytes() const {
-    return static_cast<std::int64_t>(write_seq_ - snd_nxt_) -
-           (fin_pending_ && !fin_sent_ ? 0 : 0);
+    return static_cast<std::int64_t>(write_seq_ - snd_nxt_);
   }
   const Stats& stats() const { return stats_; }
   const RttEstimator& rtt() const { return rtt_; }
@@ -178,7 +177,6 @@ class TcpConnection {
   void try_send();
   void send_segment(TxSegment& seg);
   net::PacketPtr build_packet(const TxSegment& seg) const;
-  net::PacketPtr build_control(bool syn, bool ack) const;
   void transmit(net::PacketPtr packet);
   std::int64_t send_window_bytes() const;
   // The cwnd-side limit alone (clamp, recovery inflation, limited
@@ -202,8 +200,7 @@ class TcpConnection {
   bool retransmit_first_unsacked(bool skip_retransmitted);
   bool retransmit_next_hole();
   void on_rto_fire();
-  void arm_rto();
-  void cancel_rto();
+  void arm_rto();  // (re)arms rto_timer_ for rto * backoff from now
 
   // ---- ECN ----
   void react_to_ece();
@@ -228,7 +225,8 @@ class TcpConnection {
   CcState cc_state_;
   RttEstimator rtt_;
 
-  // Sender state.
+  // Sender state. Flags and 4-byte fields sit together so the struct has no
+  // padding holes: churn keeps thousands of connections alive at once.
   Seq iss_ = 0;
   Seq snd_una_ = 0;
   Seq snd_nxt_ = 0;
@@ -244,18 +242,18 @@ class TcpConnection {
   Seq highest_sacked_ = 0;
   bool any_sacked_ = false;
   bool in_recovery_ = false;
-  Seq recovery_point_ = 0;
   bool in_rto_recovery_ = false;
-  Seq rto_recovery_point_ = 0;
-  double recovery_inflation_ = 0.0;
   bool cwr_pending_ = false;  // set CWR on next data segment
+  Seq recovery_point_ = 0;
+  Seq rto_recovery_point_ = 0;
   Seq cwr_end_ = 0;           // one ECE reduction per window of data
+  double recovery_inflation_ = 0.0;
   bool fin_pending_ = false;
   bool fin_sent_ = false;
   bool fin_acked_ = false;
-  std::int64_t acked_payload_bytes_ = 0;
-  sim::EventId rto_timer_ = sim::kInvalidEventId;
   int rto_backoff_ = 1;
+  std::int64_t acked_payload_bytes_ = 0;
+  sim::DeadlineTimer rto_timer_;
 
   // Receiver state.
   Seq irs_ = 0;
@@ -267,7 +265,7 @@ class TcpConnection {
   bool dctcp_echo_ = false;
   bool fin_received_ = false;
   int pending_ack_segments_ = 0;
-  sim::EventId delack_timer_ = sim::kInvalidEventId;
+  sim::DeadlineTimer delack_timer_;
 
   obs::FlightRecorder* trace_ = nullptr;
   std::uint32_t trace_source_ = 0;

@@ -1,10 +1,14 @@
-// Stress tests for the 4-ary-heap event queue: cancellation via
-// generation-tagged ids, FIFO tie-breaking at equal timestamps, and
-// determinism of the full pop order under randomized schedule/cancel churn.
+// Stress tests for the two-level event queue (near heap over a far
+// calendar plus overflow list): cancellation via generation-tagged ids, FIFO
+// tie-breaking at equal timestamps, the exact (time, key, seq) pop order
+// under randomized schedule/cancel churn spanning every level, and
+// allocation-free recycling of slots and far nodes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -86,80 +90,173 @@ TEST(EventQueueTest, NextTimeSkipsCancelledHead) {
   EXPECT_EQ(q.next_time(), 20);
 }
 
-// Pop everything and return the execution order tags.
-std::vector<int> drain(EventQueue& q) {
-  std::vector<int> order;
-  while (!q.empty()) q.take_next().action();
-  return order;
-}
+// Randomized churn over a wide span, checked pop by pop against a
+// reference ordered by (time, key, seq). Delays run from 0 ns to several
+// seconds, so events land in the near heap, in every calendar bucket, in
+// the overflow list past the lap, and — once the tail drains — in laps the
+// queue has to jump to over an empty calendar. Keyed events and events with
+// an explicit (mail) tie sequence mix with plain ones, often on the very
+// nanosecond of another pending event, and cancels hit events both still
+// in a far bucket and already moved into the heap.
+struct ChurnResult {
+  std::vector<int> order;  // tags in execution order
+  int near_cancels = 0;    // cancelled after their bucket moved
+  int far_cancels = 0;     // cancelled while in a far bucket or overflow
+};
 
-// Randomized churn: schedule/cancel with duplicate timestamps, and verify
-// (a) cancelled events never run, (b) survivors run in (time, insertion)
-// order, (c) two identically-seeded runs produce identical orders.
-std::vector<int> churn_run(std::uint64_t seed) {
+ChurnResult churn_run(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   EventQueue q;
-  std::vector<int> executed;
+  ChurnResult result;
+  using RefKey = std::tuple<Time, std::uint64_t, std::uint64_t, int>;
+  std::set<RefKey> reference;  // pending events by (at, key, seq), + tag
   struct Live {
     EventId id;
-    int tag;
+    RefKey ref;
   };
   std::vector<Live> live;
-  std::vector<int> cancelled;
-  int tag = 0;
-  for (int round = 0; round < 20'000; ++round) {
-    const auto action = rng() % 10;
-    if (action < 7 || live.empty()) {
-      // Coarse timestamps force heavy ties.
-      const Time at = static_cast<Time>(rng() % 64);
-      const int t = tag++;
-      live.push_back({q.schedule(at, [&executed, t] { executed.push_back(t); }),
-                      t});
+  std::vector<std::size_t> live_pos;  // tag -> index into live
+  std::uint64_t local_seq = 0;  // mirrors the queue's insertion counter
+  std::uint64_t mail_seq = 0;
+  Time now = 0;  // time of the last pop; schedules never go below it
+
+  const auto forget = [&](int tag) {
+    const std::size_t i = live_pos[static_cast<std::size_t>(tag)];
+    live[i] = live.back();
+    live_pos[static_cast<std::size_t>(std::get<3>(live[i].ref))] = i;
+    live.pop_back();
+  };
+  const auto pop = [&] {
+    ASSERT_FALSE(reference.empty());
+    const RefKey expected = *reference.begin();
+    ASSERT_EQ(q.next_time(), std::get<0>(expected));
+    EventQueue::Next next = q.take_next();
+    next.action();
+    ASSERT_EQ(result.order.back(), std::get<3>(expected))
+        << "popped out of (time, key, seq) order at t=" << next.at;
+    ASSERT_EQ(next.at, std::get<0>(expected));
+    now = next.at;
+    reference.erase(reference.begin());
+    forget(std::get<3>(expected));
+  };
+
+  for (int round = 0; round < 40'000; ++round) {
+    const auto action = rng() % 100;
+    if (action < 62 || live.empty()) {
+      Time delay;
+      const auto span = rng() % 100;
+      if (span < 30) {
+        delay = static_cast<Time>(rng() % 64);  // heavy ties near now
+      } else if (span < 45) {
+        delay = static_cast<Time>(rng() % (Time{1} << 21));
+      } else if (span < 75) {
+        delay = static_cast<Time>(rng() % milliseconds(300));  // calendar
+      } else if (span < 90 || live.empty()) {
+        delay = milliseconds(268) +
+                static_cast<Time>(rng() % milliseconds(2'700));  // overflow
+      } else {
+        // Exactly on another pending event's nanosecond, whatever its level.
+        delay = std::get<0>(live[rng() % live.size()].ref) - now;
+      }
+      const Time at = now + delay;
+      const int tag = static_cast<int>(live_pos.size());
+      const auto record = [&result, tag] { result.order.push_back(tag); };
+      const auto kind = rng() % 10;
+      EventId id;
+      RefKey ref;
+      if (kind < 6) {
+        ref = {at, kUnkeyedTieKey, ++local_seq, tag};
+        id = q.schedule(at, record);
+      } else if (kind < 9) {
+        const std::uint64_t key = rng() % 4;
+        ref = {at, key, ++local_seq, tag};
+        id = q.schedule(at, key, record);
+      } else {
+        const std::uint64_t key = rng() % 4;
+        const std::uint64_t seq =
+            mail_tie_seq(static_cast<std::uint32_t>(rng() % 3), ++mail_seq);
+        ref = {at, key, seq, tag};
+        id = q.schedule(at, key, seq, record);
+      }
+      reference.insert(ref);
+      live_pos.push_back(live.size());
+      live.push_back({id, ref});
+    } else if (action < 80) {
+      const Live victim = live[rng() % live.size()];
+      const Time at = std::get<0>(victim.ref);
+      // Buckets at or before now's have already moved into the heap.
+      constexpr int kShift = EventQueue::kBucketShift;
+      if ((at >> kShift) <= (now >> kShift)) {
+        ++result.near_cancels;
+      } else if (at - now > milliseconds(2)) {
+        ++result.far_cancels;
+      }
+      q.cancel(victim.id);
+      reference.erase(victim.ref);
+      forget(std::get<3>(victim.ref));
     } else {
-      const std::size_t idx = rng() % live.size();
-      q.cancel(live[idx].id);
-      cancelled.push_back(live[idx].tag);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
+      pop();
+      if (::testing::Test::HasFatalFailure()) return result;
     }
-    // Interleave some pops so slots recycle mid-stream. The popped event is
-    // no longer cancellable, so retire its tag from the live list.
-    if (rng() % 13 == 0 && !q.empty()) {
-      q.take_next().action();
-      const int done = executed.back();
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [done](const Live& l) { return l.tag == done; }),
-                 live.end());
-    }
+    EXPECT_EQ(q.size(), reference.size());
   }
-  const std::vector<int> rest = drain(q);
-  (void)rest;
-  // No cancelled tag may have executed.
-  for (int c : cancelled) {
-    EXPECT_EQ(std::find(executed.begin(), executed.end(), c), executed.end())
-        << "cancelled event " << c << " executed";
+  // Drain the tail: seconds of sparse overflow, lap after lap.
+  while (!q.empty()) {
+    pop();
+    if (::testing::Test::HasFatalFailure()) return result;
   }
-  return executed;
+  EXPECT_TRUE(reference.empty());
+  EXPECT_EQ(q.next_time(), kNoTime);
+  return result;
 }
 
 TEST(EventQueueStressTest, CancelChurnIsDeterministic) {
   const std::uint64_t seed = testlib::test_seed(7);
-  const std::vector<int> a = churn_run(seed);
-  const std::vector<int> b = churn_run(seed);
-  EXPECT_EQ(a, b) << "identical seeds must produce identical pop orders";
-  // ~70% of 20k rounds schedule and ~30% cancel, so well over 5k survive.
-  EXPECT_GT(a.size(), 5'000u);
+  const ChurnResult a = churn_run(seed);
+  const ChurnResult b = churn_run(seed);
+  EXPECT_EQ(a.order, b.order)
+      << "identical seeds must produce identical pop orders";
+  // ~62% of 40k rounds schedule and ~18% cancel, so well over 10k survive.
+  EXPECT_GT(a.order.size(), 10'000u);
+  EXPECT_GT(a.near_cancels, 100);
+  EXPECT_GT(a.far_cancels, 100);
 }
 
 TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
+  // Each round re-arms an RTO-style far timer 10 ms out (cancel + schedule)
+  // and runs 64 near events. The heap never runs dry within a bucket, so
+  // the cancelled timers wait in far buckets; once the first of those
+  // buckets come due, they are reaped as fast as they are made, so the slot
+  // arena, the far node pool and the heap stay at their high-water marks.
   EventQueue q;
-  for (int round = 0; round < 100; ++round) {
-    for (int i = 0; i < 64; ++i) q.schedule(round * 100 + i, [] {});
-    while (!q.empty()) q.take_next().action();
+  EventId far_timer = kInvalidEventId;
+  constexpr int kRounds = 400;
+  constexpr Time kRound = microseconds(100);
+  std::size_t warm_slots = 0;
+  std::size_t warm_far = 0;
+  std::size_t warm_heap = 0;
+  for (int round = 0; round < kRounds; ++round) {
+    const Time base = round * kRound;
+    q.cancel(far_timer);
+    far_timer = q.schedule(base + milliseconds(10), [] {});
+    for (int i = 0; i < 64; ++i) q.schedule(base + i, [] {});
+    for (int i = 0; i < 64; ++i) q.take_next().action();
+    if (round == kRounds / 2) {
+      warm_slots = q.slot_capacity();
+      warm_far = q.far_capacity();
+      warm_heap = q.heap_capacity();
+    }
   }
-  // 6400 events total, but never more than 64 in flight: the slot arena
-  // must stay at the high-water mark, not the total.
-  EXPECT_LE(q.slot_capacity(), 64u);
-  EXPECT_EQ(q.executed_count(), 6400u);
+  EXPECT_EQ(q.slot_capacity(), warm_slots);
+  EXPECT_EQ(q.far_capacity(), warm_far);
+  EXPECT_EQ(q.heap_capacity(), warm_heap);
+  // 64 near events plus at most one timer per round of the 10 ms horizon
+  // in flight: bounded by the horizon, not by the 400 rounds.
+  EXPECT_LE(q.slot_capacity(), 64u + 2 * (milliseconds(10) / kRound));
+  EXPECT_GT(q.far_capacity(), milliseconds(10) / kRound / 2);
+  // The far timers never come due; every near event ran.
+  EXPECT_EQ(q.executed_count(), 64u * kRounds);
+  EXPECT_EQ(q.size(), 1u);
 }
 
 TEST(EventQueueTest, InlineActionsNeedNoHeap) {

@@ -3,6 +3,7 @@
 // control, AC/DC invariants under impairment, and PACK-counter wraparound.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
 
@@ -148,11 +149,21 @@ TEST(PackCounterTest, FeedbackCountersWrapModulo32) {
 
 // Property sweep: every CC delivers exactly under random drop/dup/reorder.
 struct ChaosParam {
+  ChaosParam(tcp::CcId c, double drop_p, double dup_p, double reorder_p)
+      : cc(c), drop(drop_p), dup(dup_p), reorder(reorder_p) {}
   tcp::CcId cc;
+  // GoogleTest names each case after the raw bytes of its parameter. This
+  // member fills what would be padding after `cc`; padding bytes are not
+  // kept by copies and hold stale stack bytes, so without it the case names
+  // change from build to build.
+  std::int32_t zero = 0;
   double drop;
   double dup;
   double reorder;
 };
+static_assert(sizeof(ChaosParam) ==
+                  sizeof(tcp::CcId) + sizeof(std::int32_t) + 3 * sizeof(double),
+              "ChaosParam must have no padding bytes");
 
 class ChaosSweepTest : public ::testing::TestWithParam<ChaosParam> {};
 

@@ -1,9 +1,12 @@
 // Unit tests for the discrete-event core: ordering, cancellation,
-// determinism, time helpers.
+// determinism, the always-on causality check, deadline timers, time helpers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "sim/deadline_timer.h"
 #include "sim/event_queue.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -116,6 +119,211 @@ TEST(SimulatorTest, CancelTimer) {
   sim.cancel(id);
   sim.run();
   EXPECT_FALSE(ran);
+}
+
+// The causality check must hold in every build, NDEBUG included: the
+// calendar files an event by its bucket, so one scheduled into the past
+// would run out of order instead of failing.
+TEST(SimulatorDeathTest, SchedulingIntoThePastAborts) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Simulator sim;
+  sim.schedule_at(100, [] {});
+  sim.run();
+  ASSERT_EQ(sim.now(), 100);
+  EXPECT_DEATH(sim.schedule_at(50, [] {}), "at=50 now=100");
+  EXPECT_DEATH(sim.schedule(-1, [] {}), "at=99 now=100");
+  EXPECT_DEATH(sim.schedule_at_keyed(7, 1, [] {}), "at=7 now=100");
+  EXPECT_DEATH(sim.schedule_keyed(-100, 1, [] {}), "at=0 now=100");
+  EXPECT_DEATH(sim.schedule_at_keyed_seq(99, 1, mail_tie_seq(0, 1), [] {}),
+               "at=99 now=100");
+  // The present is not the past.
+  sim.schedule_at(100, [] {});
+  sim.schedule(0, [] {});
+  sim.run();
+  EXPECT_EQ(sim.now(), 100);
+}
+
+// Test owner for DeadlineTimer: records the time of every fire.
+struct FireLog {
+  Simulator* sim = nullptr;
+  std::vector<Time> fires;
+  static void on_fire(void* self) {
+    auto* log = static_cast<FireLog*>(self);
+    log->fires.push_back(log->sim->now());
+  }
+};
+
+TEST(DeadlineTimerTest, ReArmLaterFiresOnceAtLastDeadline) {
+  Simulator sim;
+  FireLog log{&sim, {}};
+  DeadlineTimer timer(&sim, &log, &FireLog::on_fire);
+  timer.arm(100);
+  sim.schedule(40, [&] { timer.arm(100); });  // deadline 140
+  sim.schedule(90, [&] { timer.arm(60); });   // deadline 150
+  EXPECT_TRUE(timer.armed());
+  sim.run();
+  EXPECT_EQ(log.fires, (std::vector<Time>{150}));
+  EXPECT_FALSE(timer.armed());
+  // Two script events, the fire at 150, and one intermediate fire at 100
+  // where the pending event found the deadline moved and re-scheduled.
+  EXPECT_EQ(sim.executed_events(), 4u);
+}
+
+TEST(DeadlineTimerTest, ReArmEarlierFiresOnceAtEarlierDeadline) {
+  Simulator sim;
+  FireLog log{&sim, {}};
+  DeadlineTimer timer(&sim, &log, &FireLog::on_fire);
+  timer.arm(milliseconds(200));
+  sim.schedule(10, [&] { timer.arm(20); });  // deadline 30
+  sim.run();
+  EXPECT_EQ(log.fires, (std::vector<Time>{30}));
+  // The 200 ms event was cancelled, not left to fire as a no-op.
+  EXPECT_EQ(sim.executed_events(), 2u);
+  EXPECT_EQ(sim.now(), 30);
+}
+
+TEST(DeadlineTimerTest, DisarmCancelsAndReArmWorks) {
+  Simulator sim;
+  FireLog log{&sim, {}};
+  DeadlineTimer timer(&sim, &log, &FireLog::on_fire);
+  timer.arm(100);
+  sim.schedule(10, [&] { timer.arm(200); });  // moved: stale event pending
+  sim.schedule(20, [&] {
+    timer.disarm();
+    EXPECT_FALSE(timer.armed());
+    timer.disarm();  // idempotent
+  });
+  sim.run();
+  EXPECT_TRUE(log.fires.empty());
+  EXPECT_EQ(sim.executed_events(), 2u);
+  timer.arm(5);
+  sim.run();
+  EXPECT_EQ(log.fires, (std::vector<Time>{25}));
+}
+
+TEST(DeadlineTimerTest, HandlerMayReArm) {
+  Simulator sim;
+  struct Backoff {
+    Simulator* sim;
+    DeadlineTimer* timer = nullptr;
+    std::vector<Time> fires;
+  } owner{&sim, nullptr, {}};
+  DeadlineTimer timer(&sim, &owner, [](void* self) {
+    auto* o = static_cast<Backoff*>(self);
+    o->fires.push_back(o->sim->now());
+    if (o->fires.size() < 4) o->timer->arm(10 << o->fires.size());
+  });
+  owner.timer = &timer;
+  timer.arm(10);
+  sim.run();
+  EXPECT_EQ(owner.fires, (std::vector<Time>{10, 30, 70, 150}));
+}
+
+TEST(DeadlineTimerTest, DestroyedWhilePendingNeverFires) {
+  Simulator sim;
+  FireLog log{&sim, {}};
+  {
+    DeadlineTimer timer(&sim, &log, &FireLog::on_fire);
+    timer.arm(100);
+    timer.arm(200);  // stale event at 100 still pending
+  }
+  EXPECT_EQ(sim.next_event_time(), kNoTime);
+  sim.run();
+  EXPECT_TRUE(log.fires.empty());
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+// Same-tick order against a reference: one Simulator drives a DeadlineTimer,
+// another the cancel + schedule bookkeeping it replaces, under the same
+// random script of re-arms (later, earlier, equal), disarms and third-party
+// events landing on the very nanosecond of a deadline, scheduled between
+// arms. Every execution must interleave identically.
+class TimerScript {
+ public:
+  TimerScript(bool use_deadline_timer, std::uint64_t seed)
+      : use_timer_(use_deadline_timer),
+        rng_(seed),
+        timer_(&sim_, this, [](void* self) {
+          static_cast<TimerScript*>(self)->on_fire();
+        }) {}
+
+  std::vector<std::string> run() {
+    for (int i = 0; i < 400; ++i) {
+      sim_.schedule_at(static_cast<Time>(rng_.uniform_int(0, 20'000)),
+                       [this, i] { step(i); });
+    }
+    sim_.run();
+    return log_;
+  }
+
+ private:
+  void note(const std::string& what) {
+    log_.push_back(std::to_string(sim_.now()) + " " + what);
+  }
+
+  void arm(Time delay) {
+    if (use_timer_) {
+      timer_.arm(delay);
+    } else {
+      sim_.cancel(ref_id_);
+      ref_id_ = sim_.schedule(delay, [this] {
+        ref_id_ = kInvalidEventId;
+        on_fire();
+      });
+    }
+    deadline_ = sim_.now() + delay;
+  }
+
+  void disarm() {
+    if (use_timer_) {
+      timer_.disarm();
+    } else {
+      sim_.cancel(ref_id_);
+      ref_id_ = kInvalidEventId;
+    }
+    deadline_ = kNoTime;
+  }
+
+  void on_fire() {
+    note("fire");
+    deadline_ = kNoTime;
+    if (rng_.chance(0.3)) arm(rng_.uniform_int(0, 500));
+  }
+
+  void step(int i) {
+    note("step " + std::to_string(i));
+    const int op = static_cast<int>(rng_.uniform_int(0, 9));
+    if (op < 4) {
+      arm(rng_.uniform_int(0, 3000));  // later or earlier
+    } else if (op < 6 && deadline_ != kNoTime) {
+      arm(deadline_ - sim_.now());  // same deadline, newer seq
+    } else if (op < 7) {
+      disarm();
+    }
+    // A third party lands on the deadline's nanosecond, between arms.
+    if (deadline_ != kNoTime && rng_.chance(0.6)) {
+      sim_.schedule_at(deadline_,
+                       [this, i] { note("peer " + std::to_string(i)); });
+    }
+  }
+
+  bool use_timer_;
+  Rng rng_;
+  Simulator sim_;
+  DeadlineTimer timer_;
+  EventId ref_id_ = kInvalidEventId;
+  Time deadline_ = kNoTime;
+  std::vector<std::string> log_;
+};
+
+TEST(DeadlineTimerTest, SameTickOrderMatchesCancelAndSchedule) {
+  const std::uint64_t seed = testlib::test_seed(20160822);
+  for (std::uint64_t s = seed; s < seed + 20; ++s) {
+    const std::vector<std::string> timer = TimerScript(true, s).run();
+    const std::vector<std::string> reference = TimerScript(false, s).run();
+    ASSERT_EQ(timer, reference) << "seed " << s;
+    ASSERT_GT(timer.size(), 400u);
+  }
 }
 
 TEST(RngTest, DeterministicAcrossInstances) {
