@@ -7,10 +7,10 @@
 //   ingress: [receiver] count + strip ECN            ->
 //            [sender] feedback, virtual CC, RWND enforcement -> VM
 //
-// Ingress additionally has a burst path (process_burst): when the NIC
-// coalesces an rx batch, a prefetch pass warms the flow-table lines for the
-// whole burst before per-packet processing runs — same semantics, fewer
-// stalls (DESIGN.md §14).
+// Both directions also take bursts (receive_burst() on ingress_in() or
+// egress_in()): a software-pipelined prefetch warms the flow-table lines
+// ahead of per-packet processing — same semantics, fewer stalls
+// (DESIGN.md §14).
 //
 // Also hosts the periodic inactivity scan (timeout inference, §3.1), the
 // flow-table garbage collector (§4) and the §3.3 flexibility features
@@ -43,8 +43,9 @@ class AcdcVswitch : public net::DuplexFilter {
   // Ingress burst entry point: processes `count` packets in arrival order
   // after one table-prefetch pass over the whole burst. Byte-for-byte
   // equivalent to `count` single-packet deliveries — the prefetches are the
-  // only difference. The NIC's rx coalescer is the normal caller (through
-  // ingress_in()'s burst adapter); benches drive it directly.
+  // only difference. Reached through ingress_in().receive_burst(); the
+  // simulated NIC hands packets up one at a time, so the callers are the
+  // datapath benches and the perf probes.
   void process_burst(net::PacketPtr* packets, std::size_t count);
 
   // Bundled observability wiring. One call replaces the old set_trace /

@@ -42,7 +42,6 @@ host::Host* Scenario::add_host(const std::string& name) {
   host::HostConfig hc;
   hc.link_rate = config_.link_rate;
   hc.link_delay = config_.host_link_delay;
-  hc.nic_rx_burst = config_.nic_rx_burst;
   const net::IpAddr ip = net::make_ip(10, 0, 0, next_host_id_++);
   hosts_.push_back(std::make_unique<host::Host>(&sim_, name, ip, hc));
   host::Host* raw = hosts_.back().get();

@@ -65,11 +65,6 @@ struct ScenarioConfig {
   // `seed`, so fault draws on one link never perturb another. Defaults to
   // a clean fabric.
   net::FaultConfig link_faults;
-  // NIC ingress rx-burst coalescing depth for every host this scenario
-  // builds (host/host.h). Deterministic: the drain event's tie key is a
-  // pure function of packet identity, so digests match with any depth.
-  // <= 1 disables coalescing.
-  int nic_rx_burst = 32;
 
   std::int64_t derived_red_k() const {
     if (red_k_bytes > 0) return red_k_bytes;

@@ -13,7 +13,6 @@ Host::Host(sim::Simulator* sim, std::string name, net::IpAddr ip,
       tsq_limit_bytes_(config.tsq_limit_bytes),
       nic_(sim, name_, config.link_rate, config.link_delay,
            config.nic_queue_bytes) {
-  nic_.set_rx_burst(config.nic_rx_burst);
   if (tsq_limit_bytes_ > 0) {
     nic_.tx_port().set_drain_callback([this] { on_nic_drain(); });
   }

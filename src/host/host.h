@@ -32,11 +32,6 @@ struct HostConfig {
   // the NIC TX queue holds at least this much, and are poked when it
   // drains. 0 disables the back-pressure.
   std::int64_t tsq_limit_bytes = 128 * 1024;
-  // Ingress rx-burst coalescing depth handed to the NIC (net/nic.h):
-  // same-tick arrivals are batched into receive_burst() calls of up to
-  // this many packets, which lets the AC/DC vSwitch prefetch flow-table
-  // lines across the whole burst. <= 1 disables coalescing.
-  int nic_rx_burst = 32;
 };
 
 class Host : public net::PacketSink {

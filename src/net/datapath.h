@@ -29,9 +29,9 @@ class DuplexFilter {
   virtual void handle_ingress(PacketPtr packet) { send_up(std::move(packet)); }
 
   // Burst analogues, reached through egress_in()/ingress_in() when the
-  // upstream sink delivers a coalesced batch (e.g. the NIC's rx path). The
-  // defaults unroll to the per-packet handlers in order, so overriding is
-  // purely an optimization — never a semantic change.
+  // caller hands over a batch (receive_burst). The defaults unroll to the
+  // per-packet handlers in order, so overriding is purely an optimization —
+  // never a semantic change.
   virtual void handle_egress_burst(PacketPtr* packets, std::size_t count) {
     for (std::size_t i = 0; i < count; ++i) {
       handle_egress(std::move(packets[i]));

@@ -1,6 +1,5 @@
 #include "net/nic.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace acdc::net {
@@ -30,37 +29,7 @@ void Nic::receive(PacketPtr packet) {
       ev.b = packet->payload_bytes;
     });
   }
-  if (up_ == nullptr) return;
-  if (rx_burst_ <= 1) {
-    up_->receive(std::move(packet));
-    return;
-  }
-  // Coalesce: buffer the packet and drain the batch in a zero-delay event.
-  // The drain's tie key is the *first* buffered packet's delivery key, so
-  // same-tick event ordering — and therefore the serial-vs-sharded digest —
-  // is a pure function of packet identities, never of arrival batching.
-  const bool first = rx_buf_.empty();
-  const std::uint64_t key =
-      first ? Port::delivery_tie_key(*packet) : 0;
-  rx_buf_.push_back(std::move(packet));
-  if (first && !rx_drain_scheduled_) {
-    rx_drain_scheduled_ = true;
-    sim_->schedule_keyed(0, key, [this] { drain_rx(); });
-  }
-}
-
-void Nic::drain_rx() {
-  rx_drain_scheduled_ = false;
-  // Swap out the buffer first: burst processing can deliver new packets
-  // back into this NIC synchronously (vSwitch-injected ACKs, forwarded
-  // traffic), which must start a fresh batch rather than mutate this one.
-  std::vector<PacketPtr> batch;
-  batch.swap(rx_buf_);
-  const std::size_t burst = static_cast<std::size_t>(rx_burst_);
-  for (std::size_t i = 0; i < batch.size(); i += burst) {
-    const std::size_t n = std::min(burst, batch.size() - i);
-    up_->receive_burst(&batch[i], n);
-  }
+  if (up_ != nullptr) up_->receive(std::move(packet));
 }
 
 void Nic::set_trace(obs::FlightRecorder* recorder) {

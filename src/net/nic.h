@@ -1,13 +1,11 @@
 // Host NIC: an egress transmit port plus the ingress handoff to the host's
-// datapath. The ingress side can coalesce same-tick arrivals into rx bursts
-// (set_rx_burst), handing the datapath receive_burst() batches the way a
-// real NIC's rx ring hands DPDK a burst — the AC/DC vSwitch uses the batch
-// boundary to prefetch flow-table lines across the whole burst.
+// datapath. Each arriving packet goes up inside its own delivery event: one
+// link feeds a NIC, and its deliveries come at strictly increasing times, so
+// there is no same-tick batch to coalesce.
 #pragma once
 
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "net/packet.h"
 #include "net/port.h"
@@ -23,14 +21,6 @@ class Nic : public PacketSink {
 
   // Network -> host direction.
   void receive(PacketPtr packet) override;
-
-  // Ingress coalescing depth: up to `burst` same-tick packets are buffered
-  // and delivered as one receive_burst (<= 1 disables, the default — every
-  // packet forwards immediately). The drain runs in the same simulated
-  // tick under a deterministic tie key, so delivery order and timing are
-  // identical with coalescing on or off; only the call shape changes.
-  void set_rx_burst(int burst) { rx_burst_ = burst; }
-  int rx_burst() const { return rx_burst_; }
 
   // Host -> network direction (bottom of the datapath chain).
   PacketSink& tx() { return tx_port_; }
@@ -55,8 +45,6 @@ class Nic : public PacketSink {
                         const std::string& prefix) const;
 
  private:
-  void drain_rx();
-
   sim::Simulator* sim_;
   std::string name_;
   Port tx_port_;
@@ -65,9 +53,6 @@ class Nic : public PacketSink {
   std::uint32_t trace_source_ = 0;
   std::int64_t received_packets_ = 0;
   std::int64_t received_bytes_ = 0;
-  int rx_burst_ = 1;
-  std::vector<PacketPtr> rx_buf_;
-  bool rx_drain_scheduled_ = false;
 };
 
 }  // namespace acdc::net

@@ -1,9 +1,9 @@
 #include "net/port.h"
 
-#include <cassert>
 #include <utility>
 
 #include "net/pcap.h"
+#include "sim/check.h"
 
 namespace acdc::net {
 
@@ -33,14 +33,31 @@ Port::Port(sim::Simulator* sim, std::string name, sim::Rate rate,
       name_(std::move(name)),
       rate_(rate),
       propagation_delay_(propagation_delay),
-      queue_(std::move(queue)) {
-  assert(rate_ > 0);
+      queue_(std::move(queue)),
+      tx_done_(sim) {
+  // A zero rate would divide by zero in sim::transmission_time on the first
+  // packet.
+  ACDC_CHECK(rate_ > 0, "port %s: link rate must be positive, rate=%lld",
+             name_.c_str(), static_cast<long long>(rate_));
+}
+
+void Port::check_idle(const char* what) const {
+  ACDC_CHECK(tx_done_.passed(),
+             "port %s: %s while transmitting (busy until %lld ns, now %lld)",
+             name_.c_str(), what, static_cast<long long>(tx_done_.at()),
+             static_cast<long long>(sim_->now()));
 }
 
 void Port::send(PacketPtr packet) {
   packet->enqueued_at = sim_->now();
   if (!queue_->enqueue(std::move(packet))) return;
-  if (!transmitting_) start_transmission();
+  if (tx_done_.passed()) {
+    start_transmission();
+  } else {
+    // The packet waits behind the one on the wire, so the completion now
+    // has work: it enters the queue at its reserved position.
+    tx_done_.schedule([this] { start_transmission(); });
+  }
 }
 
 void Port::set_trace(obs::FlightRecorder* recorder) {
@@ -57,12 +74,12 @@ void Port::register_metrics(obs::MetricsRegistry& registry) const {
 }
 
 void Port::start_transmission() {
+  // Only reached with a packet waiting: from send(), or from a completion
+  // that was scheduled because one was.
   PacketPtr packet = queue_->dequeue();
-  if (packet == nullptr) {
-    transmitting_ = false;
-    return;
-  }
-  transmitting_ = true;
+  ACDC_CHECK(packet != nullptr, "port %s: transmission started at %lld ns "
+             "with an empty queue", name_.c_str(),
+             static_cast<long long>(sim_->now()));
   const sim::Time tx = sim::transmission_time(packet->wire_bytes(), rate_);
   ++transmitted_packets_;
   transmitted_bytes_ += packet->wire_bytes();
@@ -108,7 +125,10 @@ void Port::start_transmission() {
   // Deliver at tx + propagation; free the transmitter at tx. A remote peer
   // (cross-shard link) takes the delivery time with the packet instead of a
   // local event. Both paths carry the content-derived tie key so same-tick
-  // arrivals at the receiver order identically on either engine.
+  // arrivals at the receiver order identically on either engine. The
+  // delivery takes its insertion seq before the completion reserves one;
+  // same-tick ties depend on that order. The completion is scheduled only
+  // once a packet waits behind this one (here, or in send()).
   const std::uint64_t key = delivery_tie_key(*packet);
   if (remote_peer_ != nullptr) {
     remote_peer_->deliver(packet.release(),
@@ -124,7 +144,8 @@ void Port::start_transmission() {
       }
     });
   }
-  sim_->schedule(tx, [this] { start_transmission(); });
+  tx_done_.reserve(tx);
+  if (!queue_->empty()) tx_done_.schedule([this] { start_transmission(); });
   if (on_drain_) on_drain_();
 }
 

@@ -3,7 +3,6 @@
 // Full-duplex links are a pair of Ports, one per direction.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -12,6 +11,7 @@
 #include "net/packet.h"
 #include "net/queue.h"
 #include "net/telemetry.h"
+#include "sim/reserved_event.h"
 #include "sim/simulator.h"
 
 namespace acdc::net {
@@ -31,8 +31,12 @@ class RemotePeer {
   virtual void deliver(Packet* packet, sim::Time at, std::uint64_t key) = 0;
 };
 
+// Each transmission costs one event, the delivery, while the link is idle:
+// the transmit-complete event is only reserved (sim::ReservedEvent), and
+// enters the event queue when a packet waits behind the one on the wire.
 class Port : public PacketSink {
  public:
+  // `rate` must be positive (checked in every build).
   Port(sim::Simulator* sim, std::string name, sim::Rate rate,
        sim::Time propagation_delay, std::unique_ptr<Queue> queue);
 
@@ -43,13 +47,14 @@ class Port : public PacketSink {
   // Re-homes the port onto a shard's simulator. Only legal while idle (no
   // transmission in progress), i.e. during partitioning before any traffic.
   void rebind_simulator(sim::Simulator* sim) {
-    assert(!transmitting_);
+    check_idle("rebind_simulator");
     sim_ = sim;
+    tx_done_.rebind_simulator(sim);
   }
   // Adjusts the propagation delay; only legal while idle, i.e. during
   // topology construction (per-link skew, exp::Scenario::attach).
   void set_propagation_delay(sim::Time delay) {
-    assert(!transmitting_);
+    check_idle("set_propagation_delay");
     propagation_delay_ = delay;
   }
 
@@ -104,6 +109,8 @@ class Port : public PacketSink {
 
  private:
   void start_transmission();
+  // Aborts (in every build) unless the transmitter is free.
+  void check_idle(const char* what) const;
 
   sim::Simulator* sim_;
   std::string name_;
@@ -120,7 +127,9 @@ class Port : public PacketSink {
   // Observation channel, set from the const register_metrics (the registry
   // owns the histogram; recording does not change the port's logical state).
   mutable obs::Histogram* sojourn_ns_ = nullptr;
-  bool transmitting_ = false;
+  // Frees the transmitter when the packet on the wire is out; passed()
+  // while idle.
+  sim::ReservedEvent tx_done_;
   std::int64_t transmitted_packets_ = 0;
   std::int64_t transmitted_bytes_ = 0;
 };

@@ -231,7 +231,7 @@ EventQueue::Next EventQueue::take_next() {
   assert(live);
   const Entry top = heap_[0];
   Slot& slot = slots_[top.slot];
-  Next next{top.at, std::move(slot.action)};
+  Next next{top.at, top.key, top.seq, std::move(slot.action)};
   release_slot(top.slot);
   pop_heap_top();
   --live_count_;

@@ -103,6 +103,8 @@ class EventQueue {
   // Consumes the insertion sequence number the next plain schedule() would
   // have used, for a later schedule(at, key, tie_seq, action).
   std::uint64_t take_seq() { return next_seq_++; }
+  // The latest insertion sequence number handed out (0 before the first).
+  std::uint64_t last_seq() const { return next_seq_ - 1; }
 
   // Cancels a pending event. Cancelling an already-fired, already-cancelled
   // or invalid id is a no-op, which keeps timer bookkeeping in callers
@@ -116,13 +118,17 @@ class EventQueue {
   // next far bucket into the heap, so only the queue's owner may call it.
   Time next_time();
 
+  // A popped event and its place in the pop order.
   struct Next {
     Time at = 0;
+    std::uint64_t key = kUnkeyedTieKey;
+    std::uint64_t seq = 0;
     EventAction action;
   };
 
   // Pops the earliest event without running it, so the caller can advance
-  // its clock before invoking the action. Precondition: !empty().
+  // its clock (and record the event's position) before invoking the
+  // action. Precondition: !empty().
   Next take_next();
 
   std::uint64_t executed_count() const { return executed_; }

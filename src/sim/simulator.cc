@@ -59,6 +59,7 @@ EventId Simulator::schedule_at_seq(Time at, std::uint64_t seq,
 void Simulator::run() {
   while (step()) {
   }
+  end_tick(now_);
 }
 
 void Simulator::run_until(Time deadline) {
@@ -67,7 +68,7 @@ void Simulator::run_until(Time deadline) {
     if (next == kNoTime || next > deadline) break;
     step();
   }
-  if (now_ < deadline) now_ = deadline;
+  if (now_ <= deadline) end_tick(deadline);
 }
 
 void Simulator::run_before(Time bound) {
@@ -81,7 +82,11 @@ void Simulator::run_before(Time bound) {
 bool Simulator::step() {
   if (queue_.empty()) return false;
   EventQueue::Next next = queue_.take_next();
-  now_ = next.at;
+  if (next.at != now_) {
+    now_ = next.at;
+    tick_seq_ = 0;
+  }
+  if (next.key == kUnkeyedTieKey) tick_seq_ = next.seq;
   next.action();
   return true;
 }

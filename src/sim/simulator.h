@@ -45,11 +45,14 @@ class Simulator {
 
   void cancel(EventId id) { queue_.cancel(id); }
 
-  // Runs events until the queue drains.
+  // Runs events until the queue drains; the clock stays at the last event
+  // run, and the position at the end of its tick.
   void run();
 
   // Runs events with timestamp <= deadline; the clock ends at
-  // max(now, deadline) so periodic samplers see a full final interval.
+  // max(now, deadline) so periodic samplers see a full final interval, and
+  // the pop-order position at the end of the deadline's tick (see
+  // ReservedEvent).
   void run_until(Time deadline);
 
   // Runs at most one event. Returns false when the queue is empty.
@@ -66,22 +69,38 @@ class Simulator {
   // It may move a far bucket into the near heap (see EventQueue), so only
   // the thread that runs this simulator may call it.
   Time next_event_time() { return queue_.next_time(); }
-  // Moves the clock forward without running anything (end-of-window catch-up
+  // Moves the clock forward without running anything (end-of-round catch-up
   // so periodic samplers and run_until callers see a full final interval).
+  // Like run_until, it leaves the position at the end of t's tick, so it
+  // may only be called once no event at or before t is pending.
   void advance_to(Time t) {
-    if (now_ < t) now_ = t;
+    if (now_ <= t) end_tick(t);
   }
 
   std::uint64_t executed_events() const { return queue_.executed_count(); }
 
  private:
   friend class DeadlineTimer;
+  friend class ReservedEvent;
 
-  // For DeadlineTimer: schedules an unkeyed event with an insertion
-  // sequence number taken earlier from queue_.take_seq().
+  // For DeadlineTimer and ReservedEvent: schedules an unkeyed event with an
+  // insertion sequence number taken earlier from queue_.take_seq().
   EventId schedule_at_seq(Time at, std::uint64_t seq, EventAction action);
 
+  // Sets the clock to t with every event scheduled so far at t counted as
+  // run.
+  void end_tick(Time t) {
+    now_ = t;
+    tick_seq_ = queue_.last_seq();
+  }
+
   Time now_ = 0;
+  // How far the pop order has got within tick now_: the seq of the last
+  // unkeyed event run at now_ (0 before the first). Keyed events sort
+  // before every unkeyed one in their tick, and every unkeyed event that
+  // can still run at now_ has a larger seq, so an unkeyed (now_, seq) has
+  // been passed exactly when seq <= tick_seq_.
+  std::uint64_t tick_seq_ = 0;
   EventQueue queue_;
 };
 

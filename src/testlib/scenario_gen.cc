@@ -75,13 +75,11 @@ struct BuiltTopology {
   std::vector<net::Switch*> switches;
 };
 
-BuiltTopology build_topology(const ScenarioPlan& plan,
-                             const RunOptions& options) {
+BuiltTopology build_topology(const ScenarioPlan& plan) {
   exp::ScenarioConfig sc;
   sc.seed = plan.seed;
   sc.mtu_bytes = plan.mtu_bytes;
   sc.link_faults = plan.faults;
-  if (options.nic_rx_burst >= 0) sc.nic_rx_burst = options.nic_rx_burst;
 
   BuiltTopology t;
   switch (plan.topology) {
@@ -380,7 +378,7 @@ void mask_faults(ScenarioPlan& plan, const FaultToggles& keep) {
 }
 
 RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
-  BuiltTopology topo = build_topology(plan, options);
+  BuiltTopology topo = build_topology(plan);
   exp::Scenario& scenario = *topo.scenario;
   if (options.shards > 1) {
     exp::ParallelOptions popts;

@@ -168,12 +168,6 @@ struct RunOptions {
   // for every combination.
   bool per_neighbor_windows = true;
   int handoff_batch = 0;
-  // NIC rx-burst coalescing depth for every generated host. -1 inherits
-  // the ScenarioConfig default; 1 forces the per-packet path; larger
-  // values exercise the vSwitch burst pipeline under fuzz pressure.
-  // Digests must be identical for every setting (burst drains use
-  // identity-keyed zero-delay events).
-  int nic_rx_burst = -1;
   // When set, the retained tail of the event rings — merged across shards
   // into one globally time-ordered stream — is written there as a Chrome
   // trace (chrome://tracing / Perfetto) after the run; the fuzz driver

@@ -1,16 +1,22 @@
 // Integration tests for the AC/DC vSwitch datapath on a host pair:
 // transparency, ECN marking/stripping, PACK/FACK feedback, RWND
 // enforcement, observer mode, policing, per-flow policy, timeout inference,
-// flow GC, and the §3.3 injection features.
+// flow GC, and the §3.3 injection features; plus the burst prefetch
+// pipeline against packet-at-a-time processing.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "acdc/vswitch.h"
 #include "host/host.h"
 #include "net/datapath.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "tcp/tcp_connection.h"
+#include "testlib/seed.h"
 
 namespace acdc {
 namespace {
@@ -353,6 +359,198 @@ TEST(AcdcVswitchTest, DctcpHostStackUnderAcdcStaysQuiet) {
   EXPECT_EQ(net.b->connections()[0]->delivered_bytes(), 1'000'000);
   EXPECT_EQ(c->stats().ecn_reductions, 0);
   EXPECT_GT(net.vs_a->stats().windows_lowered, 0);
+}
+
+// Every field a vSwitch may rewrite or a VM may read, as one line.
+std::string describe(const net::Packet& p) {
+  const net::TcpHeader& t = p.tcp;
+  char buf[320];
+  std::snprintf(
+      buf, sizeof(buf),
+      "%08x:%u>%08x:%u seq=%u ack=%u f=%d%d%d%d%d%d%d win=%u vmecn=%d "
+      "ecn=%d pay=%lld fack=%d mss=%d ws=%d sack=%zu pack=%lld/%lld telem=%d",
+      p.ip.src, t.src_port, p.ip.dst, t.dst_port, t.seq, t.ack_seq,
+      t.flags.syn, t.flags.ack, t.flags.fin, t.flags.rst, t.flags.psh,
+      t.flags.ece, t.flags.cwr, t.window_raw, t.reserved_vm_ecn,
+      static_cast<int>(p.ip.ecn), static_cast<long long>(p.payload_bytes),
+      p.acdc_fack, t.options.mss ? *t.options.mss : -1,
+      t.options.window_scale ? *t.options.window_scale : -1,
+      t.options.sack.size(),
+      t.options.acdc ? static_cast<long long>(t.options.acdc->total_bytes)
+                     : -1LL,
+      t.options.acdc ? static_cast<long long>(t.options.acdc->marked_bytes)
+                     : -1LL,
+      p.telem.has_value());
+  return buf;
+}
+
+class LogSink : public net::PacketSink {
+ public:
+  void receive(net::PacketPtr p) override { lines.push_back(describe(*p)); }
+  std::vector<std::string> lines;
+};
+
+// One vSwitch with recording sinks on both sides.
+struct Twin {
+  sim::Simulator sim;
+  AcdcVswitch vs;
+  LogSink up;
+  LogSink down;
+
+  explicit Twin(const AcdcConfig& cfg) : vs(&sim, cfg) {
+    vs.set_up(&up);
+    vs.set_down(&down);
+  }
+};
+
+// process_burst warms flow-table lines up to 16 packets ahead of the one it
+// processes; the datapath benches and the perf probes are its only callers,
+// so it is checked here against packet-at-a-time delivery. Bursts of 48
+// mixed packets over 48 flows run against a 24-entry table: inserts evict
+// entries a later packet's prefetch already targeted.
+TEST(AcdcVswitchTest, BurstPipelineMatchesPacketAtATime) {
+  constexpr int kFlows = 48;
+  constexpr std::size_t kBurst = 48;
+  AcdcConfig cfg;
+  cfg.mtu_bytes = 1500;  // a full-sized piggybacked ACK overflows to a FACK
+  cfg.flow_table_max_entries = 24;
+  Twin burst(cfg);
+  Twin single(cfg);
+  sim::Rng rng(testlib::test_seed(2016));
+
+  const net::IpAddr vm = net::make_ip(10, 0, 0, 1);
+  struct Flow {
+    std::uint32_t vm_seq = 1000;     // next byte the VM sends
+    std::uint32_t peer_seq = 50000;  // next byte the peer sends
+    std::uint32_t fb_total = 0;      // feedback the peer reports
+    std::uint32_t fb_marked = 0;
+  };
+  std::vector<Flow> flows(kFlows);
+  const auto peer = [](int f) {
+    return net::make_ip(10, 1, 0, static_cast<std::uint8_t>(f + 1));
+  };
+  const auto vm_port = [](int f) {
+    return static_cast<net::TcpPort>(20000 + f);
+  };
+
+  // Egress: the VM's SYNs, data (piggybacked ACKs; 1460 B leaves no room
+  // for a PACK) and pure ACKs of the peer's data.
+  const auto egress_packet = [&](int f) {
+    Flow& fl = flows[static_cast<std::size_t>(f)];
+    auto p = net::make_packet();
+    p->ip.src = vm;
+    p->ip.dst = peer(f);
+    p->tcp.src_port = vm_port(f);
+    p->tcp.dst_port = 80;
+    p->tcp.seq = fl.vm_seq;
+    p->tcp.ack_seq = fl.peer_seq;
+    p->tcp.window_raw = 65535;
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind == 0) {
+      p->tcp.flags.syn = true;
+      p->tcp.options.mss = 1448;
+      p->tcp.options.window_scale = 7;
+      fl.vm_seq += 1;
+    } else {
+      p->tcp.flags.ack = true;
+      if (kind <= 6) {
+        p->payload_bytes = kind <= 3 ? 1460 : 700;
+        fl.vm_seq += static_cast<std::uint32_t>(p->payload_bytes);
+      }
+    }
+    return p;
+  };
+  // Ingress: the peer's SYN-ACKs and SYNs, data with CE marks, pure ACKs
+  // of the VM's data carrying PACK feedback, and FACKs.
+  const auto ingress_packet = [&](int f) {
+    Flow& fl = flows[static_cast<std::size_t>(f)];
+    auto p = net::make_packet();
+    p->ip.src = peer(f);
+    p->ip.dst = vm;
+    p->tcp.src_port = 80;
+    p->tcp.dst_port = vm_port(f);
+    p->tcp.seq = fl.peer_seq;
+    p->tcp.window_raw = 65535;
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind <= 1) {
+      p->tcp.flags.syn = true;
+      p->tcp.flags.ack = kind == 0;
+      p->tcp.ack_seq = fl.vm_seq;
+      p->tcp.options.mss = 1448;
+      p->tcp.options.window_scale = 7;
+      p->tcp.flags.ece = rng.chance(0.5);
+      fl.peer_seq += 1;
+      return p;
+    }
+    p->tcp.flags.ack = true;
+    p->tcp.ack_seq = fl.vm_seq - static_cast<std::uint32_t>(
+                                     rng.uniform_int(0, 3) * 1460);
+    if (kind <= 4) {
+      p->payload_bytes = 1448;
+      fl.peer_seq += 1448;
+      p->ip.ecn = rng.chance(0.4) ? net::Ecn::kCe : net::Ecn::kEct0;
+      return p;
+    }
+    fl.fb_total += static_cast<std::uint32_t>(rng.uniform_int(1, 4) * 1460);
+    fl.fb_marked += static_cast<std::uint32_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(fl.fb_total -
+                                                     fl.fb_marked)));
+    p->tcp.options.acdc = net::AcdcFeedback{fl.fb_total, fl.fb_marked};
+    p->acdc_fack = kind == 9;
+    return p;
+  };
+
+  std::vector<net::PacketPtr> batch(kBurst);
+  for (int round = 0; round < 80; ++round) {
+    const bool egress = rng.chance(0.5);
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      const int f = static_cast<int>(rng.uniform_int(0, kFlows - 1));
+      batch[i] = egress ? egress_packet(f) : ingress_packet(f);
+    }
+    net::PacketSink& burst_in =
+        egress ? burst.vs.egress_in() : burst.vs.ingress_in();
+    net::PacketSink& single_in =
+        egress ? single.vs.egress_in() : single.vs.ingress_in();
+    for (std::size_t i = 0; i < kBurst; ++i) {
+      single_in.receive(net::clone_packet(*batch[i]));
+    }
+    burst_in.receive_burst(batch.data(), kBurst);
+    const sim::Time next = sim::microseconds(25) * (round + 1);
+    burst.sim.run_until(next);
+    single.sim.run_until(next);
+  }
+
+  EXPECT_EQ(burst.up.lines, single.up.lines);
+  EXPECT_EQ(burst.down.lines, single.down.lines);
+  const vswitch::AcdcStats& a = burst.vs.stats();
+  const vswitch::AcdcStats& b = single.vs.stats();
+  const auto counters = [](const vswitch::AcdcStats& s) {
+    return std::vector<std::int64_t>{
+        s.egress_data_packets,     s.ingress_data_packets,
+        s.acks_processed,          s.packs_attached,
+        s.facks_sent,              s.facks_consumed,
+        s.windows_lowered,         s.policed_drops,
+        s.inferred_timeouts,       s.injected_dupacks,
+        s.injected_window_updates, s.rtt_samples,
+        s.feedback_resyncs,        s.flow_cache_hits,
+        s.flow_cache_misses};
+  };
+  EXPECT_EQ(counters(a), counters(b));
+  const auto table = [](const vswitch::FlowTable& t) {
+    const vswitch::FlowTable::Stats& s = t.stats();
+    return std::vector<std::int64_t>{
+        s.lookups,   s.hits,      s.inserts,           s.removals,
+        s.gc_removed, s.evictions, s.admission_rejects, s.rehashes,
+        static_cast<std::int64_t>(t.size())};
+  };
+  EXPECT_EQ(table(burst.vs.flows()), table(single.vs.flows()));
+
+  // The mix reached every path the test is about.
+  EXPECT_GT(a.windows_lowered, 0);
+  EXPECT_GT(a.packs_attached, 0);
+  EXPECT_GT(a.facks_sent, 0);
+  EXPECT_GT(a.facks_consumed, 0);
+  EXPECT_GT(burst.vs.flows().stats().evictions, 100);
 }
 
 }  // namespace

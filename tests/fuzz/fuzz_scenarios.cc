@@ -5,13 +5,11 @@
 //                  [--no-churn] [--no-arsenal] [--no-service]
 //                  [--horizon-ms M]
 //                  [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]
-//                  [--bursts B] [--batch H] [--legacy-windows]
+//                  [--batch H] [--legacy-windows]
 //
 // --shards S (S > 1) partitions every sampled topology and runs it on the
 // parallel engine with T worker threads (default: one per shard); results
 // must be identical to the serial engine, so all the oracles stay valid.
-// --bursts B sets the NIC rx coalescing depth on every generated host
-// (1 forces the per-packet path); digests must not depend on it.
 // --batch H sets the cross-shard handoff batch depth (1 = unbatched) and
 // --legacy-windows selects the global-barrier sync loop instead of
 // per-neighbor safe-time windows; both are pure scheduling knobs, so
@@ -58,7 +56,6 @@ struct DriverOptions {
   bool quiet = false;
   int shards = 0;   // > 1: run on the parallel engine
   int threads = 0;  // 0 -> one per shard
-  int bursts = -1;  // NIC rx burst depth; -1 = scenario default
   int batch = 0;    // cross-shard handoff batch depth; 0 = engine default
   bool legacy_windows = false;  // global-barrier loop instead of per-neighbor
 };
@@ -71,7 +68,7 @@ void usage(const char* argv0) {
       "          [--no-churn] [--no-arsenal] [--no-service]\n"
       "          [--horizon-ms M]\n"
       "          [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]\n"
-      "          [--bursts B] [--batch H] [--legacy-windows]\n"
+      "          [--batch H] [--legacy-windows]\n"
       "ACDC_TEST_SEED overrides the default --seed.\n",
       argv0);
 }
@@ -97,8 +94,6 @@ bool parse_args(int argc, char** argv, DriverOptions& opt) {
       opt.shards = static_cast<int>(v);
     } else if (arg == "--threads" && next_value(v)) {
       opt.threads = static_cast<int>(v);
-    } else if (arg == "--bursts" && next_value(v)) {
-      opt.bursts = static_cast<int>(v);
     } else if (arg == "--batch" && next_value(v)) {
       opt.batch = static_cast<int>(v);
     } else if (arg == "--legacy-windows") {
@@ -134,7 +129,6 @@ RunOptions run_options(const DriverOptions& opt) {
   ro.horizon = acdc::sim::milliseconds(opt.horizon_ms);
   ro.shards = opt.shards;
   ro.threads = opt.threads;
-  ro.nic_rx_burst = opt.bursts;
   ro.handoff_batch = opt.batch;
   ro.per_neighbor_windows = !opt.legacy_windows;
   return ro;
@@ -194,7 +188,6 @@ std::string repro_command(std::uint64_t seed, const FaultToggles& t,
   if (!t.service) cmd += " --no-service";
   if (opt.shards > 0) cmd += " --shards " + std::to_string(opt.shards);
   if (opt.threads > 0) cmd += " --threads " + std::to_string(opt.threads);
-  if (opt.bursts >= 0) cmd += " --bursts " + std::to_string(opt.bursts);
   if (opt.batch > 0) cmd += " --batch " + std::to_string(opt.batch);
   if (opt.legacy_windows) cmd += " --legacy-windows";
   return cmd;
