@@ -38,15 +38,15 @@ int main() {
     double cwnd_mss;
   };
   std::vector<std::pair<double, Pair>> series;  // (seconds since start, windows)
-  vswitches[0]->attach_observability({.on_window = [&](const vswitch::FlowKey&,
-                                                       sim::Time t,
-                                                       std::int64_t rwnd) {
-    if (conn0 == nullptr) return;
-    if (flow_start == sim::kNoTime) flow_start = t;
-    series.push_back({sim::to_seconds(t - flow_start),
-                      Pair{static_cast<double>(rwnd) / mss,
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  vswitches[0]->attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || conn0 == nullptr) return;
+    if (flow_start == sim::kNoTime) flow_start = ev.t;
+    series.push_back({sim::to_seconds(ev.t - flow_start),
+                      Pair{static_cast<double>(ev.a) / mss,
                            static_cast<double>(conn0->cwnd_bytes()) / mss}});
-  }});
+  });
 
   const tcp::TcpConfig tcp = exp::host_tcp_config(s, exp::Mode::kDctcp);
   std::vector<host::BulkApp*> apps;

@@ -38,17 +38,17 @@ int main() {
   std::vector<Sample> series;
   std::int64_t limiting = 0;
   std::int64_t total = 0;
-  vswitches[0]->attach_observability({.on_window = [&](const vswitch::FlowKey&,
-                                                       sim::Time t,
-                                                       std::int64_t rwnd) {
-    if (conn0 == nullptr) return;
-    if (flow_start == sim::kNoTime) flow_start = t;
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  vswitches[0]->attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || conn0 == nullptr) return;
+    if (flow_start == sim::kNoTime) flow_start = ev.t;
     const double cwnd = static_cast<double>(conn0->cwnd_bytes());
     ++total;
-    if (static_cast<double>(rwnd) < cwnd) ++limiting;
-    series.push_back({sim::to_seconds(t - flow_start),
-                      static_cast<double>(rwnd) / mss, cwnd / mss});
-  }});
+    if (static_cast<double>(ev.a) < cwnd) ++limiting;
+    series.push_back({sim::to_seconds(ev.t - flow_start),
+                      static_cast<double>(ev.a) / mss, cwnd / mss});
+  });
 
   const tcp::TcpConfig tcp = s.tcp_config(tcp::CcId::kCubic);
   std::vector<host::BulkApp*> apps;

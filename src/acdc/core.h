@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 #include "acdc/flow_table.h"
 #include "acdc/policy.h"
@@ -103,11 +102,6 @@ struct AcdcCore {
   obs::FlightRecorder* trace = nullptr;
   std::uint32_t trace_source = 0;
 
-  // Legacy per-ACK window observer (the Fig. 9/10 "log RWND to a file"
-  // analogue). Now a thin adapter over the kWindowEnforced trace event:
-  // emit_window_enforced() feeds both from the same data.
-  std::function<void(const FlowKey&, sim::Time, std::int64_t)> on_window;
-
   bool tracing() const { return trace != nullptr && trace->enabled(); }
 
   // Flow-stamped event skeleton for the recorder.
@@ -123,18 +117,15 @@ struct AcdcCore {
     return ev;
   }
 
-  // The RWND-enforcement observation point: records a kWindowEnforced trace
-  // event and replays it to the legacy on_window observer.
+  // The RWND-enforcement observation point (the Fig. 9/10 "log RWND to a
+  // file" analogue): records a kWindowEnforced trace event.
   void emit_window_enforced(const FlowRef& f, std::int64_t wnd) {
-    if (tracing()) {
-      obs::TraceEvent ev =
-          flow_event(obs::EventType::kWindowEnforced, *f.key);
-      ev.a = wnd;
-      ev.b = static_cast<std::int64_t>(f.hot->cwnd_bytes);
-      ev.x = f.hot->alpha;
-      trace->record(ev);
-    }
-    if (on_window) on_window(*f.key, sim->now(), wnd);
+    if (!tracing()) return;
+    obs::TraceEvent ev = flow_event(obs::EventType::kWindowEnforced, *f.key);
+    ev.a = wnd;
+    ev.b = static_cast<std::int64_t>(f.hot->cwnd_bytes);
+    ev.x = f.hot->alpha;
+    trace->record(ev);
   }
 
   // Single-entry lookup caches, one per datapath direction so the four hot

@@ -235,10 +235,6 @@ void AcdcVswitch::attach_observability(ObsHooks hooks) {
   core_.trace_source = hooks.recorder != nullptr
                            ? hooks.recorder->register_source(hooks.name)
                            : 0;
-  // An empty on_window means "no opinion": re-attaching recorder/metrics
-  // (e.g. Scenario::enable_tracing) must not silently drop a callback a
-  // caller installed earlier.
-  if (hooks.on_window) core_.on_window = std::move(hooks.on_window);
   if (hooks.metrics != nullptr) register_metrics(*hooks.metrics, hooks.name);
 }
 

@@ -48,18 +48,14 @@ class AcdcVswitch : public net::DuplexFilter {
   // datapath benches and the perf probes.
   void process_burst(net::PacketPtr* packets, std::size_t count);
 
-  // Bundled observability wiring. One call replaces the old set_trace /
-  // register_metrics / set_window_observer trio so a vSwitch is instrumented
-  // atomically: trace events and metrics share `name`, and the legacy
-  // window callback is fed from the same emission point as the recorder's
-  // kWindowEnforced event (AcdcCore::emit_window_enforced).
+  // Bundled observability wiring, so a vSwitch is instrumented atomically:
+  // trace events and metrics share `name`. The computed enforcement window
+  // per processed ACK (Fig. 9/10 logging) is the recorder's kWindowEnforced
+  // event; a listener on the recorder sees every one.
   struct ObsHooks {
     obs::FlightRecorder* recorder = nullptr;  // nullptr = tracing off
     obs::MetricsRegistry* metrics = nullptr;  // nullptr = no metrics export
     std::string name = "acdc";  // trace-source name and metrics prefix
-    // Computed enforcement window per processed ACK (Fig. 9/10 logging).
-    // Empty = keep whatever callback is already installed.
-    std::function<void(const FlowKey&, sim::Time, std::int64_t)> on_window;
   };
   void attach_observability(ObsHooks hooks);
 

@@ -1,7 +1,6 @@
 #include "exp/scenario.h"
 
 #include <cassert>
-#include <cstdlib>
 
 #include "exp/partition.h"
 #include "net/packet.h"
@@ -278,7 +277,6 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
     cfg.pair_lookaheads.push_back({pl.src, pl.dst, pl.lookahead});
   }
   cfg.threads = threads;
-  cfg.per_neighbor_windows = options.per_neighbor_windows;
   cfg.handoff_batch = options.handoff_batch;
   executor_ = std::make_unique<sim::par::ParallelExecutor>(std::move(cfg));
 
@@ -530,19 +528,7 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
       }
     }
   }
-  // ACDC_TRACE_TAPS=0 keeps the coarse control-plane events but masks the
-  // per-packet forensic taps (origin/enqueue/tx/deliver/...), which
-  // dominate event volume on busy fabrics.
-  const char* taps = std::getenv("ACDC_TRACE_TAPS");
-  const std::uint64_t mask =
-      (taps != nullptr && std::string(taps) == "0")
-          ? obs::FlightRecorder::kAllEvents &
-                ~obs::FlightRecorder::packet_tap_mask()
-          : obs::FlightRecorder::kAllEvents;
-  for (const auto& rec : shard_recorders_) {
-    rec->set_event_mask(mask);
-    rec->set_enabled(true);
-  }
+  for (const auto& rec : shard_recorders_) rec->set_enabled(true);
   return *shard_recorders_[0];
 }
 

@@ -92,14 +92,12 @@ struct PartitionReport {
   std::vector<int> switch_shard; // by switch creation index
 };
 
-// Knobs for enable_parallel. Defaults give the fast path: per-neighbor
-// safe-time windows with batched cross-shard handoffs. The legacy global
-// barrier loop and unbatched sends remain reachable for A/B testing —
-// every combination produces bit-identical event streams.
+// Knobs for enable_parallel. The default batch depth is the fast path;
+// unbatched sends remain reachable for A/B testing — every depth produces
+// bit-identical event streams.
 struct ParallelOptions {
   int shards = 1;
   int threads = 0;  // 0 = one per shard
-  bool per_neighbor_windows = true;
   int handoff_batch = 64;  // producer-side sends per mailbox flush (>= 1)
 };
 
@@ -237,9 +235,7 @@ class Scenario {
   // snapshots (metrics can still be sampled manually). On a partitioned
   // scenario each shard gets its own recorder/registry (trace rings are
   // single-writer); the return value and recorder()/metrics() refer to
-  // shard 0, recorders()/metrics_registries() expose them all. The
-  // ACDC_TRACE_TAPS environment variable ("0" disables) masks the per-packet
-  // forensic tap kinds, keeping the coarse control-plane events only.
+  // shard 0, recorders()/metrics_registries() expose them all.
   obs::FlightRecorder& enable_tracing(
       std::size_t ring_capacity = std::size_t{1} << 18,
       sim::Time metrics_interval = sim::milliseconds(1));

@@ -16,8 +16,7 @@ void Nic::receive(PacketPtr packet) {
   received_bytes_ += packet->wire_bytes();
   // Forensic delivery tap: fires before the ingress filter chain, so the
   // uid the sender's stack stamped is still intact here.
-  if (packet->uid != 0 && trace_ != nullptr &&
-      trace_->wants(obs::EventType::kPktDeliver)) {
+  if (packet->uid != 0 && trace_ != nullptr && trace_->enabled()) {
     trace_->emit(obs::EventType::kPktDeliver, [&](obs::TraceEvent& ev) {
       ev.t = sim_->now();
       ev.source = trace_source_;

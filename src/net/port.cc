@@ -98,7 +98,7 @@ void Port::start_transmission() {
     sojourn_ns_->record(sim_->now() - packet->enqueued_at);
   }
   if (trace_ != nullptr && trace_->enabled()) {
-    if (packet->uid != 0 && trace_->wants(obs::EventType::kPktTxStart)) {
+    if (packet->uid != 0) {
       trace_->emit(obs::EventType::kPktTxStart, [&](obs::TraceEvent& ev) {
         ev.t = sim_->now();
         ev.source = trace_source_;

@@ -26,8 +26,8 @@ void Queue::accept(PacketPtr packet) {
     // uid-stamped packets emit nothing at admission: their queue wait rides
     // on kPktTxStart (tx-start minus enqueued_at, the sojourn-histogram
     // quantity), so a per-hop enqueue event would only repeat what the tx
-    // tap already proves. Untapped traffic keeps the legacy occupancy event.
-    if (packet->uid == 0 || !trace_->wants(obs::EventType::kPktTxStart)) {
+    // tap already proves. Untapped traffic keeps the enqueue event.
+    if (packet->uid == 0) {
       trace_->emit(obs::EventType::kQueueEnqueue, [&](obs::TraceEvent& ev) {
         fill_trace_event(ev, *packet);
         ev.a = bytes_;
@@ -42,7 +42,7 @@ void Queue::drop(const Packet& packet) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += packet.wire_bytes();
   if (tracing()) {
-    if (packet.uid != 0 && trace_->wants(obs::EventType::kPktDrop)) {
+    if (packet.uid != 0) {
       trace_->emit(obs::EventType::kPktDrop, [&](obs::TraceEvent& ev) {
         fill_trace_event(ev, packet);
         ev.a = static_cast<std::int64_t>(packet.uid);

@@ -36,19 +36,6 @@ const EventMeta& event_meta(EventType type) {
   return kMeta[static_cast<std::size_t>(type)];
 }
 
-std::uint64_t FlightRecorder::packet_tap_mask() {
-  static_assert(static_cast<std::size_t>(EventType::kCount) <= 64,
-                "event mask bits exhausted");
-  std::uint64_t mask = 0;
-  for (const EventType t :
-       {EventType::kPktOrigin, EventType::kPktRetx, EventType::kTcpSendStall,
-        EventType::kPktTxStart, EventType::kPktDrop, EventType::kPktDeliver,
-        EventType::kRwndClamped}) {
-    mask |= 1ull << static_cast<unsigned>(t);
-  }
-  return mask;
-}
-
 FlightRecorder::FlightRecorder(std::size_t capacity) {
   sources_.push_back("");  // id 0: unattributed
   set_capacity(capacity);
@@ -81,7 +68,7 @@ std::size_t FlightRecorder::add_listener(Listener fn) {
 }
 
 void FlightRecorder::record(const TraceEvent& ev) {
-  if (!wants(ev.type)) return;
+  if (!enabled_) return;
   for (const Listener& l : listeners_) l(ev);
   // Branch-wrap instead of `% cap_`: the per-packet taps make this the
   // hottest store in a traced run, and an integer divide per event is

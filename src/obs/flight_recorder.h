@@ -29,20 +29,6 @@ class FlightRecorder {
   bool enabled() const { return enabled_; }
   void set_enabled(bool on) { enabled_ = on && cap_ > 0; }
 
-  // ---- Event-type mask ----
-  // Each EventType owns one bit (kCount <= 64). record() drops masked-out
-  // events; hot taps should additionally guard with wants() so masked
-  // events are never even constructed. Default: everything on.
-  void set_event_mask(std::uint64_t mask) { mask_ = mask; }
-  std::uint64_t event_mask() const { return mask_; }
-  bool wants(EventType type) const {
-    return enabled_ &&
-           ((mask_ >> static_cast<unsigned>(type)) & 1ull) != 0;
-  }
-  static constexpr std::uint64_t kAllEvents = ~0ull;
-  // The per-packet forensic tap kinds — the high-volume events that
-  // ACDC_TRACE_TAPS=0 masks off to keep legacy traces cheap.
-  static std::uint64_t packet_tap_mask();
   // Re-sizes the ring; existing events are discarded. capacity == 0
   // disables the recorder entirely.
   void set_capacity(std::size_t capacity);
@@ -61,10 +47,10 @@ class FlightRecorder {
   // In-place variant for the per-packet tap path: reserves the ring slot,
   // zeroes it, sets `type`, hands it to `fill` to populate, then notifies
   // listeners — saving the stack construct + 64-byte copy record() pays.
-  // Masked or disabled types skip even the fill callback.
+  // A disabled recorder skips even the fill callback.
   template <typename Fn>
   void emit(EventType type, Fn&& fill) {
-    if (!wants(type)) return;
+    if (!enabled_) return;
     TraceEvent* slot;
     if (size_ == cap_) {
       slot = &ring_[head_];
@@ -113,7 +99,6 @@ class FlightRecorder {
 
  private:
   bool enabled_ = false;
-  std::uint64_t mask_ = kAllEvents;
   std::vector<TraceEvent> ring_;
   std::size_t cap_ = 0;
   std::size_t head_ = 0;  // index of the oldest event

@@ -1,7 +1,7 @@
-// Sense-reversing spin barrier for the epoch protocol. Epochs are short
-// (often a handful of events per shard), so a futex/condvar barrier would
-// dominate the run; this one is a single cache line of shared state and
-// costs two atomic RMWs per thread per phase when cores are available.
+// Sense-reversing spin barrier for the executor's round start and
+// rendezvous. Phases can be short, so a futex/condvar barrier would dominate
+// the run; this one is a single cache line of shared state and costs two
+// atomic RMWs per thread per phase when cores are available.
 // When the machine is oversubscribed (more workers than cores) arrivals
 // degrade to sched_yield so a descheduled straggler is not spun against.
 #pragma once

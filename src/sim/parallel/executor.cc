@@ -1,8 +1,9 @@
 #include "sim/parallel/executor.h"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
+
+#include "sim/check.h"
 
 namespace acdc::sim::par {
 
@@ -33,13 +34,13 @@ constexpr int kStallSweeps = 2;
 ParallelExecutor::ParallelExecutor(Config config)
     : shards_(std::move(config.shards)),
       mailboxes_(std::move(config.mailboxes)),
-      lookahead_(config.lookahead),
       thread_count_(std::max(
           1, std::min(config.threads, static_cast<int>(shards_.size())))),
-      per_neighbor_windows_(config.per_neighbor_windows),
       barrier_(thread_count_) {
-  assert(lookahead_ > 0);
-  assert(!shards_.empty());
+  ACDC_CHECK(config.lookahead > 0,
+             "parallel executor: global lookahead must be positive, "
+             "lookahead=%lld", static_cast<long long>(config.lookahead));
+  ACDC_CHECK(!shards_.empty(), "parallel executor: no shards");
 
   const std::size_t n = shards_.size();
   inboxes_.resize(n);
@@ -54,18 +55,25 @@ ParallelExecutor::ParallelExecutor(Config config)
 
   const int batch = config.handoff_batch;
   for (Mailbox* mb : mailboxes_) {
-    assert(mb->dst_shard() >= 0 && mb->dst_shard() < static_cast<int>(n));
-    assert(mb->src_shard() >= 0 && mb->src_shard() < static_cast<int>(n));
+    ACDC_CHECK(mb->src_shard() >= 0 && mb->src_shard() < static_cast<int>(n),
+               "parallel executor: mailbox %d->%d src shard out of range "
+               "[0, %zu)", mb->src_shard(), mb->dst_shard(), n);
+    ACDC_CHECK(mb->dst_shard() >= 0 && mb->dst_shard() < static_cast<int>(n),
+               "parallel executor: mailbox %d->%d dst shard out of range "
+               "[0, %zu)", mb->src_shard(), mb->dst_shard(), n);
     mb->set_batch_depth(batch);
     inboxes_[static_cast<std::size_t>(mb->dst_shard())].push_back(mb);
     outboxes_[static_cast<std::size_t>(mb->src_shard())].push_back(mb);
 
     // Per-pair extracted lookahead, falling back to the global minimum for
     // pairs the analysis pass did not cover.
-    Time la = lookahead_;
+    Time la = config.lookahead;
     for (const PairLookahead& pl : config.pair_lookaheads) {
       if (pl.src == mb->src_shard() && pl.dst == mb->dst_shard()) {
-        assert(pl.lookahead > 0);
+        ACDC_CHECK(pl.lookahead > 0,
+                   "parallel executor: pair %d->%d lookahead must be "
+                   "positive, lookahead=%lld", pl.src, pl.dst,
+                   static_cast<long long>(pl.lookahead));
         la = pl.lookahead;
         break;
       }
@@ -118,11 +126,7 @@ void ParallelExecutor::run_until(Time deadline) {
   // The caller's thread is worker 0; when it leaves the loop every other
   // worker has passed the final barrier of this round, so all shard state
   // is safe to read until the next run_until.
-  if (per_neighbor_windows_) {
-    round_loop(0, deadline);
-  } else {
-    epoch_loop(0, deadline);
-  }
+  round_loop(0, deadline);
 }
 
 void ParallelExecutor::worker_main(int tid) {
@@ -136,11 +140,7 @@ void ParallelExecutor::worker_main(int tid) {
       seen = round_;
       deadline = deadline_;
     }
-    if (per_neighbor_windows_) {
-      round_loop(tid, deadline);
-    } else {
-      epoch_loop(tid, deadline);
-    }
+    round_loop(tid, deadline);
   }
 }
 
@@ -155,9 +155,8 @@ std::size_t ParallelExecutor::drain_shard(int shard) {
     if (batch.empty()) continue;
     const auto src = static_cast<std::uint32_t>(mb->src_shard());
     for (const CrossShardMsg& m : batch) {
-      // Safety invariant of the window protocol: mail is always in the
-      // receiver's future.
-      assert(m.at >= sim->now());
+      // The window protocol keeps mail in the receiver's future;
+      // schedule_at_keyed_seq's causality check enforces it in every build.
       // 24 captured bytes — fits EventAction's inline storage, so merging
       // mail stays allocation-free. The content tie key plus the explicit
       // (src_shard, seq) tie sequence make the merged order across inboxes
@@ -377,58 +376,6 @@ void ParallelExecutor::round_loop(int tid, Time deadline) {
 #endif
       ts.idle_ns.fetch_add(elapsed_ns(t0), std::memory_order_relaxed);
     }
-  }
-}
-
-void ParallelExecutor::epoch_loop(int tid, Time deadline) {
-  const auto t = static_cast<std::size_t>(tid);
-  const int n_shards = static_cast<int>(shards_.size());
-  ThreadStats& ts = thread_stats_[t];
-  std::uint64_t wait_ns = 0;
-  for (;;) {
-    // Drain phase: merge inbound mail, publish my earliest pending event.
-    Time local = kNoTime;
-    for (int s = tid; s < n_shards; s += thread_count_) {
-      const std::size_t drained = drain_shard(s);
-      if (drained > 0) {
-        ts.messages.fetch_add(drained, std::memory_order_relaxed);
-      }
-      local = merge_min(local,
-                        shards_[static_cast<std::size_t>(s)]->next_event_time());
-    }
-    mins_[t].v = local;
-    barrier_.arrive_and_wait_timed(&wait_ns);
-
-    // Every thread computes the identical global minimum.
-    Time global = kNoTime;
-    for (const PaddedTime& m : mins_) global = merge_min(global, m.v);
-
-    if (global == kNoTime || global > deadline) {
-      // Nothing left inside the window on any shard; catch every clock up
-      // to the deadline and finish the round.
-      for (int s = tid; s < n_shards; s += thread_count_) {
-        shards_[static_cast<std::size_t>(s)]->advance_to(deadline);
-      }
-      barrier_.arrive_and_wait_timed(&wait_ns);
-      ts.barrier_ns.fetch_add(wait_ns, std::memory_order_relaxed);
-      return;
-    }
-
-    // Process phase: the safe window is [global, global + lookahead) —
-    // clipped to the deadline (deadline events inclusive, as run_until).
-    Time window = global + lookahead_;
-    if (window > deadline) window = deadline + 1;
-    for (int s = tid; s < n_shards; s += thread_count_) {
-      Simulator* sim = shards_[static_cast<std::size_t>(s)];
-      sim->run_before(window);
-      // Sends buffered during the window must be visible to the next
-      // drain phase, which begins after the barrier below.
-      flush_outboxes(s);
-      clocks_[static_cast<std::size_t>(s)].executed.store(
-          sim->executed_events(), std::memory_order_relaxed);
-    }
-    if (tid == 0) ts.windows.fetch_add(1, std::memory_order_relaxed);
-    barrier_.arrive_and_wait_timed(&wait_ns);
   }
 }
 

@@ -1,13 +1,13 @@
 // Conservative parallel discrete-event executor (CMB-style per-neighbor
-// windows with extracted lookahead, plus a legacy globally-synchronous mode).
+// windows with extracted lookahead).
 //
 // The topology is split into shards, each owning a private Simulator (clock
 // + event queue). Cross-shard interactions travel through SPSC mailboxes
 // stamped with absolute delivery times and a producer-side sequence.
 //
-// Per-neighbor mode (default): every shard s owns a padded atomic clock
-// pubs_[s] — a promise that s will never again execute an event below it.
-// A shard advances against the minimum of its *in-neighbors'* promises:
+// Every shard s owns a padded atomic clock pubs_[s] — a promise that s
+// will never again execute an event below it. A shard advances against the
+// minimum of its *in-neighbors'* promises:
 //
 //   bound(s) = min over in-neighbors p of  pubs_[p] + L(p→s)
 //
@@ -37,17 +37,13 @@
 // O(idle-gap / lookahead) null-message creep a pure CMB protocol would pay
 // through quiescent stretches.
 //
-// Legacy mode (per_neighbor_windows = false) keeps the PR-4 two-phase
-// epoch loop: a global barrier, the identical global minimum on every
-// thread, and a single global lookahead window.
-//
-// Determinism in both modes: drained mail is scheduled with the explicit
-// tie sequence mail_tie_seq(src_shard, seq) (see sim/event_queue.h), so
-// same-(time, key) collisions order as (at, key, src_shard, seq) — a pure
-// function of simulation content, independent of thread count, drain
-// timing, window schedule, or handoff batch depth. The same seed therefore
-// produces bit-identical per-shard event streams on 1 or N threads under
-// any knob setting.
+// Determinism: drained mail is scheduled with the explicit tie sequence
+// mail_tie_seq(src_shard, seq) (see sim/event_queue.h), so same-(time, key)
+// collisions order as (at, key, src_shard, seq) — a pure function of
+// simulation content, independent of thread count, drain timing, window
+// schedule, or handoff batch depth. The same seed therefore produces
+// bit-identical per-shard event streams on 1 or N threads at any batch
+// depth.
 #pragma once
 
 #include <atomic>
@@ -79,12 +75,9 @@ class ParallelExecutor {
     std::vector<Mailbox*> mailboxes;  // every cross-shard channel, non-owning
     Time lookahead = 0;               // global fallback; must be > 0
     // Per-pair extracted lookaheads; pairs not listed fall back to
-    // `lookahead`. Only consulted in per-neighbor mode.
+    // `lookahead`.
     std::vector<PairLookahead> pair_lookaheads;
     int threads = 1;  // capped to the shard count
-    // Per-neighbor safe-time windows (default) vs the legacy global-barrier
-    // epoch loop. Both produce bit-identical event streams.
-    bool per_neighbor_windows = true;
     // Cross-shard handoff batch depth: sends buffer producer-side and
     // publish as one burst (1 = publish each send immediately).
     int handoff_batch = 1;
@@ -106,8 +99,8 @@ class ParallelExecutor {
   int shard_count() const { return static_cast<int>(shards_.size()); }
 
   struct Stats {
-    // Legacy mode: barrier rounds. Per-neighbor mode: shard window
-    // advances (visits that executed events or raised the shard's clock).
+    // Shard window advances (visits that executed events or raised the
+    // shard's clock).
     std::uint64_t epochs = 0;
     std::uint64_t messages = 0;         // cross-shard deliveries merged
     std::uint64_t null_msgs = 0;        // idle clock advances (no event run)
@@ -148,12 +141,11 @@ class ParallelExecutor {
   };
 
   void worker_main(int tid);
-  void round_loop(int tid, Time deadline);   // per-neighbor mode
-  void epoch_loop(int tid, Time deadline);   // legacy global-barrier mode
+  void round_loop(int tid, Time deadline);
   std::size_t drain_shard(int shard);
   void flush_outboxes(int shard);
-  // One visit in per-neighbor mode; returns true if the shard made
-  // progress (executed events, drained mail, or raised its clock).
+  // One shard visit; returns true if the shard made progress (executed
+  // events, drained mail, or raised its clock).
   bool advance_shard(int shard, Time deadline);
   // Rendezvous once every thread is stalled or done: drains residual mail,
   // computes the exact global minimum next-event time, and either ends the
@@ -164,9 +156,7 @@ class ParallelExecutor {
 
   std::vector<Simulator*> shards_;
   std::vector<Mailbox*> mailboxes_;
-  Time lookahead_;
   int thread_count_;
-  bool per_neighbor_windows_;
 
   // inboxes_[s]: every mailbox whose destination is shard s.
   std::vector<std::vector<Mailbox*>> inboxes_;
@@ -184,7 +174,7 @@ class ParallelExecutor {
   SpinBarrier barrier_;
   std::vector<ShardClock> clocks_;       // one line per shard
   std::vector<ThreadStats> thread_stats_;  // one line per thread
-  std::vector<PaddedTime> mins_;         // rendezvous / epoch min slots
+  std::vector<PaddedTime> mins_;         // rendezvous min slots
 
   // Rendezvous bookkeeping: a thread signals when all its shards are done
   // for the round or when a full sweep made no progress; the rendezvous

@@ -2,11 +2,10 @@
 //
 // A Mailbox is a lock-free unbounded single-producer/single-consumer queue
 // of CrossShardMsg, one per directed shard pair that shares at least one
-// link. The producer is the source shard's worker thread (ports push during
-// the epoch's processing phase); the consumer is the destination shard's
-// worker thread (the executor drains every inbox at the top of the next
-// epoch, after a barrier, so production and consumption never overlap a
-// message).
+// link. The producer is the source shard's worker thread (ports push while
+// it runs the shard's events); the consumer is the destination shard's
+// worker thread (the executor drains every inbox at the start of each
+// shard visit, concurrently with the producer).
 //
 // Determinism: each mailbox stamps messages with a producer-side sequence
 // number at send() time (before any batching), and the executor schedules
@@ -20,9 +19,8 @@
 // Batching: set_batch_depth(n) buffers up to n messages producer-side and
 // publishes them with push_burst — one release-store per ring node instead
 // of one per message. flush() force-publishes the pending tail; the executor
-// flushes every outbox before publishing its safe-time clock (per-neighbor
-// mode) or before the end-of-epoch barrier (legacy mode), so batching never
-// changes which messages are visible at a synchronization point.
+// flushes every outbox before publishing its safe-time clock, so batching
+// never changes which messages are visible at a synchronization point.
 #pragma once
 
 #include <atomic>

@@ -58,7 +58,7 @@ class Simulator {
   // Runs at most one event. Returns false when the queue is empty.
   bool step();
 
-  // ---- Epoch hooks for the parallel executor (sim/parallel) ----
+  // ---- Hooks for the parallel executor (sim/parallel) ----
   // Runs every event with timestamp strictly below `bound`; the clock stays
   // at the last executed event (it does NOT jump to bound), so a later
   // schedule_at from a cross-shard mailbox can still land anywhere in

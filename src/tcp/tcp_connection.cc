@@ -277,7 +277,7 @@ void TcpConnection::send_segment(TxSegment& seg) {
   if (p->payload_bytes > 0 && cwr_pending_) cwr_pending_ = false;
   ++stats_.segments_sent;
 
-  if (trace_ != nullptr && trace_->wants(obs::EventType::kPktOrigin)) {
+  if (trace_ != nullptr && trace_->enabled()) {
     p->uid = next_uid();
     const auto fill_flow = [&](obs::TraceEvent& ev) {
       ev.t = sim_->now();
@@ -291,7 +291,7 @@ void TcpConnection::send_segment(TxSegment& seg) {
     // wait to this (fresh data) segment's origin.
     if (!is_retx && !seg.syn && block_start_ != sim::kNoTime) {
       const sim::Time stall = sim_->now() - block_start_;
-      if (stall > 0 && trace_->wants(obs::EventType::kTcpSendStall)) {
+      if (stall > 0) {
         trace_->emit(obs::EventType::kTcpSendStall,
                      [&](obs::TraceEvent& ev) {
                        fill_flow(ev);
@@ -306,7 +306,7 @@ void TcpConnection::send_segment(TxSegment& seg) {
       ev.a = static_cast<std::int64_t>(p->uid);
       ev.b = p->payload_bytes;
     });
-    if (is_retx && trace_->wants(obs::EventType::kPktRetx)) {
+    if (is_retx) {
       trace_->emit(obs::EventType::kPktRetx, [&](obs::TraceEvent& ev) {
         fill_flow(ev);
         ev.a = static_cast<std::int64_t>(p->uid);
@@ -332,9 +332,7 @@ std::uint64_t TcpConnection::next_uid() {
 }
 
 void TcpConnection::note_blocked(obs::StallCause cause) {
-  if (trace_ == nullptr || !trace_->wants(obs::EventType::kTcpSendStall)) {
-    return;
-  }
+  if (trace_ == nullptr || !trace_->enabled()) return;
   if (block_start_ != sim::kNoTime) return;  // keep the first block's cause
   block_start_ = sim_->now();
   block_cause_ = cause;

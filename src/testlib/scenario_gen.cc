@@ -384,7 +384,6 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
     exp::ParallelOptions popts;
     popts.shards = options.shards;
     popts.threads = options.threads > 0 ? options.threads : options.shards;
-    popts.per_neighbor_windows = options.per_neighbor_windows;
     if (options.handoff_batch > 0) popts.handoff_batch = options.handoff_batch;
     scenario.enable_parallel(popts);
   }

@@ -162,11 +162,8 @@ struct RunOptions {
   // different `threads` must produce identical digests.
   int shards = 0;
   int threads = 0;  // worker threads; 0 -> one per shard
-  // Parallel sync knobs (exp::ParallelOptions): per-neighbor safe-time
-  // windows vs the legacy global-barrier loop, and the cross-shard handoff
-  // batch depth (0 inherits the engine default). Digests must be identical
-  // for every combination.
-  bool per_neighbor_windows = true;
+  // Cross-shard handoff batch depth (exp::ParallelOptions; 0 inherits the
+  // engine default). Digests must be identical at every depth.
   int handoff_batch = 0;
   // When set, the retained tail of the event rings — merged across shards
   // into one globally time-ordered stream — is written there as a Chrome

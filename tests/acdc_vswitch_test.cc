@@ -174,11 +174,13 @@ TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
   net.tap_ab->mark_all_ = true;
   int window_logs = 0;
   std::int64_t last_window = 0;
-  net.vs_a->attach_observability(
-      {.on_window = [&](const FlowKey&, sim::Time, std::int64_t w) {
-        ++window_logs;
-        last_window = w;
-      }});
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  net.vs_a->attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced) return;
+    ++window_logs;
+    last_window = ev.a;
+  });
   TcpConnection* c = net.start_transfer(1'000'000, cubic_cfg());
   net.sim.run_until(sim::seconds(2));
   EXPECT_GT(window_logs, 0);

@@ -5,15 +5,13 @@
 //                  [--no-churn] [--no-arsenal] [--no-service]
 //                  [--horizon-ms M]
 //                  [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]
-//                  [--batch H] [--legacy-windows]
+//                  [--batch H]
 //
 // --shards S (S > 1) partitions every sampled topology and runs it on the
 // parallel engine with T worker threads (default: one per shard); results
 // must be identical to the serial engine, so all the oracles stay valid.
-// --batch H sets the cross-shard handoff batch depth (1 = unbatched) and
-// --legacy-windows selects the global-barrier sync loop instead of
-// per-neighbor safe-time windows; both are pure scheduling knobs, so
-// digests must not depend on them either.
+// --batch H sets the cross-shard handoff batch depth (1 = unbatched), a
+// pure scheduling knob, so digests must not depend on it either.
 //
 // Iteration i runs the scenario sampled from seed N+i under the full
 // invariant harness; every D-th passing seed is additionally replayed with
@@ -57,7 +55,6 @@ struct DriverOptions {
   int shards = 0;   // > 1: run on the parallel engine
   int threads = 0;  // 0 -> one per shard
   int batch = 0;    // cross-shard handoff batch depth; 0 = engine default
-  bool legacy_windows = false;  // global-barrier loop instead of per-neighbor
 };
 
 void usage(const char* argv0) {
@@ -68,7 +65,7 @@ void usage(const char* argv0) {
       "          [--no-churn] [--no-arsenal] [--no-service]\n"
       "          [--horizon-ms M]\n"
       "          [--artifact-dir DIR] [--quiet] [--shards S] [--threads T]\n"
-      "          [--batch H] [--legacy-windows]\n"
+      "          [--batch H]\n"
       "ACDC_TEST_SEED overrides the default --seed.\n",
       argv0);
 }
@@ -96,8 +93,6 @@ bool parse_args(int argc, char** argv, DriverOptions& opt) {
       opt.threads = static_cast<int>(v);
     } else if (arg == "--batch" && next_value(v)) {
       opt.batch = static_cast<int>(v);
-    } else if (arg == "--legacy-windows") {
-      opt.legacy_windows = true;
     } else if (arg == "--no-drop") {
       opt.toggles.drop = false;
     } else if (arg == "--no-dup") {
@@ -130,7 +125,6 @@ RunOptions run_options(const DriverOptions& opt) {
   ro.shards = opt.shards;
   ro.threads = opt.threads;
   ro.handoff_batch = opt.batch;
-  ro.per_neighbor_windows = !opt.legacy_windows;
   return ro;
 }
 
@@ -189,7 +183,6 @@ std::string repro_command(std::uint64_t seed, const FaultToggles& t,
   if (opt.shards > 0) cmd += " --shards " + std::to_string(opt.shards);
   if (opt.threads > 0) cmd += " --threads " + std::to_string(opt.threads);
   if (opt.batch > 0) cmd += " --batch " + std::to_string(opt.batch);
-  if (opt.legacy_windows) cmd += " --legacy-windows";
   return cmd;
 }
 

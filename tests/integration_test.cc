@@ -127,13 +127,16 @@ TEST(WindowTrackingIntegrationTest, AcdcRwndTracksDctcpCwnd) {
   // Collect (computed rwnd, host cwnd) sample pairs for sender 0's flow.
   stats::Sampler ratio;
   tcp::TcpConnection* conn0 = nullptr;
-  vswitches[0]->attach_observability(
-      {.on_window = [&](const vswitch::FlowKey&, sim::Time t,
-                        std::int64_t rwnd) {
-        if (conn0 == nullptr || t < sim::milliseconds(300)) return;
-        const double cwnd = static_cast<double>(conn0->cwnd_bytes());
-        if (cwnd > 0) ratio.add(static_cast<double>(rwnd) / cwnd);
-      }});
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  vswitches[0]->attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || conn0 == nullptr ||
+        ev.t < sim::milliseconds(300)) {
+      return;
+    }
+    const double cwnd = static_cast<double>(conn0->cwnd_bytes());
+    if (cwnd > 0) ratio.add(static_cast<double>(ev.a) / cwnd);
+  });
 
   const tcp::TcpConfig tcp = exp::host_tcp_config(s, Mode::kDctcp);
   std::vector<host::BulkApp*> apps;

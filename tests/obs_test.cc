@@ -265,9 +265,55 @@ TEST(ObsIntegrationTest, TracedAcdcRunEmitsDatapathEvents) {
     EXPECT_LT(ev.source, rec.sources().size());
   });
 
-  // The legacy window observer sees exactly the recorder's events: both
-  // are fed from the same emission point.
   EXPECT_GT(s.metrics()->value("acdc.h0.windows_lowered"), 0.0);
+}
+
+// The per-hop trace vocabulary, pinned by conservation on a lossy incast:
+// each transmission emits pkt_tx_start (uid-stamped) or queue_occupancy
+// (uid 0, which also emitted queue_enqueue on admission), each switch drop
+// pkt_drop or queue_drop, and each originated packet ends delivered or
+// dropped.
+TEST(ObsIntegrationTest, PerHopEventsConservePackets) {
+  exp::StarConfig cfg;
+  cfg.scenario = exp::scenario_config_for(exp::Mode::kCubic, 1500);
+  cfg.scenario.switch_buffer_bytes = 200 * 1024;
+  cfg.hosts = 9;
+  exp::Star star(cfg);
+  exp::Scenario& s = star.scenario();
+  FlightRecorder& rec = s.enable_tracing(/*ring_capacity=*/1024,
+                                         /*metrics_interval=*/0);
+  std::int64_t n[static_cast<int>(EventType::kCount)] = {};
+  rec.add_listener([&](const TraceEvent& ev) {
+    ++n[static_cast<int>(ev.type)];
+  });
+  const auto count = [&](EventType t) { return n[static_cast<int>(t)]; };
+
+  const tcp::TcpConfig tenant = s.tcp_config(tcp::CcId::kCubic);
+  std::vector<host::BulkApp*> apps;
+  for (int i = 1; i < star.host_count(); ++i) {
+    apps.push_back(
+        s.add_bulk_flow(star.host(i), star.host(0), tenant, 0, 1 << 20));
+  }
+  s.simulator().run();
+  for (const host::BulkApp* app : apps) EXPECT_TRUE(app->completed());
+
+  std::int64_t transmitted = 0;
+  for (int i = 0; i < star.host_count(); ++i) {
+    transmitted += star.host(i)->nic().tx_port().transmitted_packets();
+  }
+  for (const auto& port : star.hub()->ports()) {
+    transmitted += port->transmitted_packets();
+  }
+  const std::int64_t dropped = s.fabric_stats().dropped_packets;
+  EXPECT_GT(dropped, 0);
+  EXPECT_EQ(count(EventType::kPktTxStart) + count(EventType::kQueueOccupancy),
+            transmitted);
+  EXPECT_EQ(count(EventType::kQueueEnqueue),
+            count(EventType::kQueueOccupancy));
+  EXPECT_EQ(count(EventType::kPktDrop) + count(EventType::kQueueDrop),
+            dropped);
+  EXPECT_EQ(count(EventType::kPktOrigin),
+            count(EventType::kPktDeliver) + count(EventType::kPktDrop));
 }
 
 }  // namespace

@@ -18,8 +18,8 @@ constexpr int kSeeds = 24;
 constexpr int kShards = 4;
 
 // Shrinks a sampled plan so runs stay short on oversubscribed CI machines:
-// conservative-epoch execution advances in lookahead-sized (~2us) windows,
-// so wall time scales with simulated duration, not event count. Drops and
+// conservative execution advances in lookahead-sized (~2us) windows, so
+// wall time scales with simulated duration, not event count. Drops and
 // reorders are masked because loss recovery (RTOmin = 10ms) stretches the
 // simulated time tail; duplication and jitter keep fault coverage.
 ScenarioPlan shrink(ScenarioPlan plan) {
@@ -78,23 +78,11 @@ TEST(ParallelDeterminism, SameSeedSameStreamAtOneTwoAndEightThreads) {
   EXPECT_EQ(parallel_runs, kSeeds * 3);
 }
 
-// The sync knobs — per-neighbor windows vs the legacy global barrier, and
-// the cross-shard handoff batch depth — change only wall-clock scheduling,
-// never simulation content. Every cell of the sweep must reproduce the
-// reference event stream bit-for-bit (same shard count throughout) and the
-// serial engine's application results.
+// The sync knobs — cross-shard handoff batch depth and thread count —
+// change only wall-clock scheduling, never simulation content. Every cell
+// of the sweep must reproduce the reference event stream bit-for-bit (same
+// shard count throughout) and the serial engine's application results.
 TEST(ParallelDeterminism, KnobSweepMatchesReferenceAndSerial) {
-  struct Knobs {
-    bool per_neighbor_windows;
-    int handoff_batch;
-  };
-  // Batch depth 1 is the unbatched path; 8 forces mid-window flushes; 64
-  // (the engine default) coalesces whole windows. The legacy-barrier arm
-  // runs the same depths at its extremes.
-  const Knobs kCells[] = {
-      {true, 1}, {true, 8}, {true, 64}, {false, 1}, {false, 8}, {false, 64},
-  };
-
   for (int i = 0; i < kSeeds; ++i) {
     const ScenarioPlan plan = shrink(make_plan(test_seed(100 + i)));
     SCOPED_TRACE(plan.summary());
@@ -117,16 +105,15 @@ TEST(ParallelDeterminism, KnobSweepMatchesReferenceAndSerial) {
     EXPECT_EQ(a.app_digest, s.app_digest)
         << "sharded deliveries diverged from the serial engine";
 
-    for (const Knobs& k : kCells) {
+    // Batch depth 1 is the unbatched path; 8 forces mid-window flushes; 64
+    // (the engine default) coalesces whole windows.
+    for (int batch : {1, 8, 64}) {
       for (int threads : {1, 2, 8}) {
         RunOptions tn = base;
         tn.threads = threads;
-        tn.per_neighbor_windows = k.per_neighbor_windows;
-        tn.handoff_batch = k.handoff_batch;
+        tn.handoff_batch = batch;
         const RunOutcome b = run_plan(plan, tn);
-        SCOPED_TRACE(std::string("windows=") +
-                     (k.per_neighbor_windows ? "per-neighbor" : "legacy") +
-                     " batch=" + std::to_string(k.handoff_batch) +
+        SCOPED_TRACE("batch=" + std::to_string(batch) +
                      " threads=" + std::to_string(threads));
         EXPECT_EQ(a.event_digest, b.event_digest)
             << "event streams diverged from the reference cell";

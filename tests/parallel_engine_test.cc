@@ -215,7 +215,7 @@ TEST(ParallelExecutorTest, TimedCrossShardDelivery) {
   sims[0] = &s0;
   sims[1] = &s1;
   // One log per shard, each written only by that shard's worker thread:
-  // cross-shard wall-clock interleaving inside an epoch is unordered.
+  // cross-shard wall-clock interleaving inside a window is unordered.
   std::vector<sim::Time> log0;
   std::vector<sim::Time> log1;
 
@@ -278,6 +278,32 @@ TEST(ParallelExecutorTest, ThreadCountCappedToShards) {
   exec.run_until(sim::microseconds(50));
   EXPECT_EQ(s0.now(), sim::microseconds(50));
   EXPECT_EQ(s1.now(), sim::microseconds(50));
+}
+
+// Executor preconditions hold in every build, NDEBUG included: a zero
+// lookahead would otherwise construct fine and spin forever in run_until.
+TEST(ParallelExecutorDeathTest, ZeroLookaheadDiesAtConstruction) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator s0;
+  sim::Simulator s1;
+  ParallelExecutor::Config cfg;
+  cfg.shards = {&s0, &s1};
+  cfg.threads = 2;
+  EXPECT_DEATH({ ParallelExecutor exec(std::move(cfg)); },
+               "global lookahead must be positive, lookahead=0");
+}
+
+TEST(ParallelExecutorDeathTest, MailboxShardOutOfRangeDiesAtConstruction) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator s0;
+  sim::Simulator s1;
+  Mailbox m02(0, 2);
+  ParallelExecutor::Config cfg;
+  cfg.shards = {&s0, &s1};
+  cfg.mailboxes = {&m02};
+  cfg.lookahead = sim::microseconds(1);
+  EXPECT_DEATH({ ParallelExecutor exec(std::move(cfg)); },
+               "mailbox 0->2 dst shard out of range \\[0, 2\\)");
 }
 
 TEST(ScenarioParallelTest, SingleShardRequestFallsBackToSerial) {

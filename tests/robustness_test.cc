@@ -216,10 +216,13 @@ TEST_P(AcdcChaosTest, EnforcementSurvivesImpairment) {
   b.nic().tx_port().set_peer(&a.nic());
 
   std::int64_t min_window = std::numeric_limits<std::int64_t>::max();
-  vs_a.attach_observability(
-      {.on_window = [&](const vswitch::FlowKey&, sim::Time, std::int64_t w) {
-        min_window = std::min(min_window, w);
-      }});
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  vs_a.attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type == obs::EventType::kWindowEnforced) {
+      min_window = std::min(min_window, ev.a);
+    }
+  });
 
   TcpConfig cfg;
   cfg.mss = 1448;
