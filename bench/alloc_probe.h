@@ -1,14 +1,14 @@
-// Heap-allocation probe for the perf benches: the matching alloc_probe.cc
+// Heap-allocation probe for the perf driver: the matching alloc_probe.cc
 // replaces the global operator new/delete with counting versions, so a bench
 // can assert "this loop performed zero heap traffic" instead of guessing.
-// Link alloc_probe.cc ONLY into bench binaries — never into the library.
+// Link alloc_probe.cc ONLY into acdc_perf — never into the library.
 #pragma once
 
 #include <cstdint>
 
 namespace acdc::bench {
 
-// Cumulative process-wide counters since start.
+// Cumulative counters of the calling thread since it started.
 std::uint64_t alloc_count();
 std::uint64_t free_count();
 std::uint64_t alloc_bytes();
