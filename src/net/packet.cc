@@ -12,19 +12,6 @@ std::string ip_to_string(IpAddr addr) {
   return std::string(buf.data());
 }
 
-std::uint8_t TcpOptions::wire_size() const {
-  std::uint32_t n = 0;
-  if (mss) n += 4;
-  if (window_scale) n += 3;
-  if (sack_permitted) n += 2;
-  if (!sack.empty()) n += 2 + 8 * static_cast<std::uint32_t>(sack.size());
-  // kind + len + two uint32 counters, plus four telemetry words when the
-  // extended shape is carried (DESIGN.md §13).
-  if (acdc) n += acdc->telemetry ? 26 : 10;
-  // Pad with NOPs to a 4-byte boundary, as on the wire.
-  return static_cast<std::uint8_t>((n + 3) & ~3u);
-}
-
 PacketPtr clone_packet(const Packet& p) {
   PacketPtr c = make_packet();
   *c = p;

@@ -120,8 +120,20 @@ struct TcpOptions {
   SackBlocks sack;                          // kind 5, up to 4 blocks
   std::optional<AcdcFeedback> acdc;         // kind 253 (PACK payload)
 
-  // Serialised size in bytes, padded to a multiple of 4.
-  std::uint8_t wire_size() const;
+  // Serialised size in bytes, padded to a multiple of 4. Inline: every
+  // queue and port on a packet's path asks for its wire bytes.
+  std::uint8_t wire_size() const {
+    std::uint32_t n = 0;
+    if (mss) n += 4;
+    if (window_scale) n += 3;
+    if (sack_permitted) n += 2;
+    if (!sack.empty()) n += 2 + 8 * static_cast<std::uint32_t>(sack.size());
+    // kind + len + two uint32 counters, plus four telemetry words when the
+    // extended shape is carried (DESIGN.md §13).
+    if (acdc) n += acdc->telemetry ? 26 : 10;
+    // Pad with NOPs to a 4-byte boundary, as on the wire.
+    return static_cast<std::uint8_t>((n + 3) & ~3u);
+  }
 
   // Back to defaults, retaining grown SACK storage for pooled reuse.
   void reset_for_reuse() {

@@ -27,6 +27,27 @@ std::uint64_t Port::delivery_tie_key(const Packet& packet) {
   return h;
 }
 
+namespace {
+
+// A local delivery event: hands the packet to the peer (or frees it when
+// the port has none). Trivially copyable, and the packet is its tie-key
+// source: nothing touches a packet in flight.
+struct Delivery {
+  PacketSink* peer;
+  Packet* packet;
+
+  void operator()() const {
+    if (peer != nullptr) {
+      peer->receive(PacketPtr(packet));
+    } else {
+      delete packet;
+    }
+  }
+  std::uint64_t tie_key() const { return Port::delivery_tie_key(*packet); }
+};
+
+}  // namespace
+
 Port::Port(sim::Simulator* sim, std::string name, sim::Rate rate,
            sim::Time propagation_delay, std::unique_ptr<Queue> queue)
     : sim_(sim),
@@ -80,9 +101,10 @@ void Port::start_transmission() {
   ACDC_CHECK(packet != nullptr, "port %s: transmission started at %lld ns "
              "with an empty queue", name_.c_str(),
              static_cast<long long>(sim_->now()));
-  const sim::Time tx = sim::transmission_time(packet->wire_bytes(), rate_);
+  const std::int64_t wire_bytes = packet->wire_bytes();
+  const sim::Time tx = sim::transmission_time(wire_bytes, rate_);
   ++transmitted_packets_;
-  transmitted_bytes_ += packet->wire_bytes();
+  transmitted_bytes_ += wire_bytes;
   if (telemetry_ != nullptr) {
     telemetry_->stamp(*packet, queue_->byte_length(), sim_->now());
   }
@@ -124,25 +146,20 @@ void Port::start_transmission() {
 
   // Deliver at tx + propagation; free the transmitter at tx. A remote peer
   // (cross-shard link) takes the delivery time with the packet instead of a
-  // local event. Both paths carry the content-derived tie key so same-tick
-  // arrivals at the receiver order identically on either engine. The
+  // local event. Both paths order same-tick arrivals at the receiver by the
+  // content-derived tie key, so either engine runs them identically: the
+  // remote path hashes it now, while a local delivery carries the packet
+  // and the queue hashes it only if another event shares its tick. The
   // delivery takes its insertion seq before the completion reserves one;
   // same-tick ties depend on that order. The completion is scheduled only
   // once a packet waits behind this one (here, or in send()).
-  const std::uint64_t key = delivery_tie_key(*packet);
   if (remote_peer_ != nullptr) {
+    const std::uint64_t key = delivery_tie_key(*packet);
     remote_peer_->deliver(packet.release(),
                           sim_->now() + tx + propagation_delay_, key);
   } else {
-    PacketSink* peer = peer_;
-    Packet* raw = packet.release();
-    sim_->schedule_keyed(tx + propagation_delay_, key, [peer, raw] {
-      if (peer != nullptr) {
-        peer->receive(PacketPtr(raw));
-      } else {
-        delete raw;
-      }
-    });
+    sim_->schedule_keyed(tx + propagation_delay_,
+                         Delivery{peer_, packet.release()});
   }
   tx_done_.reserve(tx);
   if (!queue_->empty()) tx_done_.schedule([this] { start_transmission(); });

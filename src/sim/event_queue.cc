@@ -1,8 +1,9 @@
 #include "sim/event_queue.h"
 
 #include <bit>
-#include <cassert>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::sim {
 
@@ -25,8 +26,7 @@ constexpr std::uint32_t id_slot(EventId id) {
 std::uint32_t EventQueue::acquire_slot() {
   if (free_slot_ != kNone) {
     const std::uint32_t index = free_slot_;
-    free_slot_ = slots_[index].next_free;
-    slots_[index].next_free = kNone;
+    free_slot_ = slots_[index].next;
     return index;
   }
   slots_.emplace_back();
@@ -38,12 +38,34 @@ void EventQueue::release_slot(std::uint32_t index) {
   slot.action.reset();
   slot.armed = false;
   slot.cancelled = false;
+  slot.tie = Tie::kUnkeyed;
   // Bumping the generation here invalidates every EventId already handed out
   // for this slot, so cancels arriving after the fire are no-ops.
   ++slot.generation;
   if (slot.generation == 0) slot.generation = 1;  // keep ids nonzero
-  slot.next_free = free_slot_;
+  slot.next = free_slot_;
   free_slot_ = index;
+}
+
+bool EventQueue::tie_earlier(std::uint32_t a, std::uint32_t b) {
+  Slot& slot_a = slots_[a];
+  Slot& slot_b = slots_[b];
+  const bool keyed_a = slot_a.tie != Tie::kUnkeyed;
+  if (keyed_a != (slot_b.tie != Tie::kUnkeyed)) return keyed_a;
+  if (keyed_a) {
+    // Computes a lazy key once; tie_key() only reads its own closure.
+    const auto key = [](Slot& slot) {
+      if (slot.tie == Tie::kLazy) {
+        slot.key = slot.action.tie_key();
+        slot.tie = Tie::kKeyed;
+      }
+      return slot.key;
+    };
+    const std::uint64_t key_a = key(slot_a);
+    const std::uint64_t key_b = key(slot_b);
+    if (key_a != key_b) return key_a < key_b;
+  }
+  return slot_a.seq < slot_b.seq;
 }
 
 void EventQueue::sift_up(std::size_t i) {
@@ -82,66 +104,72 @@ void EventQueue::pop_heap_top() {
   if (!heap_.empty()) sift_down(0);
 }
 
-void EventQueue::link_far(std::uint32_t node) {
-  Entry& n = far_[node];
-  const std::int64_t bucket = bucket_of(n.at);
+void EventQueue::link_far(std::uint32_t index) {
+  Slot& slot = slots_[index];
+  const std::int64_t bucket = bucket_of(slot.at);
   if (bucket < lap_end_) {
     const auto pos = static_cast<std::size_t>(bucket & kLapMask);
-    n.next = bucket_head_[pos];
-    bucket_head_[pos] = node;
+    slot.next = bucket_head_[pos];
+    bucket_head_[pos] = index;
     occupied_[pos / 64] |= std::uint64_t{1} << (pos % 64);
   } else {
-    n.next = overflow_head_;
-    overflow_head_ = node;
+    slot.next = overflow_head_;
+    overflow_head_ = index;
     if (bucket < overflow_min_) overflow_min_ = bucket;
   }
 }
 
-void EventQueue::free_far(std::uint32_t node) {
-  far_[node].next = free_node_;
-  free_node_ = node;
+bool EventQueue::reap_far(std::uint32_t index) {
+  if (!slots_[index].cancelled) return false;
+  release_slot(index);
   --far_size_;
-}
-
-bool EventQueue::reap_far(std::uint32_t node) {
-  const std::uint32_t slot = far_[node].slot;
-  if (!slots_[slot].cancelled) return false;
-  release_slot(slot);
-  free_far(node);
   return true;
 }
 
-EventId EventQueue::schedule(Time at, EventAction action) {
-  return schedule(at, kUnkeyedTieKey, std::move(action));
+EventId EventQueue::schedule(Time at, EventAction&& action) {
+  return insert(at, kUnkeyedTieKey, Tie::kUnkeyed, next_seq_++,
+                std::move(action));
 }
 
-EventId EventQueue::schedule(Time at, std::uint64_t key, EventAction action) {
+EventId EventQueue::schedule(Time at, std::uint64_t key,
+                             EventAction&& action) {
   return schedule(at, key, next_seq_++, std::move(action));
 }
 
 EventId EventQueue::schedule(Time at, std::uint64_t key, std::uint64_t tie_seq,
-                             EventAction action) {
+                             EventAction&& action) {
+  return insert(at, key, key == kUnkeyedTieKey ? Tie::kUnkeyed : Tie::kKeyed,
+                tie_seq, std::move(action));
+}
+
+EventId EventQueue::schedule_keyed(Time at, EventAction&& action) {
+  ACDC_CHECK(action.has_tie_key(),
+             "schedule_keyed: the action has no tie_key() (at=%lld)",
+             static_cast<long long>(at));
+  return insert(at, kUnkeyedTieKey, Tie::kLazy, next_seq_++,
+                std::move(action));
+}
+
+EventId EventQueue::insert(Time at, std::uint64_t key, Tie tie,
+                           std::uint64_t seq, EventAction&& action) {
   const std::uint32_t index = acquire_slot();
   Slot& slot = slots_[index];
   slot.action = std::move(action);
+  slot.at = at;
+  slot.key = key;
+  slot.seq = seq;
+  slot.tie = tie;
   slot.armed = true;
+  const EventId id = pack_id(slot.generation, index);
   ++live_count_;
   if (bucket_of(at) <= cur_bucket_) {
-    heap_.push_back(Entry{at, key, tie_seq, index});
+    heap_.push_back(Entry{at, index});
     sift_up(heap_.size() - 1);
   } else {
-    std::uint32_t node = free_node_;
-    if (node != kNone) {
-      free_node_ = far_[node].next;
-    } else {
-      node = static_cast<std::uint32_t>(far_.size());
-      far_.emplace_back();
-    }
-    far_[node] = Entry{at, key, tie_seq, index};
-    link_far(node);
+    link_far(index);
     ++far_size_;
   }
-  return pack_id(slot.generation, index);
+  return id;
 }
 
 void EventQueue::cancel(EventId id) {
@@ -152,9 +180,17 @@ void EventQueue::cancel(EventId id) {
   if (!slot.armed || slot.cancelled || slot.generation != id_generation(id)) {
     return;  // already fired, already cancelled, or a recycled slot
   }
+  ACDC_CHECK(live_count_ > 0, "cancel: armed slot %u in a queue with no "
+             "live event", index);
   slot.cancelled = true;
-  assert(live_count_ > 0);
   --live_count_;
+  // No comparison has read a key that was never computed, and a tombstone
+  // never pops, so any fixed key keeps the heap valid. Fixing it here means
+  // tie_key() never runs on a cancelled action, whose state may be gone.
+  if (slot.tie == Tie::kLazy) {
+    slot.key = 0;
+    slot.tie = Tie::kKeyed;
+  }
 }
 
 void EventQueue::spread_overflow() {
@@ -166,12 +202,12 @@ void EventQueue::spread_overflow() {
   cur_bucket_ = lap_start - 1;
   lap_end_ = lap_start + static_cast<std::int64_t>(kBuckets);
   overflow_min_ = kNoBucket;
-  std::uint32_t node = overflow_head_;
+  std::uint32_t index = overflow_head_;
   overflow_head_ = kNone;
-  while (node != kNone) {
-    const std::uint32_t next = far_[node].next;
-    if (!reap_far(node)) link_far(node);
-    node = next;
+  while (index != kNone) {
+    const std::uint32_t next = slots_[index].next;
+    if (!reap_far(index)) link_far(index);
+    index = next;
   }
 }
 
@@ -192,15 +228,15 @@ void EventQueue::pull_next_bucket() {
   occupied_[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
   cur_bucket_ = lap_end_ - static_cast<std::int64_t>(kBuckets) +
                 static_cast<std::int64_t>(pos);
-  std::uint32_t node = bucket_head_[pos];
+  std::uint32_t index = bucket_head_[pos];
   bucket_head_[pos] = kNone;
-  while (node != kNone) {
-    const std::uint32_t next = far_[node].next;
-    if (!reap_far(node)) {
-      heap_.push_back(far_[node]);
-      free_far(node);
+  while (index != kNone) {
+    const std::uint32_t next = slots_[index].next;
+    if (!reap_far(index)) {
+      heap_.push_back(Entry{slots_[index].at, index});
+      --far_size_;
     }
-    node = next;
+    index = next;
   }
   // Floyd's bottom-up heap construction over the moved bucket.
   if (heap_.size() > 1) {
@@ -208,7 +244,7 @@ void EventQueue::pull_next_bucket() {
   }
 }
 
-bool EventQueue::settle() {
+bool EventQueue::settle_slow() {
   for (;;) {
     while (!heap_.empty()) {
       const std::uint32_t index = heap_[0].slot;
@@ -226,16 +262,25 @@ Time EventQueue::next_time() {
   return heap_[0].at;
 }
 
-EventQueue::Next EventQueue::take_next() {
-  [[maybe_unused]] const bool live = settle();
-  assert(live);
+bool EventQueue::take_next(Time deadline, Next& next) {
+  if (live_count_ == 0 || !settle() || heap_[0].at > deadline) return false;
   const Entry top = heap_[0];
   Slot& slot = slots_[top.slot];
-  Next next{top.at, top.key, top.seq, std::move(slot.action)};
+  next.at = top.at;
+  next.seq = slot.seq;
+  next.unkeyed = slot.tie == Tie::kUnkeyed;
+  next.action = std::move(slot.action);
   release_slot(top.slot);
   pop_heap_top();
   --live_count_;
   ++executed_;
+  return true;
+}
+
+EventQueue::Next EventQueue::take_next() {
+  Next next;
+  const bool popped = take_next(std::numeric_limits<Time>::max(), next);
+  ACDC_CHECK(popped, "take_next() on an empty event queue");
   return next;
 }
 

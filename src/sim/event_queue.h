@@ -3,29 +3,32 @@
 // O(1) lazy cancellation.
 //
 // Design notes (this is the simulator's hottest structure):
-//  - Near level: a 4-ary min-heap of 32-byte POD entries {time, key, seq,
-//    slot} holding every event whose ~1 ms bucket (time >> kBucketShift) is
-//    at or before the current bucket. Sift operations move only these,
-//    never the callbacks.
-//  - Far level: later events wait unsorted in one shared node pool, linked
-//    into one list per calendar bucket of the current lap (kBuckets
-//    buckets, aligned to a multiple of kBuckets) or into a single overflow
-//    list past the lap. When the heap runs dry, the earliest occupied
-//    bucket moves into it wholesale (found via an occupancy bitmap); when
-//    the lap runs dry, the queue jumps straight to the overflow's earliest
-//    lap and spreads the overflow entries of that lap into the calendar.
-//    So a timer tens of milliseconds out costs a list push, not a walk
-//    through ~log4(n) cache-missing heap levels, and each overflow entry is
-//    touched once per lap. This follows Varghese & Lauck's timing wheels
-//    (SOSP '87) and Brown's calendar queues (CACM '88).
+//  - Near level: a 4-ary min-heap of 16-byte POD entries {time, slot}
+//    holding every event whose ~1 ms bucket (time >> kBucketShift) is at or
+//    before the current bucket, so one sibling group of four fits in one
+//    cache line. Sift operations move only these, never the callbacks. Only
+//    entries that tie on time read their tie-breaks from the slot arena.
+//  - Far level: later events wait unsorted in their slots, linked into one
+//    list per calendar bucket of the current lap (kBuckets buckets, aligned
+//    to a multiple of kBuckets) or into a single overflow list past the
+//    lap. When the heap runs dry, the earliest occupied bucket moves into
+//    it wholesale (found via an occupancy bitmap); when the lap runs dry,
+//    the queue jumps straight to the overflow's earliest lap and spreads
+//    the overflow entries of that lap into the calendar. So a timer tens of
+//    milliseconds out costs a list push, not a walk through ~log4(n)
+//    cache-missing heap levels, and each overflow entry is touched once per
+//    lap. This follows Varghese & Lauck's timing wheels (SOSP '87) and
+//    Brown's calendar queues (CACM '88).
 //  - Every heap entry belongs to a bucket at or before every far entry's,
 //    so the heap top is the global minimum and the pop order is exactly
 //    (time, key, seq) whatever the level an event waited in.
-//  - Callbacks live in a slot arena (EventAction, small-buffer optimized)
-//    and are addressed by index; slots and far nodes are recycled through
-//    freelists, so steady-state schedule/cancel/fire churn performs zero
-//    heap traffic once the arena, the node pool and the heap reach their
-//    high-water marks.
+//  - Each event owns one 96-byte slot in an arena addressed by index: its
+//    callback (EventAction, small-buffer optimized, moved by memcpy when
+//    trivially copyable), time, tie key and seq, and the far-list link.
+//    Slots are recycled through a freelist, so steady-state
+//    schedule/cancel/fire churn performs zero heap traffic once the arena
+//    and the heap reach their high-water marks. A pending event costs its
+//    slot, plus a heap entry while in the near level.
 //  - An EventId packs {generation, slot}. cancel() validates the generation,
 //    so a stale id (slot since recycled) is a no-op. Cancelled far entries
 //    are reaped when their bucket moves, so they never touch the heap;
@@ -37,7 +40,10 @@
 //    and sharded engines, where insertion order necessarily differs (a
 //    cross-shard delivery is inserted at mailbox-drain time, not at its
 //    causal schedule time). Keyed events order before unkeyed ones at the
-//    same timestamp.
+//    same timestamp. A delivery's action computes its own key
+//    (schedule_keyed(at, action)); the queue asks for it only when the
+//    event ties on time with another keyed event, once, so the few such
+//    ties pay for the hash and the rest never do.
 #pragma once
 
 #include <array>
@@ -86,11 +92,12 @@ class EventQueue {
 
   // Schedules `action` at absolute time `at`. Ties are broken by insertion
   // order so the simulation is deterministic.
-  EventId schedule(Time at, EventAction action);
+  EventId schedule(Time at, EventAction&& action);
 
   // As above with an explicit tie key: same-time events order by key before
   // insertion order, and before any unkeyed event at that time.
-  EventId schedule(Time at, std::uint64_t key, EventAction action);
+  // kUnkeyedTieKey schedules an unkeyed event.
+  EventId schedule(Time at, std::uint64_t key, EventAction&& action);
 
   // As above, but with a caller-supplied tie sequence instead of the
   // insertion counter. Cross-shard mail passes a mail_tie_seq (bit 63 set,
@@ -98,7 +105,17 @@ class EventQueue {
   // regardless of drain timing; a deadline timer passes a number it took
   // earlier with take_seq().
   EventId schedule(Time at, std::uint64_t key, std::uint64_t tie_seq,
-                   EventAction action);
+                   EventAction&& action);
+
+  // Keyed by the action itself: it orders as schedule(at,
+  // action.tie_key(), action) would, but the queue calls tie_key() only
+  // when the event ties on time with another keyed event, at most once.
+  // Being keyed already puts it before every unkeyed event at its time,
+  // whatever the key (so even a key equal to kUnkeyedTieKey). The key must
+  // not change while the event waits; tie_key() is never called once the
+  // event has fired or been cancelled. Precondition (checked):
+  // action.has_tie_key().
+  EventId schedule_keyed(Time at, EventAction&& action);
 
   // Consumes the insertion sequence number the next plain schedule() would
   // have used, for a later schedule(at, key, tie_seq, action).
@@ -121,23 +138,29 @@ class EventQueue {
   // A popped event and its place in the pop order.
   struct Next {
     Time at = 0;
-    std::uint64_t key = kUnkeyedTieKey;
     std::uint64_t seq = 0;
+    bool unkeyed = true;  // scheduled without a tie key
     EventAction action;
   };
 
-  // Pops the earliest event without running it, so the caller can advance
-  // its clock (and record the event's position) before invoking the
-  // action. Precondition: !empty().
+  // Pops the earliest event if it is due at or before `deadline`, without
+  // running it, so the caller can advance its clock (and record the event's
+  // position) before invoking the action. Returns false, popping nothing,
+  // when no live event is due by then.
+  bool take_next(Time deadline, Next& next);
+
+  // Pops the earliest event. Precondition (checked): !empty().
   Next take_next();
 
   std::uint64_t executed_count() const { return executed_; }
 
-  // Capacity introspection for the perf tests: arena / heap / far-pool
-  // high-water marks (steady state must not grow them).
+  // Introspection for the perf tests: arena and heap high-water marks
+  // (steady state must not grow them) and the events waiting in the far
+  // level, cancelled ones included.
   std::size_t slot_capacity() const { return slots_.size(); }
   std::size_t heap_capacity() const { return heap_.capacity(); }
-  std::size_t far_capacity() const { return far_.size(); }
+  std::size_t far_size() const { return far_size_; }
+  static constexpr std::size_t heap_entry_bytes() { return sizeof(Entry); }
 
  private:
   static constexpr std::uint32_t kNone = ~std::uint32_t{0};
@@ -147,46 +170,64 @@ class EventQueue {
 
   struct Entry {
     Time at = 0;
-    std::uint64_t key = kUnkeyedTieKey;  // tie-break 1: explicit key
-    std::uint64_t seq = 0;               // tie-break 2: insertion order
-    std::uint32_t slot = 0;              // index into slots_
-    std::uint32_t next = kNone;          // far-list link (unused in heap_)
+    std::uint32_t slot = 0;  // index into slots_
+  };
+
+  // How a same-time tie breaks: keyed events first, by key, then seq.
+  enum class Tie : std::uint8_t {
+    kUnkeyed,
+    kKeyed,
+    kLazy,  // keyed; the key is action.tie_key(), not computed yet
   };
 
   struct Slot {
-    EventAction action;
+    // The two links live in the action's tail padding.
+    [[no_unique_address]] EventAction action;
     std::uint32_t generation = 1;
-    std::uint32_t next_free = kNone;
+    std::uint32_t next = kNone;  // far-list link, or freelist link
+    Time at = 0;
+    std::uint64_t key = kUnkeyedTieKey;  // tie-break 1: explicit key
+    std::uint64_t seq = 0;               // tie-break 2: insertion order
+    Tie tie = Tie::kUnkeyed;
     bool armed = false;      // between schedule and fire/skip
     bool cancelled = false;  // lazily reaped (heap top or bucket move)
   };
 
-  static bool earlier(const Entry& a, const Entry& b) {
+  static_assert(sizeof(Entry) == 16, "a 4-ary sibling group per cache line");
+  static_assert(sizeof(Slot) <= 96,
+                "a pending event costs at most 112 B with its heap entry");
+
+  bool earlier(const Entry& a, const Entry& b) {
     if (a.at != b.at) return a.at < b.at;
-    if (a.key != b.key) return a.key < b.key;
-    return a.seq < b.seq;
+    return tie_earlier(a.slot, b.slot);
   }
+  // Order of two same-time events: keyed first, then (key, seq).
+  bool tie_earlier(std::uint32_t a, std::uint32_t b);
 
   static std::int64_t bucket_of(Time at) { return at >> kBucketShift; }
 
+  EventId insert(Time at, std::uint64_t key, Tie tie, std::uint64_t seq,
+                 EventAction&& action);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void pop_heap_top();
-  // Links far node `node` into its calendar bucket or the overflow list.
-  void link_far(std::uint32_t node);
-  // Returns an unlinked far node to the pool.
-  void free_far(std::uint32_t node);
-  // Frees far node `node` and its slot if its event was cancelled.
-  bool reap_far(std::uint32_t node);
+  // Links slot `index` into its calendar bucket or the overflow list.
+  void link_far(std::uint32_t index);
+  // Releases far slot `index` if its event was cancelled.
+  bool reap_far(std::uint32_t index);
   // Moves the earliest far bucket into the empty heap, or, when the lap is
   // exhausted, jumps to the overflow's earliest lap.
   void pull_next_bucket();
   void spread_overflow();
   // Reaps cancelled heap tops and refills an empty heap from the far
   // level; false when no live event remains.
-  bool settle();
+  bool settle() {
+    if (!heap_.empty() && !slots_[heap_[0].slot].cancelled) return true;
+    return settle_slow();
+  }
+  bool settle_slow();
 
   std::vector<Entry> heap_;  // 4-ary min-heap ordered by earlier()
   std::vector<Slot> slots_;
@@ -195,9 +236,8 @@ class EventQueue {
   // Far level. The heap holds every event with bucket <= cur_bucket_; the
   // calendar holds the rest of the current lap (buckets up to
   // lap_end_ - 1); the overflow list holds everything from lap_end_ on.
-  std::vector<Entry> far_;  // shared node pool; `next` links lists
-  std::uint32_t free_node_ = kNone;
-  std::size_t far_size_ = 0;  // nodes on lists, cancelled ones included
+  // Lists run through Slot::next.
+  std::size_t far_size_ = 0;  // slots on lists, cancelled ones included
   std::array<std::uint32_t, kBuckets> bucket_head_;
   std::array<std::uint64_t, kBuckets / 64> occupied_{};  // bit per bucket
   std::uint32_t overflow_head_ = kNone;

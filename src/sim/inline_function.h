@@ -8,9 +8,22 @@
 // glue) fall back to a single heap cell so nothing breaks, it just isn't
 // free. The event queue stores these out-of-line in slot storage, so heap
 // sift operations never touch them.
+//
+// Nearly every scheduled closure captures only pointers and integers, so it
+// is trivially copyable: moving one is a fixed-size memcpy of the buffer and
+// destroying one does nothing, with no indirect call on either path. Only
+// closures that own something (a std::function, a PacketPtr) pay for their
+// move and destroy calls.
+//
+// A callable may also carry its event's tie key (see EventQueue): a
+// `tie_key() const` member returning it. The queue calls it only when
+// another keyed event shares the timestamp.
 #pragma once
 
+#include <concepts>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -19,6 +32,12 @@
 namespace acdc::sim {
 
 inline constexpr std::size_t kInlineFunctionBytes = 48;
+
+// A callable that can compute its own event's tie key.
+template <typename F>
+concept HasTieKey = requires(const F& f) {
+  { f.tie_key() } -> std::convertible_to<std::uint64_t>;
+};
 
 template <typename Signature,
           std::size_t InlineBytes = kInlineFunctionBytes>
@@ -64,10 +83,17 @@ class InlineFunction<void(), InlineBytes> {
 
   void reset() {
     if (vtable_ != nullptr) {
-      vtable_->destroy(storage_);
+      if (vtable_->destroy != nullptr) vtable_->destroy(storage_);
       vtable_ = nullptr;
     }
   }
+
+  // True when the stored callable has a tie_key() member.
+  bool has_tie_key() const {
+    return vtable_ != nullptr && vtable_->tie_key != nullptr;
+  }
+  // The stored callable's tie_key(). Precondition: has_tie_key().
+  std::uint64_t tie_key() const { return vtable_->tie_key(storage_); }
 
   // True when callables of type F avoid the heap fallback (used by tests to
   // pin down the allocation-free guarantee).
@@ -76,11 +102,23 @@ class InlineFunction<void(), InlineBytes> {
     return fits_inline<std::decay_t<F>>();
   }
 
+  // True when moving and destroying a stored F needs no call (a memcpy of
+  // the buffer and nothing, respectively).
+  template <typename F>
+  static constexpr bool moves_by_copy() {
+    return fits_inline<std::decay_t<F>>() &&
+           std::is_trivially_copyable_v<std::decay_t<F>>;
+  }
+
  private:
   struct VTable {
     void (*invoke)(void*);
+    // Null when relocating the buffer's bytes is a valid move.
     void (*move)(void* dst, void* src);  // move-construct dst, destroy src
+    // Null when destroying the stored object is a no-op.
     void (*destroy)(void*);
+    // Null unless the callable has a tie_key() member.
+    std::uint64_t (*tie_key)(const void*);
   };
 
   template <typename Fn>
@@ -94,30 +132,56 @@ class InlineFunction<void(), InlineBytes> {
   static Fn* as(void* storage) {
     return std::launder(reinterpret_cast<Fn*>(storage));
   }
+  template <typename Fn>
+  static const Fn* as(const void* storage) {
+    return std::launder(reinterpret_cast<const Fn*>(storage));
+  }
+
+  template <typename Fn, bool kOnHeap>
+  static constexpr auto kTieKey = [] {
+    std::uint64_t (*fn)(const void*) = nullptr;
+    if constexpr (HasTieKey<Fn>) {
+      fn = [](const void* s) -> std::uint64_t {
+        if constexpr (kOnHeap) {
+          return (*as<Fn*>(s))->tie_key();
+        } else {
+          return as<Fn>(s)->tie_key();
+        }
+      };
+    }
+    return fn;
+  }();
 
   template <typename Fn>
-  static constexpr VTable kInlineVtable = {
-      [](void* s) { (*as<Fn>(s))(); },
-      [](void* dst, void* src) {
+  static constexpr VTable kInlineVtable = [] {
+    VTable vt{[](void* s) { (*as<Fn>(s))(); }, nullptr, nullptr,
+              kTieKey<Fn, false>};
+    if constexpr (!std::is_trivially_copyable_v<Fn>) {
+      vt.move = [](void* dst, void* src) {
         ::new (dst) Fn(std::move(*as<Fn>(src)));
         as<Fn>(src)->~Fn();
-      },
-      [](void* s) { as<Fn>(s)->~Fn(); },
-  };
+      };
+      vt.destroy = [](void* s) { as<Fn>(s)->~Fn(); };
+    }
+    return vt;
+  }();
 
+  // The stored Fn* relocates by copy; only destroying it needs a call.
   template <typename Fn>
   static constexpr VTable kHeapVtable = {
       [](void* s) { (**as<Fn*>(s))(); },
-      [](void* dst, void* src) {
-        // The stored Fn* is trivially destructible; relocating it is a copy.
-        ::new (dst) Fn*(*as<Fn*>(src));
-      },
+      nullptr,
       [](void* s) { delete *as<Fn*>(s); },
+      kTieKey<Fn, true>,
   };
 
   void steal(InlineFunction& other) noexcept {
     if (other.vtable_ != nullptr) {
-      other.vtable_->move(storage_, other.storage_);
+      if (other.vtable_->move != nullptr) {
+        other.vtable_->move(storage_, other.storage_);
+      } else {
+        std::memcpy(storage_, other.storage_, InlineBytes);
+      }
       vtable_ = other.vtable_;
       other.vtable_ = nullptr;
     }

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <limits>
 #include <utility>
 
 #include "sim/check.h"
@@ -40,6 +41,11 @@ EventId Simulator::schedule_at_keyed(Time at, std::uint64_t key,
   return queue_.schedule(at, key, std::move(action));
 }
 
+EventId Simulator::schedule_keyed(Time delay, EventAction action) {
+  check_causal(now_ + delay, now_);
+  return queue_.schedule_keyed(now_ + delay, std::move(action));
+}
+
 EventId Simulator::schedule_at_keyed_seq(Time at, std::uint64_t key,
                                          std::uint64_t tie_seq,
                                          EventAction action) {
@@ -63,31 +69,26 @@ void Simulator::run() {
 }
 
 void Simulator::run_until(Time deadline) {
-  while (!queue_.empty()) {
-    const Time next = queue_.next_time();
-    if (next == kNoTime || next > deadline) break;
-    step();
+  for (;;) {
+    EventQueue::Next next;
+    if (!queue_.take_next(deadline, next)) break;
+    run_event(next);
   }
   if (now_ <= deadline) end_tick(deadline);
 }
 
 void Simulator::run_before(Time bound) {
-  while (!queue_.empty()) {
-    const Time next = queue_.next_time();
-    if (next == kNoTime || next >= bound) break;
-    step();
+  for (;;) {
+    EventQueue::Next next;
+    if (!queue_.take_next(bound - 1, next)) break;
+    run_event(next);
   }
 }
 
 bool Simulator::step() {
-  if (queue_.empty()) return false;
-  EventQueue::Next next = queue_.take_next();
-  if (next.at != now_) {
-    now_ = next.at;
-    tick_seq_ = 0;
-  }
-  if (next.key == kUnkeyedTieKey) tick_seq_ = next.seq;
-  next.action();
+  EventQueue::Next next;
+  if (!queue_.take_next(std::numeric_limits<Time>::max(), next)) return false;
+  run_event(next);
   return true;
 }
 

@@ -35,6 +35,10 @@ class Simulator {
   // serial and sharded engines order same-tick arrivals identically.
   EventId schedule_keyed(Time delay, std::uint64_t key, EventAction action);
   EventId schedule_at_keyed(Time at, std::uint64_t key, EventAction action);
+  // Keyed by the action's own tie_key(), which the queue calls only if
+  // another keyed event shares the timestamp (see
+  // EventQueue::schedule_keyed).
+  EventId schedule_keyed(Time delay, EventAction action);
 
   // Keyed variant with an explicit tie sequence (see mail_tie_seq): the
   // parallel executor schedules drained cross-shard mail with
@@ -86,6 +90,17 @@ class Simulator {
   // For DeadlineTimer and ReservedEvent: schedules an unkeyed event with an
   // insertion sequence number taken earlier from queue_.take_seq().
   EventId schedule_at_seq(Time at, std::uint64_t seq, EventAction action);
+
+  // Advances the clock and the pop-order position to a popped event, then
+  // runs it.
+  void run_event(EventQueue::Next& next) {
+    if (next.at != now_) {
+      now_ = next.at;
+      tick_seq_ = 0;
+    }
+    if (next.unkeyed) tick_seq_ = next.seq;
+    next.action();
+  }
 
   // Sets the clock to t with every event scheduled so far at t counted as
   // run.

@@ -1,14 +1,17 @@
 // Stress tests for the two-level event queue (near heap over a far
 // calendar plus overflow list): cancellation via generation-tagged ids, FIFO
 // tie-breaking at equal timestamps, the exact (time, key, seq) pop order
-// under randomized schedule/cancel churn spanning every level, and
-// allocation-free recycling of slots and far nodes.
+// under randomized schedule/cancel churn spanning every level (lazily keyed
+// events included, whose keys are computed only on time ties),
+// allocation-free recycling of slots, and the lifetime of event actions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <random>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -102,6 +105,25 @@ struct ChurnResult {
   std::vector<int> order;  // tags in execution order
   int near_cancels = 0;    // cancelled after their bucket moved
   int far_cancels = 0;     // cancelled while in a far bucket or overflow
+  int lazy_events = 0;     // scheduled with schedule_keyed(at, action)
+  int lazy_tied = 0;       // ... that shared their time with another event
+  int key_calls = 0;       // tie_key() calls over all lazy events
+};
+
+// A lazily keyed event: records its tag when it runs and counts how often
+// the queue asks for its key.
+struct LazyKeyed {
+  ChurnResult* result;
+  std::vector<int>* calls;  // per tag
+  int tag;
+  std::uint64_t key;
+
+  void operator()() const { result->order.push_back(tag); }
+  std::uint64_t tie_key() const {
+    ++(*calls)[static_cast<std::size_t>(tag)];
+    ++result->key_calls;
+    return key;
+  }
 };
 
 ChurnResult churn_run(std::uint64_t seed) {
@@ -119,6 +141,16 @@ ChurnResult churn_run(std::uint64_t seed) {
   std::uint64_t local_seq = 0;  // mirrors the queue's insertion counter
   std::uint64_t mail_seq = 0;
   Time now = 0;  // time of the last pop; schedules never go below it
+  // Events that may still sit in the queue, by time: pending ones, and
+  // cancelled ones until the clock passes their time (they are reaped by
+  // then at the latest). A lazy event can only be asked for its key while
+  // another event in here shares its time.
+  std::multimap<Time, int> present;
+  std::vector<bool> lazy;       // per tag
+  std::vector<bool> tied;       // per tag: met a time tie while present
+  std::vector<bool> cancelled;  // per tag
+  std::vector<int> key_calls;   // per tag
+  std::vector<int> calls_at_cancel;  // per tag; never asked after cancel
 
   const auto forget = [&](int tag) {
     const std::size_t i = live_pos[static_cast<std::size_t>(tag)];
@@ -138,6 +170,15 @@ ChurnResult churn_run(std::uint64_t seed) {
     now = next.at;
     reference.erase(reference.begin());
     forget(std::get<3>(expected));
+    for (auto it = present.begin(); it != present.end() && it->first <= now;) {
+      const auto tag = static_cast<std::size_t>(it->second);
+      if (it->second == std::get<3>(expected) ||
+          (cancelled[tag] && it->first < now)) {
+        it = present.erase(it);
+      } else {
+        ++it;
+      }
+    }
   };
 
   for (int round = 0; round < 40'000; ++round) {
@@ -164,13 +205,24 @@ ChurnResult churn_run(std::uint64_t seed) {
       const auto kind = rng() % 10;
       EventId id;
       RefKey ref;
-      if (kind < 6) {
+      lazy.push_back(false);
+      tied.push_back(false);
+      cancelled.push_back(false);
+      key_calls.push_back(0);
+      calls_at_cancel.push_back(0);
+      if (kind < 5) {
         ref = {at, kUnkeyedTieKey, ++local_seq, tag};
         id = q.schedule(at, record);
-      } else if (kind < 9) {
+      } else if (kind < 7) {
         const std::uint64_t key = rng() % 4;
         ref = {at, key, ++local_seq, tag};
         id = q.schedule(at, key, record);
+      } else if (kind < 9) {
+        const std::uint64_t key = rng() % 4;
+        ref = {at, key, ++local_seq, tag};
+        id = q.schedule_keyed(at, LazyKeyed{&result, &key_calls, tag, key});
+        lazy.back() = true;
+        ++result.lazy_events;
       } else {
         const std::uint64_t key = rng() % 4;
         const std::uint64_t seq =
@@ -181,6 +233,14 @@ ChurnResult churn_run(std::uint64_t seed) {
       reference.insert(ref);
       live_pos.push_back(live.size());
       live.push_back({id, ref});
+      const auto [first, last] = present.equal_range(at);
+      if (first != last) {
+        tied.back() = true;
+        for (auto it = first; it != last; ++it) {
+          tied[static_cast<std::size_t>(it->second)] = true;
+        }
+      }
+      present.emplace(at, tag);
     } else if (action < 80) {
       const Live victim = live[rng() % live.size()];
       const Time at = std::get<0>(victim.ref);
@@ -192,6 +252,9 @@ ChurnResult churn_run(std::uint64_t seed) {
         ++result.far_cancels;
       }
       q.cancel(victim.id);
+      const auto victim_tag = static_cast<std::size_t>(std::get<3>(victim.ref));
+      cancelled[victim_tag] = true;
+      calls_at_cancel[victim_tag] = key_calls[victim_tag];
       reference.erase(victim.ref);
       forget(std::get<3>(victim.ref));
     } else {
@@ -207,6 +270,17 @@ ChurnResult churn_run(std::uint64_t seed) {
   }
   EXPECT_TRUE(reference.empty());
   EXPECT_EQ(q.next_time(), kNoTime);
+  // Each lazy key is computed at most once, only for events that met a time
+  // tie, and never after the event was cancelled.
+  for (std::size_t tag = 0; tag < lazy.size(); ++tag) {
+    if (!lazy[tag]) continue;
+    EXPECT_LE(key_calls[tag], tied[tag] ? 1 : 0) << "tag " << tag;
+    if (cancelled[tag]) {
+      EXPECT_EQ(key_calls[tag], calls_at_cancel[tag]) << "tag " << tag;
+    }
+    if (tied[tag]) ++result.lazy_tied;
+  }
+  EXPECT_LE(result.key_calls, result.lazy_tied);
   return result;
 }
 
@@ -220,6 +294,9 @@ TEST(EventQueueStressTest, CancelChurnIsDeterministic) {
   EXPECT_GT(a.order.size(), 10'000u);
   EXPECT_GT(a.near_cancels, 100);
   EXPECT_GT(a.far_cancels, 100);
+  // The lazy path is exercised: keys computed on ties, skipped elsewhere.
+  EXPECT_GT(a.key_calls, 100);
+  EXPECT_LT(a.key_calls, a.lazy_events);
 }
 
 TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
@@ -227,36 +304,149 @@ TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
   // and runs 64 near events. The heap never runs dry within a bucket, so
   // the cancelled timers wait in far buckets; once the first of those
   // buckets come due, they are reaped as fast as they are made, so the slot
-  // arena, the far node pool and the heap stay at their high-water marks.
+  // arena and the heap stay at their high-water marks.
   EventQueue q;
   EventId far_timer = kInvalidEventId;
   constexpr int kRounds = 400;
   constexpr Time kRound = microseconds(100);
   std::size_t warm_slots = 0;
-  std::size_t warm_far = 0;
   std::size_t warm_heap = 0;
+  std::size_t max_far = 0;
   for (int round = 0; round < kRounds; ++round) {
     const Time base = round * kRound;
     q.cancel(far_timer);
     far_timer = q.schedule(base + milliseconds(10), [] {});
     for (int i = 0; i < 64; ++i) q.schedule(base + i, [] {});
     for (int i = 0; i < 64; ++i) q.take_next().action();
+    max_far = std::max(max_far, q.far_size());
     if (round == kRounds / 2) {
       warm_slots = q.slot_capacity();
-      warm_far = q.far_capacity();
       warm_heap = q.heap_capacity();
     }
   }
   EXPECT_EQ(q.slot_capacity(), warm_slots);
-  EXPECT_EQ(q.far_capacity(), warm_far);
   EXPECT_EQ(q.heap_capacity(), warm_heap);
   // 64 near events plus at most one timer per round of the 10 ms horizon
   // in flight: bounded by the horizon, not by the 400 rounds.
   EXPECT_LE(q.slot_capacity(), 64u + 2 * (milliseconds(10) / kRound));
-  EXPECT_GT(q.far_capacity(), milliseconds(10) / kRound / 2);
+  // The timers waited in the far level, most of the horizon's worth at once.
+  EXPECT_GT(max_far, milliseconds(10) / kRound / 2);
   // The far timers never come due; every near event ran.
   EXPECT_EQ(q.executed_count(), 64u * kRounds);
   EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueueTest, HeapEntriesAreSixteenBytes) {
+  static_assert(EventQueue::heap_entry_bytes() == 16,
+                "four heap siblings per 64-byte cache line");
+}
+
+TEST(EventQueueTest, LazyKeysAreComputedOnlyOnTimeTies) {
+  EventQueue q;
+  ChurnResult result;
+  std::vector<int> calls(8, 0);
+  // Distinct times: no key is ever needed.
+  for (int tag = 0; tag < 3; ++tag) {
+    q.schedule_keyed(10 * (tag + 1),
+                     LazyKeyed{&result, &calls, tag, std::uint64_t{9}});
+  }
+  // Three events on one nanosecond: the lazy ones order by key before the
+  // unkeyed one, and each key is computed once however often it compares.
+  q.schedule(100, [&result] { result.order.push_back(5); });
+  q.schedule_keyed(100, LazyKeyed{&result, &calls, 3, std::uint64_t{7}});
+  q.schedule_keyed(100, LazyKeyed{&result, &calls, 4, std::uint64_t{2}});
+  // A cancelled event is never asked, though it still ties in the heap.
+  q.cancel(
+      q.schedule_keyed(100, LazyKeyed{&result, &calls, 6, std::uint64_t{1}}));
+  q.schedule_keyed(100, LazyKeyed{&result, &calls, 7, std::uint64_t{4}});
+  while (!q.empty()) q.take_next().action();
+  EXPECT_EQ(result.order, (std::vector<int>{0, 1, 2, 4, 7, 3, 5}));
+  EXPECT_EQ(calls, (std::vector<int>{0, 0, 0, 1, 1, 0, 0, 1}));
+}
+
+TEST(EventQueueDeathTest, TakeNextOnEmptyQueueAborts) {
+  EventQueue q;
+  EXPECT_DEATH(q.take_next(), "take_next\\(\\) on an empty event queue");
+  const EventId id = q.schedule(5, [] {});
+  q.cancel(id);  // a cancelled event is not a live one
+  EXPECT_DEATH(q.take_next(), "empty event queue");
+}
+
+TEST(EventQueueDeathTest, KeyedScheduleNeedsATieKey) {
+  EventQueue q;
+  EXPECT_DEATH(q.schedule_keyed(5, [] {}), "no tie_key");
+}
+
+// Counts destructions of the one closure that owns the count; moved-from
+// husks do not count.
+struct CountedAction {
+  int* destroyed;
+  bool owner = true;
+
+  explicit CountedAction(int* d) : destroyed(d) {}
+  CountedAction(CountedAction&& other) noexcept
+      : destroyed(other.destroyed), owner(std::exchange(other.owner, false)) {}
+  CountedAction& operator=(CountedAction&&) = delete;
+  ~CountedAction() {
+    if (owner) ++*destroyed;
+  }
+  void operator()() const {}
+};
+
+TEST(EventQueueTest, ActionsAreDestroyedExactlyOnce) {
+  static_assert(EventAction::stores_inline<CountedAction>());
+  static_assert(!EventAction::moves_by_copy<CountedAction>());
+  {
+    // Fired: destroyed with the popped event, not before it runs.
+    EventQueue q;
+    int destroyed = 0;
+    q.schedule(5, CountedAction(&destroyed));
+    {
+      EventQueue::Next next = q.take_next();
+      EXPECT_EQ(destroyed, 0);
+      next.action();
+    }
+    EXPECT_EQ(destroyed, 1);
+  }
+  {
+    // Cancelled, near and far: destroyed once each when reaped.
+    EventQueue q;
+    int near = 0;
+    int far = 0;
+    q.cancel(q.schedule(5, CountedAction(&near)));
+    q.cancel(q.schedule(milliseconds(50), CountedAction(&far)));
+    q.schedule(milliseconds(60), [] {});
+    q.take_next().action();
+    EXPECT_EQ(near, 1);
+    EXPECT_EQ(far, 1);
+  }
+  {
+    // Destroyed with the queue while pending, in either level.
+    int near = 0;
+    int far = 0;
+    {
+      EventQueue q;
+      q.schedule(5, CountedAction(&near));
+      q.schedule(seconds(1), CountedAction(&far));
+    }
+    EXPECT_EQ(near, 1);
+    EXPECT_EQ(far, 1);
+  }
+}
+
+TEST(EventQueueTest, TriviallyCopyableActionsMoveByCopy) {
+  // Pointer captures move as bytes: no move or destroy call, and the
+  // closure still runs intact after the queue relocates it.
+  int ran = 0;
+  std::uint64_t a = 1, b = 2;
+  auto fn = [&ran, pa = &a, pb = &b, c = std::uint64_t{3}] {
+    ran += static_cast<int>(*pa + *pb + c);
+  };
+  static_assert(EventAction::moves_by_copy<decltype(fn)>());
+  EventQueue q;
+  for (int i = 0; i < 1000; ++i) q.schedule(i % 7, fn);  // arena regrows
+  while (!q.empty()) q.take_next().action();
+  EXPECT_EQ(ran, 6 * 1000);
 }
 
 TEST(EventQueueTest, InlineActionsNeedNoHeap) {

@@ -295,6 +295,31 @@ TEST(ReservedEventTest, PassesAtTheReservedPosition) {
   EXPECT_TRUE(last.passed());
 }
 
+// An event keyed by its own action, as a port's local delivery is.
+struct SelfKeyedProbe {
+  std::function<void(const char*)>* probe;
+  void operator()() const { (*probe)("self-keyed"); }
+  std::uint64_t tie_key() const { return 9; }
+};
+
+// No other keyed event shares the tick, so the self-keyed event's key is
+// never computed; it still runs before the unkeyed events of its tick and
+// leaves the tick's position where it was, as a keyed event does.
+TEST(ReservedEventTest, SelfKeyedEventRunsBeforeTheReservedPosition) {
+  sim::Simulator sim;
+  sim::ReservedEvent r(&sim);
+  std::vector<std::string> seen;
+  std::function<void(const char*)> probe = [&](const char* tag) {
+    seen.push_back(std::string(tag) + (r.passed() ? " passed" : " pending"));
+  };
+  r.reserve(100);
+  sim.schedule_keyed(100, SelfKeyedProbe{&probe});
+  sim.schedule_at(100, [&] { probe("unkeyed-after"); });
+  sim.run_until(100);
+  EXPECT_EQ(seen, (std::vector<std::string>{"self-keyed pending",
+                                            "unkeyed-after passed"}));
+}
+
 TEST(ReservedEventTest, ScheduledEventRunsAtItsReservedPosition) {
   sim::Simulator sim;
   sim::ReservedEvent r(&sim);
