@@ -8,18 +8,17 @@
 namespace acdc::bench {
 namespace {
 
-std::string effective_trace_prefix(const RunConfig& cfg) {
-  if (!cfg.trace_prefix.empty()) return cfg.trace_prefix;
+std::string trace_prefix() {
   const char* env = std::getenv("ACDC_TRACE");
   return env != nullptr ? env : "";
 }
 
-void maybe_enable_tracing(const RunConfig& cfg, exp::Scenario& s) {
-  if (!effective_trace_prefix(cfg).empty()) s.enable_tracing();
+void maybe_enable_tracing(exp::Scenario& s) {
+  if (!trace_prefix().empty()) s.enable_tracing();
 }
 
-void maybe_dump_trace(const RunConfig& cfg, exp::Scenario& s) {
-  const std::string prefix = effective_trace_prefix(cfg);
+void maybe_dump_trace(exp::Scenario& s) {
+  const std::string prefix = trace_prefix();
   if (prefix.empty() || s.recorder() == nullptr) return;
   // Merge across shards (a cheap copy for serial runs) so the exports are
   // globally time-ordered regardless of shard count; the JSONL feeds
@@ -47,9 +46,12 @@ tcp::TcpConfig flow_tcp_config(const exp::Scenario& s, exp::Mode mode,
   return s.tcp_config(flow.cc);
 }
 
-void collect(const RunConfig& cfg, exp::Scenario& s,
-             const std::vector<host::BulkApp*>& apps,
-             const host::EchoApp* probe, RunResult& out) {
+}  // namespace
+
+RunResult measure(const RunConfig& cfg, exp::Scenario& s,
+                  const std::vector<host::BulkApp*>& apps,
+                  const host::EchoApp* probe) {
+  RunResult out;
   for (auto* app : apps) {
     out.goodputs_gbps.push_back(
         app->goodput_bps(cfg.measure_from, cfg.duration) / 1e9);
@@ -65,13 +67,9 @@ void collect(const RunConfig& cfg, exp::Scenario& s,
   }
   out.jain = stats::jain_fairness_index(out.goodputs_gbps);
   if (probe != nullptr) out.rtt_ms = probe->rtt_ms();
-  const net::QueueStats fabric = s.fabric_stats();
-  out.drop_rate = fabric.drop_rate();
-  out.dropped_packets = fabric.dropped_packets;
-  out.marked_packets = fabric.marked_packets;
+  out.drop_rate = s.fabric_stats().drop_rate();
+  return out;
 }
-
-}  // namespace
 
 RunResult run_dumbbell(const RunConfig& cfg,
                        const std::vector<FlowSpec>& flows) {
@@ -80,7 +78,7 @@ RunResult run_dumbbell(const RunConfig& cfg,
   dc.pairs = static_cast<int>(flows.size());
   exp::Dumbbell bell(dc);
   exp::Scenario& s = bell.scenario();
-  maybe_enable_tracing(cfg, s);
+  maybe_enable_tracing(s);
 
   if (cfg.mode == exp::Mode::kAcdc) {
     for (std::size_t i = 0; i < flows.size(); ++i) {
@@ -114,43 +112,31 @@ RunResult run_dumbbell(const RunConfig& cfg,
   }
 
   s.run_until(cfg.duration);
-  RunResult out;
-  collect(cfg, s, apps, probe, out);
-  maybe_dump_trace(cfg, s);
+  RunResult out = measure(cfg, s, apps, probe);
+  maybe_dump_trace(s);
   return out;
 }
 
 RunResult run_incast(const RunConfig& cfg, int senders) {
-  exp::StarConfig sc;
-  sc.scenario = exp::scenario_config_for(cfg.mode, cfg.mtu_bytes, cfg.seed);
-  sc.hosts = senders + 2;  // receiver + probe client
-  exp::Star star(sc);
+  ModeStar star(cfg, senders + 2, /*traced=*/true);  // + probe client
   exp::Scenario& s = star.scenario();
-  maybe_enable_tracing(cfg, s);
 
-  std::vector<host::Host*> hosts;
-  for (int i = 0; i < star.host_count(); ++i) hosts.push_back(star.host(i));
-  exp::apply_mode(s, hosts, cfg.mode, cfg.acdc);
-
-  const FlowSpec spec;
-  const tcp::TcpConfig tcp = flow_tcp_config(s, cfg.mode, spec);
   // The probe connects first (before the fabric saturates); flow starts are
   // staggered by a millisecond each, like real applications coming up.
   host::EchoApp* probe = nullptr;
   if (cfg.rtt_probe) {
-    probe = s.add_rtt_probe(star.host(senders + 1), star.host(0), tcp, 0,
-                            cfg.probe_interval);
+    probe = s.add_rtt_probe(star.host(senders + 1), star.host(0), star.tcp,
+                            0, cfg.probe_interval);
   }
   std::vector<host::BulkApp*> apps;
   for (int i = 1; i <= senders; ++i) {
-    apps.push_back(s.add_bulk_flow(star.host(i), star.host(0), tcp,
+    apps.push_back(s.add_bulk_flow(star.host(i), star.host(0), star.tcp,
                                    sim::milliseconds(10) +
                                        (i - 1) * sim::milliseconds(1)));
   }
   s.run_until(cfg.duration);
-  RunResult out;
-  collect(cfg, s, apps, probe, out);
-  maybe_dump_trace(cfg, s);
+  RunResult out = measure(cfg, s, apps, probe);
+  maybe_dump_trace(s);
   return out;
 }
 
@@ -160,10 +146,111 @@ std::string gbps(double g) {
   return buf;
 }
 
-std::string ms(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3f", v);
-  return buf;
+std::vector<std::string> scheme_headers(const std::string& first,
+                                        const std::string& unit) {
+  std::vector<std::string> headers{first};
+  for (exp::Mode mode : kSchemes) {
+    headers.push_back(exp::to_string(mode) + unit);
+  }
+  return headers;
+}
+
+void print_percentiles(const std::string& title,
+                       std::vector<std::string> headers,
+                       const std::vector<const stats::Sampler*>& columns,
+                       const std::vector<double>& percentiles) {
+  stats::Table t(std::move(headers));
+  for (double p : percentiles) {
+    std::vector<std::string> row{stats::Table::num(p)};
+    for (const stats::Sampler* c : columns) {
+      row.push_back(stats::Table::num(c->percentile(p)));
+    }
+    t.add_row(std::move(row));
+  }
+  t.print(title);
+}
+
+ModeStar::ModeStar(const RunConfig& cfg, int hosts, bool traced)
+    : exp::Star(exp::StarConfig{
+          .scenario =
+              exp::scenario_config_for(cfg.mode, cfg.mtu_bytes, cfg.seed),
+          .hosts = hosts}) {
+  if (traced) maybe_enable_tracing(scenario());
+  std::vector<host::Host*> all;
+  for (int i = 0; i < host_count(); ++i) all.push_back(host(i));
+  exp::apply_mode(scenario(), all, cfg.mode, cfg.acdc);
+  tcp = exp::host_tcp_config(scenario(), cfg.mode);
+}
+
+double fairness_panel(const std::string& title, exp::Mode mode,
+                      const std::vector<FlowSpec>& flows) {
+  stats::Table table({"test", "max", "min", "mean", "median", "jain"});
+  stats::Sampler jain;
+  for (int test = 1; test <= 10; ++test) {
+    const RunResult r = run_dumbbell(repeated_test(mode, test), flows);
+    stats::Sampler s;
+    for (double g : r.goodputs_gbps) s.add(g);
+    table.add_row({std::to_string(test), gbps(s.max()), gbps(s.min()),
+                   gbps(s.mean()), gbps(s.median()),
+                   stats::Table::num(r.jain)});
+    jain.add(r.jain);
+  }
+  table.print(title);
+  return jain.mean();
+}
+
+std::vector<WindowSample> track_windows(exp::Mode mode,
+                                        const vswitch::AcdcConfig& acdc,
+                                        sim::Time duration) {
+  exp::DumbbellConfig dc;
+  dc.scenario = exp::scenario_config_for(mode, 1500);
+  exp::Dumbbell bell(dc);
+  exp::Scenario& s = bell.scenario();
+
+  std::vector<vswitch::AcdcVswitch*> vswitches;
+  for (int i = 0; i < bell.pairs(); ++i) {
+    vswitches.push_back(s.attach_acdc(bell.sender(i), acdc));
+    s.attach_acdc(bell.receiver(i), acdc);
+  }
+
+  const std::uint32_t mss = s.config().mss();
+  tcp::TcpConnection* conn0 = nullptr;
+  sim::Time flow_start = sim::kNoTime;
+  std::vector<WindowSample> series;
+  obs::FlightRecorder window_log(1);  // the listener sees every event
+  vswitches[0]->attach_observability({.recorder = &window_log});
+  window_log.add_listener([&](const obs::TraceEvent& ev) {
+    if (ev.type != obs::EventType::kWindowEnforced || conn0 == nullptr) return;
+    if (flow_start == sim::kNoTime) flow_start = ev.t;
+    series.push_back({sim::to_seconds(ev.t - flow_start),
+                      static_cast<double>(ev.a) / mss,
+                      static_cast<double>(conn0->cwnd_bytes()) / mss});
+  });
+
+  const tcp::TcpConfig tcp = exp::host_tcp_config(s, mode);
+  std::vector<host::BulkApp*> apps;
+  for (int i = 0; i < bell.pairs(); ++i) {
+    apps.push_back(s.add_bulk_flow(bell.sender(i), bell.receiver(i), tcp, 0));
+  }
+  s.run_until(sim::milliseconds(20));
+  conn0 = apps[0]->sender_connection();
+  s.run_until(duration);
+  return series;
+}
+
+void print_windows(const std::string& title, const std::string& cwnd_header,
+                   const std::vector<WindowSample>& series, double from_s,
+                   double to_s) {
+  stats::Table t({"t (ms)", "AC/DC RWND (MSS)", cwnd_header});
+  double next = from_s * 1000;
+  for (const WindowSample& w : series) {
+    if (w.t_s < from_s || w.t_s > to_s) continue;
+    if (w.t_s * 1000 < next) continue;
+    t.add_row({stats::Table::num(w.t_s * 1000), stats::Table::num(w.rwnd_mss),
+               stats::Table::num(w.cwnd_mss)});
+    next = w.t_s * 1000 + 5.0;
+  }
+  t.print(title);
 }
 
 }  // namespace acdc::bench

@@ -6,6 +6,16 @@
 
 namespace acdc::net {
 
+// Trivially copyable, like a port's delivery; discarded unfired, it
+// returns the packet to the pool.
+struct FaultInjector::Jittered {
+  FaultInjector* injector;
+  Packet* packet;
+
+  void operator()() const { injector->forward(PacketPtr(packet)); }
+  void drop() const { PacketDeleter{}(packet); }
+};
+
 FaultInjector::FaultInjector(sim::Simulator* sim, sim::Rng rng,
                              const FaultConfig& config)
     : sim_(sim), rng_(std::move(rng)), config_(config) {}
@@ -45,8 +55,7 @@ void FaultInjector::deliver(PacketPtr packet) {
     ++stats_.jittered;
     const sim::Time delay = static_cast<sim::Time>(
         rng_.uniform_int(1, config_.jitter_max));
-    Packet* raw = packet.release();
-    sim_->schedule(delay, [this, raw] { forward(PacketPtr(raw)); });
+    sim_->schedule(delay, Jittered{this, packet.release()});
     return;
   }
   forward(std::move(packet));

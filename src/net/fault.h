@@ -11,10 +11,10 @@
 // traffic, not just hand-built packets.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 
 #include "net/packet.h"
+#include "sim/check.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -65,9 +65,12 @@ class FaultInjector : public PacketSink {
   PacketSink* target() const { return target_; }
 
   // Re-homes the injector onto a shard's simulator (it runs on the delivery
-  // side of its link). Only legal before traffic: no packet may be held.
+  // side of its link). Only legal before traffic: no packet may be held
+  // and no hold timer pending (checked in every build), or the timer would
+  // stay on the old simulator.
   void rebind_simulator(sim::Simulator* sim) {
-    assert(held_ == nullptr && hold_timer_ == sim::kInvalidEventId);
+    ACDC_CHECK(held_ == nullptr && hold_timer_ == sim::kInvalidEventId,
+               "fault injector: rebind_simulator while holding a packet");
     sim_ = sim;
   }
 
@@ -77,6 +80,8 @@ class FaultInjector : public PacketSink {
   const FaultConfig& config() const { return config_; }
 
  private:
+  struct Jittered;  // a jittered packet's delivery event
+
   void codec_check(const Packet& packet);
   // Applies jitter (if drawn) and hands the packet to the target.
   void deliver(PacketPtr packet);

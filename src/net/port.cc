@@ -29,9 +29,10 @@ std::uint64_t Port::delivery_tie_key(const Packet& packet) {
 
 namespace {
 
-// A local delivery event: hands the packet to the peer (or frees it when
-// the port has none). Trivially copyable, and the packet is its tie-key
-// source: nothing touches a packet in flight.
+// A local delivery event: hands the packet to the peer (or returns it to
+// the pool when the port has none). Trivially copyable, and the packet is
+// its tie-key source: nothing touches a packet in flight. Discarded unfired
+// (the simulator torn down first), it returns the packet to the pool.
 struct Delivery {
   PacketSink* peer;
   Packet* packet;
@@ -40,10 +41,11 @@ struct Delivery {
     if (peer != nullptr) {
       peer->receive(PacketPtr(packet));
     } else {
-      delete packet;
+      drop();
     }
   }
   std::uint64_t tie_key() const { return Port::delivery_tie_key(*packet); }
+  void drop() const { PacketDeleter{}(packet); }
 };
 
 }  // namespace

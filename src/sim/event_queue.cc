@@ -23,6 +23,12 @@ constexpr std::uint32_t id_slot(EventId id) {
 
 }  // namespace
 
+EventQueue::~EventQueue() {
+  // Fired and reaped slots hold no action, so this reaches exactly the
+  // events that never ran.
+  for (Slot& slot : slots_) slot.action.discard();
+}
+
 std::uint32_t EventQueue::acquire_slot() {
   if (free_slot_ != kNone) {
     const std::uint32_t index = free_slot_;
@@ -35,7 +41,9 @@ std::uint32_t EventQueue::acquire_slot() {
 
 void EventQueue::release_slot(std::uint32_t index) {
   Slot& slot = slots_[index];
-  slot.action.reset();
+  // Empty after a fire (take_next moved the action out); a cancelled
+  // event's action is discarded here.
+  slot.action.discard();
   slot.armed = false;
   slot.cancelled = false;
   slot.tie = Tie::kUnkeyed;

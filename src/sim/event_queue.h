@@ -44,6 +44,10 @@
 //    (schedule_keyed(at, action)); the queue asks for it only when the
 //    event ties on time with another keyed event, once, so the few such
 //    ties pay for the hash and the rest never do.
+//  - An event that dies unfired (reaped after cancel(), or still pending
+//    when the queue is destroyed) is discarded: an action with a drop()
+//    member, such as a delivery carrying a raw packet, releases what it
+//    holds. A fired event never calls drop().
 #pragma once
 
 #include <array>
@@ -89,6 +93,10 @@ class EventQueue {
   static constexpr std::size_t kBuckets = 256;
 
   EventQueue() { bucket_head_.fill(kNone); }
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
+  // Discards every event still pending (see InlineFunction::discard).
+  ~EventQueue();
 
   // Schedules `action` at absolute time `at`. Ties are broken by insertion
   // order so the simulation is deterministic.

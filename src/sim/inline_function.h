@@ -17,7 +17,10 @@
 //
 // A callable may also carry its event's tie key (see EventQueue): a
 // `tie_key() const` member returning it. The queue calls it only when
-// another keyed event shares the timestamp.
+// another keyed event shares the timestamp. And a callable that owns what
+// only its run would release (a packet in flight, held by raw pointer so
+// the closure stays trivially copyable) may carry a `drop() const` member:
+// discard() calls it when the event dies unfired.
 #pragma once
 
 #include <concepts>
@@ -38,6 +41,10 @@ template <typename F>
 concept HasTieKey = requires(const F& f) {
   { f.tie_key() } -> std::convertible_to<std::uint64_t>;
 };
+
+// A callable that must release something when it is discarded unfired.
+template <typename F>
+concept HasDrop = requires(const F& f) { f.drop(); };
 
 template <typename Signature,
           std::size_t InlineBytes = kInlineFunctionBytes>
@@ -88,6 +95,13 @@ class InlineFunction<void(), InlineBytes> {
     }
   }
 
+  // Destroys the callable without running it, calling its drop() first if
+  // it has one. Empty: a no-op, like reset().
+  void discard() {
+    if (vtable_ != nullptr && vtable_->drop != nullptr) vtable_->drop(storage_);
+    reset();
+  }
+
   // True when the stored callable has a tie_key() member.
   bool has_tie_key() const {
     return vtable_ != nullptr && vtable_->tie_key != nullptr;
@@ -119,6 +133,8 @@ class InlineFunction<void(), InlineBytes> {
     void (*destroy)(void*);
     // Null unless the callable has a tie_key() member.
     std::uint64_t (*tie_key)(const void*);
+    // Null unless the callable has a drop() member.
+    void (*drop)(void*);
   };
 
   template <typename Fn>
@@ -152,10 +168,25 @@ class InlineFunction<void(), InlineBytes> {
     return fn;
   }();
 
+  template <typename Fn, bool kOnHeap>
+  static constexpr auto kDrop = [] {
+    void (*fn)(void*) = nullptr;
+    if constexpr (HasDrop<Fn>) {
+      fn = [](void* s) {
+        if constexpr (kOnHeap) {
+          (*as<Fn*>(s))->drop();
+        } else {
+          as<Fn>(s)->drop();
+        }
+      };
+    }
+    return fn;
+  }();
+
   template <typename Fn>
   static constexpr VTable kInlineVtable = [] {
     VTable vt{[](void* s) { (*as<Fn>(s))(); }, nullptr, nullptr,
-              kTieKey<Fn, false>};
+              kTieKey<Fn, false>, kDrop<Fn, false>};
     if constexpr (!std::is_trivially_copyable_v<Fn>) {
       vt.move = [](void* dst, void* src) {
         ::new (dst) Fn(std::move(*as<Fn>(src)));
@@ -173,6 +204,7 @@ class InlineFunction<void(), InlineBytes> {
       nullptr,
       [](void* s) { delete *as<Fn*>(s); },
       kTieKey<Fn, true>,
+      kDrop<Fn, true>,
   };
 
   void steal(InlineFunction& other) noexcept {

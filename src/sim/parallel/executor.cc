@@ -23,6 +23,22 @@ std::uint64_t elapsed_ns(std::chrono::steady_clock::time_point t0) {
           .count());
 }
 
+// A drained cross-shard message waiting in the receiver's queue. The
+// mailbox disposes of mail still in its ring at teardown; this covers mail
+// already drained: discarded unfired, it disposes of its payload the same
+// way.
+struct MailDelivery {
+  void (*deliver)(void* ctx, void* payload);
+  void (*dispose)(void* ctx, void* payload);
+  void* ctx;
+  void* payload;
+
+  void operator()() const { deliver(ctx, payload); }
+  void drop() const {
+    if (dispose != nullptr) dispose(ctx, payload);
+  }
+};
+
 // Consecutive no-progress sweeps before a thread declares itself stalled.
 // Low: a no-progress sweep is a handful of atomic reads per shard, and the
 // sooner every thread is flagged, the sooner the rendezvous can jump the
@@ -157,16 +173,14 @@ std::size_t ParallelExecutor::drain_shard(int shard) {
     for (const CrossShardMsg& m : batch) {
       // The window protocol keeps mail in the receiver's future;
       // schedule_at_keyed_seq's causality check enforces it in every build.
-      // 24 captured bytes — fits EventAction's inline storage, so merging
-      // mail stays allocation-free. The content tie key plus the explicit
+      // MailDelivery fits EventAction's inline storage, so merging mail
+      // stays allocation-free. The content tie key plus the explicit
       // (src_shard, seq) tie sequence make the merged order across inboxes
       // a pure function of simulation state: no sort, no dependence on
       // drain boundaries or thread count.
       sim->schedule_at_keyed_seq(
           m.at, m.key, mail_tie_seq(src, m.seq),
-          [deliver = m.deliver, ctx = m.ctx, payload = m.payload] {
-            deliver(ctx, payload);
-          });
+          MailDelivery{m.deliver, m.dispose, m.ctx, m.payload});
     }
     drained += batch.size();
   }

@@ -434,6 +434,37 @@ TEST(EventQueueTest, ActionsAreDestroyedExactlyOnce) {
   }
 }
 
+// A trivially copyable action that holds what only its run releases (like
+// a delivery's raw packet): drop() releases it if the event dies unfired.
+struct DroppableAction {
+  int* ran;
+  int* dropped;
+  void operator()() const { ++*ran; }
+  void drop() const { ++*dropped; }
+};
+
+TEST(EventQueueTest, OnlyUnfiredEventsAreDropped) {
+  static_assert(EventAction::moves_by_copy<DroppableAction>());
+  int ran = 0;
+  int dropped = 0;
+  {
+    EventQueue q;
+    const DroppableAction action{&ran, &dropped};
+    q.schedule(5, DroppableAction(action));                         // fires
+    q.cancel(q.schedule(6, DroppableAction(action)));                // near
+    q.cancel(q.schedule(milliseconds(50), DroppableAction(action)));  // far
+    q.schedule(milliseconds(60), DroppableAction(action));          // fires
+    q.schedule(seconds(1), DroppableAction(action));  // pending, far
+    q.take_next().action();
+    q.take_next().action();  // reaps both cancelled events on the way
+    EXPECT_EQ(ran, 2);
+    EXPECT_EQ(dropped, 2);
+    q.schedule(milliseconds(60) + 1, DroppableAction(action));  // pending, near
+  }
+  EXPECT_EQ(ran, 2);
+  EXPECT_EQ(dropped, 4);
+}
+
 TEST(EventQueueTest, TriviallyCopyableActionsMoveByCopy) {
   // Pointer captures move as bytes: no move or destroy call, and the
   // closure still runs intact after the queue relocates it.

@@ -1,11 +1,16 @@
 // Packet-pool recycling tests: a recycled packet must come back in the
 // default-constructed state (no leaked ECN bits, TCP options, flags or
 // bookkeeping), the SACK small-vector must keep wire-legal blocks inline,
-// and pooling must be observable through PacketPool::stats().
+// pooling must be observable through PacketPool::stats(), and every packet
+// must come back to the pool: dropped by a port with no peer, or still in
+// flight when its scenario is torn down.
 #include <gtest/gtest.h>
 
+#include "exp/dumbbell.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "net/port.h"
+#include "net/queue.h"
 #include "net/small_vec.h"
 
 namespace acdc::net {
@@ -104,6 +109,57 @@ TEST(PacketPoolTest, ClonePreservesContentAndReturnsPooledPacket) {
   EXPECT_EQ(copy->tcp.seq, original.tcp.seq);
   EXPECT_EQ(copy->ip.ecn, Ecn::kCe);
   EXPECT_EQ(copy->payload_bytes, 8960);
+}
+
+// Builds a 2-pair dumbbell, runs two bulk flows for 5 ms and tears it down
+// mid-transfer; returns how many of this thread's pooled packets stay
+// live. Each variant leaves packets inside unfired events: a port's local
+// delivery (serial), drained cross-shard mail (2 shards on this thread)
+// and a fault injector's jittered delivery.
+std::int64_t packets_left_after_teardown(int shards, double jitter_p) {
+  const std::int64_t before = PacketPool::instance().live();
+  {
+    exp::DumbbellConfig dc;
+    dc.pairs = 2;
+    dc.scenario.link_faults.jitter_p = jitter_p;
+    dc.scenario.link_faults.jitter_max = sim::microseconds(50);
+    exp::Dumbbell bell(dc);
+    exp::Scenario& s = bell.scenario();
+    if (shards > 1) {
+      const exp::PartitionReport rep =
+          s.enable_parallel({.shards = shards, .threads = 1});
+      EXPECT_TRUE(rep.parallel) << rep.fallback_reason;
+    }
+    const tcp::TcpConfig tcp = s.tcp_config(tcp::CcId::kCubic);
+    for (int i = 0; i < bell.pairs(); ++i) {
+      s.add_bulk_flow(bell.sender(i), bell.receiver(i), tcp, 0);
+    }
+    s.run_until(sim::milliseconds(5));
+    EXPECT_GT(PacketPool::instance().live(), before);  // still in flight
+  }
+  return PacketPool::instance().live() - before;
+}
+
+TEST(PacketPoolTest, TeardownReturnsLocalDeliveries) {
+  EXPECT_EQ(packets_left_after_teardown(1, 0.0), 0);
+}
+
+TEST(PacketPoolTest, TeardownReturnsDrainedMail) {
+  EXPECT_EQ(packets_left_after_teardown(2, 0.0), 0);
+}
+
+TEST(PacketPoolTest, TeardownReturnsJitteredPackets) {
+  EXPECT_EQ(packets_left_after_teardown(1, 1.0), 0);
+}
+
+TEST(PacketPoolTest, PeerlessPortReturnsPacketsToThePool) {
+  const std::int64_t before = PacketPool::instance().live();
+  sim::Simulator sim;
+  Port port(&sim, "open", sim::gigabits_per_second(10), 1000,
+            std::make_unique<DropTailQueue>(100'000));
+  for (int i = 0; i < 3; ++i) port.send(make_packet());
+  sim.run();
+  EXPECT_EQ(PacketPool::instance().live(), before);
 }
 
 TEST(SmallVecTest, StaysInlineUpToCapacityThenSpills) {

@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/fault.h"
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/queue.h"
@@ -365,6 +366,20 @@ TEST(PortDeathTest, ReconfiguringWhileTransmittingDies) {
   port.set_propagation_delay(5);
   port.rebind_simulator(&other);
   EXPECT_EQ(port.propagation_delay(), 5);
+}
+
+TEST(FaultInjectorDeathTest, RebindWhileHoldingDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  sim::Simulator other;
+  FaultConfig faults;
+  faults.reorder_p = 1.0;  // hold the first packet, behind a hold timer
+  FaultInjector injector(&sim, sim::Rng(1), faults);
+  injector.receive(make_packet());
+  EXPECT_DEATH(injector.rebind_simulator(&other),
+               "fault injector: rebind_simulator while holding a packet");
+  sim.run();  // the hold timer releases it
+  injector.rebind_simulator(&other);
 }
 
 }  // namespace
