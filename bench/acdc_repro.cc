@@ -262,7 +262,7 @@ void fig08() {
 // plus tracking-error statistics. 1.5KB MTU as in the paper.
 void fig09() {
   const std::vector<WindowSample> series = track_windows(
-      exp::Mode::kDctcp, vswitch::AcdcConfig::observer(), sim::seconds(2));
+      exp::Mode::kDctcp, {.enforce = false}, sim::seconds(2));
 
   print_windows("Fig. 9a — first 100 ms of a flow (windows in MSS)",
                 "DCTCP CWND (MSS)", series, 0.0, 0.1);
@@ -993,7 +993,7 @@ void ablation_enforcement() {
   stats::Table t({"enforcement", "p50 RTT ms", "p99.9 RTT ms", "drop %"});
   for (bool enforce : {true, false}) {
     RunConfig cfg{.mode = exp::Mode::kAcdc, .duration = sim::seconds(1.5)};
-    if (!enforce) cfg.acdc = vswitch::AcdcConfig::observer();
+    if (!enforce) cfg.acdc = {.enforce = false};
     const RunResult r = run_dumbbell(cfg, std::vector<FlowSpec>(5));
     t.add_row({enforce ? "on (AC/DC)" : "off (observer)",
                stats::Table::num(r.rtt_ms.median()),

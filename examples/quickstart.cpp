@@ -101,9 +101,11 @@ int main(int argc, char** argv) {
               static_cast<long long>(conn->peer_rwnd_bytes()));
 
   // Dump the flight recorder: JSONL for jq/pandas, Chrome trace-event JSON
-  // for chrome://tracing / Perfetto, CSV for the metrics snapshots.
-  obs::write_trace_jsonl_file(rec, "quickstart.trace.jsonl");
-  obs::write_chrome_trace_file(rec, s.metrics(), "quickstart.trace.json");
+  // for chrome://tracing / Perfetto, CSV for the metrics snapshots. The
+  // exporters take a merged trace, so the same code serves sharded runs.
+  const obs::MergedTrace trace = obs::merge_recorders(s.recorders());
+  obs::write_trace_jsonl_file(trace, "quickstart.trace.jsonl");
+  obs::write_chrome_trace_file(trace, s.metrics(), "quickstart.trace.json");
   obs::write_metrics_csv_file(*s.metrics(), "quickstart.metrics.csv");
   std::printf("\nTrace: %lld events recorded (%lld overwritten)\n",
               static_cast<long long>(rec.recorded_events()),

@@ -15,59 +15,34 @@
 namespace acdc::vswitch {
 
 struct AcdcConfig {
-  // Master switch: false = observer mode — compute windows and feedback but
-  // never rewrite RWND (used by Fig. 9's tracking experiment).
+  // Master switch. true = enforce (§3): mark egress ECT(0) so switches mark
+  // instead of drop (§3.2), strip CE/ECT from data before the receiving VM
+  // sees it (§3.2), strip ECN-Echo from ACKs before the sending VM sees it
+  // (§3.3: hiding feedback stops the VM stack from reducing on its own) and
+  // rewrite RWND. false = observer mode (Fig. 9's tracking methodology):
+  // compute windows and run the feedback machinery but leave the VM's
+  // traffic untouched, so the host stack drives congestion control itself.
   bool enforce = true;
-  // Mark egress data packets ECT(0) so switches mark instead of drop (§3.2).
-  bool mark_egress_ect = true;
-  // Strip CE/ECT from data before the receiving VM sees it (§3.2).
-  bool strip_ecn_at_receiver = true;
-  // Strip ECN-Echo from ACKs before the sending VM sees it (§3.3: hiding
-  // feedback stops the VM stack from reducing on its own).
-  bool hide_ecn_feedback = true;
-  // Generate PACK/FACK feedback at the receiver module (§3.2).
-  bool generate_feedback = true;
   // Fabric MTU; a PACK that would push an ACK past this becomes a FACK.
   std::int64_t mtu_bytes = 9000;
   // Enforced-window floor; 0 means one MSS.
   std::int64_t min_rwnd_bytes = 0;
-  // Extra window slack tolerated before the policer drops (in MSS).
-  double police_slack_mss = 4.0;
-  VccConfig vcc;
-  // Timeout inference (§3.1): the scan visits stalled flows every interval;
-  // a flow whose RFC 6298 estimator has a sample times out at its own RTO
-  // (clamped to [min_rto, max_rto]), sample-less flows fall back to the
+  VccConfig vcc{};
+  // Timeout inference (§3.1): a periodic scan visits stalled flows; a flow
+  // whose RFC 6298 estimator has a sample times out at its own RTO (within
+  // the bounds in sender_module.cc), sample-less flows fall back to the
   // fixed inactivity_timeout.
   bool infer_timeouts = true;
-  sim::Time inactivity_scan_interval = sim::milliseconds(10);
   sim::Time inactivity_timeout = sim::milliseconds(40);
-  sim::Time min_rto = sim::milliseconds(10);
-  sim::Time max_rto = sim::seconds(4);
   // §3.3: on an inferred timeout, generate duplicate ACKs toward the VM to
   // trigger its fast retransmit (useful when the VM RTO is large).
   bool inject_dupacks_on_timeout = false;
   sim::Time gc_interval = sim::seconds(1);
-  sim::Time idle_timeout = sim::seconds(60);
   sim::Time fin_linger = sim::seconds(1);
   // §4 memory bound: cap on flow-table entries (0 = unbounded). At the cap
-  // a new flow either evicts the oldest-idle entry (kEvictOldest) or is
-  // refused admission and passes through unmanaged (kReject). Under SYN
-  // churn this is what keeps per-flow state bounded.
+  // a new flow evicts the oldest-idle entry; under SYN churn this is what
+  // keeps per-flow state bounded.
   std::int64_t flow_table_max_entries = 0;
-  FlowTable::OverflowPolicy flow_table_overflow =
-      FlowTable::OverflowPolicy::kEvictOldest;
-
-  // Fig. 9 methodology: compute windows and run the feedback machinery but
-  // leave the VM's traffic completely untouched (no RWND overwrite, no ECN
-  // masking) — the host stack must drive congestion control itself.
-  static AcdcConfig observer() {
-    AcdcConfig cfg;
-    cfg.enforce = false;
-    cfg.mark_egress_ect = false;
-    cfg.strip_ecn_at_receiver = false;
-    cfg.hide_ecn_feedback = false;
-    return cfg;
-  }
 };
 
 struct AcdcStats {
@@ -151,10 +126,7 @@ struct AcdcCore {
 
   // Looks up or creates the flow for `key`, binding its policy and
   // initialising the virtual CC on creation. `slot` selects which direction
-  // cache fronts the table lookup. Returns a null FlowRef when the table is
-  // at its cap under OverflowPolicy::kReject — the packet then passes
-  // through unmanaged (no tracking, no policing, but the transparency
-  // transforms still apply at the call sites).
+  // cache fronts the table lookup.
   FlowRef entry(const FlowKey& key, int slot) {
     FlowCacheSlot& c = flow_cache[slot];
     if (c.handle.valid() && c.key == key) {
@@ -166,7 +138,6 @@ struct AcdcCore {
     }
     ++stats.flow_cache_misses;
     FlowRef f = table.find_or_create(key, sim->now());
-    if (!f) return f;  // rejected admission: never cached
     if (f.created) bind_policy(f);
     c.key = key;
     c.handle = f.handle;
@@ -205,7 +176,7 @@ struct AcdcCore {
     f.hot->beta = p.beta;
     f.hot->max_rwnd_bytes = packed_rwnd_cap(p.max_rwnd_bytes);
     f.hot->police = p.police;
-    virtual_cc_for(p.kind).init(*f.hot, config.vcc);
+    virtual_cc_for(p.kind).init(*f.hot);
   }
 
   std::int64_t min_rwnd_bytes(const FlowHot& s) const {
@@ -226,7 +197,7 @@ struct AcdcCore {
     f.cold->created_at = sim->now();
     f.cold->last_timeout_at = sim::kNoTime;
     f.cold->telem = {};
-    virtual_cc_for(p.kind).init(*f.hot, config.vcc);
+    virtual_cc_for(p.kind).init(*f.hot);
   }
 };
 

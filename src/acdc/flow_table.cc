@@ -54,10 +54,6 @@ FlowRef FlowTable::find_or_create(const FlowKey& key, sim::Time now) {
     return ref_at(slot, false);
   }
   if (max_entries_ != 0 && size_ >= max_entries_) {
-    if (overflow_policy_ == OverflowPolicy::kReject || lru_head_ == kNil) {
-      ++stats_.admission_rejects;
-      return {};
-    }
     erase_slot(lru_head_);
     ++stats_.evictions;
     ++stats_.removals;
@@ -144,9 +140,8 @@ void FlowTable::prefetch_probe(const FlowKey& key) const {
 #endif
 }
 
-void FlowTable::set_limit(std::size_t max_entries, OverflowPolicy policy) {
+void FlowTable::set_limit(std::size_t max_entries) {
   max_entries_ = max_entries;
-  overflow_policy_ = policy;
   // Pre-size a bounded table so steady state at the cap never rehashes:
   // with back-shift deletion keeping chains tombstone-free, eviction churn
   // at the cap runs at a fixed capacity forever.

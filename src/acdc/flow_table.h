@@ -20,10 +20,9 @@
 // whole-table version counter the AcdcCore direction caches were built on.
 //
 // Memory bound: the table can be capped (set_limit). At the cap a new flow
-// either evicts the oldest-idle entry (kEvictOldest, the default — the head
-// of the slot-linked LRU list, which touch() keeps ordered by
-// last_activity) or is refused admission (kReject), leaving that flow
-// unmanaged. Both paths are counted so operators can see cap pressure.
+// evicts the oldest-idle entry — the head of the slot-linked LRU list,
+// which touch() keeps ordered by last_activity — and the eviction is
+// counted so operators can see cap pressure.
 #pragma once
 
 #include <cstddef>
@@ -68,15 +67,8 @@ class FlowTable {
     std::int64_t inserts = 0;
     std::int64_t removals = 0;
     std::int64_t gc_removed = 0;
-    std::int64_t evictions = 0;          // cap-pressure removals (LRU)
-    std::int64_t admission_rejects = 0;  // refused inserts (kReject at cap)
-    std::int64_t rehashes = 0;           // capacity growth
-  };
-
-  // What happens when an insert would exceed the cap.
-  enum class OverflowPolicy {
-    kEvictOldest,  // drop the oldest-idle entry to admit the new flow
-    kReject,       // refuse the new flow (it passes through unmanaged)
+    std::int64_t evictions = 0;  // cap-pressure removals (LRU)
+    std::int64_t rehashes = 0;   // capacity growth
   };
 
   FlowTable() = default;
@@ -86,8 +78,7 @@ class FlowTable {
   // Lookup without insertion; a null FlowRef when absent.
   FlowRef find(const FlowKey& key);
 
-  // Lookup-or-insert in one probe sequence. Returns a null FlowRef only
-  // when the table is at its cap under OverflowPolicy::kReject.
+  // Lookup-or-insert in one probe sequence; never returns a null FlowRef.
   FlowRef find_or_create(const FlowKey& key, sim::Time now);
 
   // Generation check: the live record for `h`, or a null FlowRef when the
@@ -126,10 +117,7 @@ class FlowTable {
   // Bounds the table to `max_entries` (0 = unbounded, the default).
   // Changing the cap never removes existing entries eagerly; enforcement
   // happens on the next insert.
-  void set_limit(std::size_t max_entries,
-                 OverflowPolicy policy = OverflowPolicy::kEvictOldest);
-  std::size_t max_entries() const { return max_entries_; }
-  OverflowPolicy overflow_policy() const { return overflow_policy_; }
+  void set_limit(std::size_t max_entries);
 
   // Removes entries idle for longer than `idle_timeout`, and FIN-marked
   // entries idle for longer than `fin_linger`.
@@ -227,7 +215,6 @@ class FlowTable {
 
   Stats stats_;
   std::size_t max_entries_ = 0;
-  OverflowPolicy overflow_policy_ = OverflowPolicy::kEvictOldest;
 };
 
 }  // namespace acdc::vswitch

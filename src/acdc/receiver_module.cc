@@ -7,16 +7,6 @@ namespace acdc::vswitch {
 void ReceiverModule::process_ingress_data(net::Packet& packet) {
   FlowRef f =
       core_.entry(FlowKey::from_packet(packet), AcdcCore::kCacheRcvIngressData);
-  if (!f) {
-    // Admission rejected at the flow-table cap: no per-flow accounting is
-    // possible, but the VM-transparency contract still holds — the VM must
-    // never see a CE mark, the repurposed reserved bit or an INT stamp.
-    packet.tcp.reserved_vm_ecn = false;
-    packet.telem.reset();
-    if (core_.config.strip_ecn_at_receiver) packet.ip.ecn = net::Ecn::kNotEct;
-    if (packet.payload_bytes > 0) ++core_.stats.ingress_data_packets;
-    return;
-  }
   core_.table.touch(f, core_.sim->now());
   FlowHot& s = *f.hot;
   if (packet.tcp.flags.syn && !packet.tcp.flags.ack && s.fin_seen) {
@@ -49,7 +39,7 @@ void ReceiverModule::process_ingress_data(net::Packet& packet) {
     s.rcv_marked_bytes += static_cast<std::uint32_t>(packet.payload_bytes);
   }
 
-  if (core_.config.strip_ecn_at_receiver) {
+  if (core_.config.enforce) {
     // Hide congestion marks from the VM: an ECN-capable VM keeps seeing
     // ECT(0) (so its own stack never reacts, §3.2); a non-ECN VM sees the
     // original Not-ECT.
@@ -71,7 +61,6 @@ void ReceiverModule::process_ingress_data(net::Packet& packet) {
 
 void ReceiverModule::process_egress_ack(
     net::Packet& ack, const std::function<void(net::PacketPtr)>& emit) {
-  if (!core_.config.generate_feedback) return;
   // The ACK acknowledges the reverse flow — the data direction we count.
   FlowRef f = core_.find(FlowKey::from_packet(ack).reversed(),
                          AcdcCore::kCacheRcvEgressAck);

@@ -55,7 +55,7 @@ struct RttEstimator {
 
   // RTO = srtt + 4·rttvar (the x4 scaling makes the +4· a plain add), with
   // the exponential backoff applied as a shift. Clamping to the deployment's
-  // [min_rto, max_rto] is the caller's policy.
+  // RTO bounds is the caller's policy (SenderModule::infer_timeouts).
   std::uint64_t rto_us(unsigned backoff = 0) const {
     std::uint64_t rto = static_cast<std::uint64_t>(srtt_x8 >> 3) + rttvar_x4;
     if (rto == 0) rto = 1;

@@ -12,12 +12,22 @@ using tcp::seq_gt;
 using tcp::seq_lt;
 using tcp::seq_max;
 
+namespace {
+
+// Extra window slack tolerated before the policer drops, in MSS.
+constexpr double kPoliceSlackMss = 4.0;
+// Bounds on a flow's inferred RTO; the floor is the paper's RTOmin (§5).
+constexpr sim::Time kMinRto = sim::milliseconds(10);
+constexpr sim::Time kMaxRto = sim::seconds(4);
+
+}  // namespace
+
 void SenderModule::learn_from_egress_syn(const FlowRef& f,
                                          const net::Packet& syn) {
   FlowHot& s = *f.hot;
   if (syn.tcp.options.mss) {
     s.mss = *syn.tcp.options.mss;
-    virtual_cc_for(s.cc_kind).init(s, core_.config.vcc);
+    virtual_cc_for(s.cc_kind).init(s);
   }
   s.vm_requested_ecn = syn.tcp.flags.ece && syn.tcp.flags.cwr;
 }
@@ -31,7 +41,7 @@ void SenderModule::learn_from_ingress_synack(const FlowRef& f,
   }
   if (synack.tcp.options.mss) {
     s.mss = std::min<std::uint32_t>(s.mss, *synack.tcp.options.mss);
-    virtual_cc_for(s.cc_kind).init(s, core_.config.vcc);
+    virtual_cc_for(s.cc_kind).init(s);
   }
   s.vm_ecn_negotiated = s.vm_requested_ecn && synack.tcp.flags.ece;
 }
@@ -91,12 +101,11 @@ bool SenderModule::police(const FlowRef& f, const net::Packet& packet) {
   // Retransmissions (at or below snd_nxt) are always allowed.
   if (tcp::seq_le(seq_end, s.snd_nxt)) return true;
   const std::int64_t slack = static_cast<std::int64_t>(
-      core_.config.police_slack_mss * static_cast<double>(s.mss));
-  const std::int64_t allowed =
-      std::max<std::int64_t>(enforced_window_bytes(s) + slack,
-                             static_cast<std::int64_t>(
-                                 core_.config.vcc.initial_cwnd_packets *
-                                 static_cast<double>(s.mss)));
+      kPoliceSlackMss * static_cast<double>(s.mss));
+  const std::int64_t allowed = std::max<std::int64_t>(
+      enforced_window_bytes(s) + slack,
+      static_cast<std::int64_t>(kInitialCwndPackets *
+                                static_cast<double>(s.mss)));
   const tcp::Seq allowed_end =
       s.snd_una + static_cast<std::uint32_t>(allowed);
   if (seq_gt(seq_end, allowed_end)) {
@@ -116,12 +125,6 @@ bool SenderModule::police(const FlowRef& f, const net::Packet& packet) {
 bool SenderModule::process_egress(net::Packet& packet) {
   FlowRef f =
       core_.entry(FlowKey::from_packet(packet), AcdcCore::kCacheSndEgress);
-  if (!f) {
-    // Admission rejected at the flow-table cap: the flow is unmanaged —
-    // no tracking and no policing, but the packet still flows.
-    if (packet.payload_bytes > 0) ++core_.stats.egress_data_packets;
-    return true;
-  }
   const sim::Time now = core_.sim->now();
   core_.table.touch(f, now);
   FlowHot& s = *f.hot;
@@ -158,19 +161,6 @@ bool SenderModule::process_ingress_ack(net::Packet& packet) {
   // This ACK acknowledges the reverse flow: data we sent.
   FlowRef f = core_.entry(FlowKey::from_packet(packet).reversed(),
                           AcdcCore::kCacheSndIngressAck);
-  if (!f) {
-    // Unmanaged flow (admission rejected): keep the VM-transparency
-    // contract anyway — FACKs never reach the VM and ECN feedback stays
-    // hidden — but skip tracking, virtual CC and enforcement.
-    if (packet.acdc_fack) {
-      ++core_.stats.facks_consumed;
-      return false;
-    }
-    consume_feedback(packet);  // strip any piggybacked PACK option
-    packet.telem.reset();      // and any INT stamp from the reverse path
-    if (core_.config.hide_ecn_feedback) packet.tcp.flags.ece = false;
-    return true;
-  }
   core_.table.touch(f, core_.sim->now());
   FlowHot& s = *f.hot;
   ++core_.stats.acks_processed;
@@ -307,7 +297,8 @@ bool SenderModule::process_ingress_ack(net::Packet& packet) {
   // ---- Enforcement (§3.3) ----
   if (!packet.tcp.flags.syn) enforce_window(f, packet);
 
-  if (core_.config.hide_ecn_feedback) packet.tcp.flags.ece = false;
+  // §3.3: hiding ECN-Echo stops the VM stack from reducing on its own.
+  if (core_.config.enforce) packet.tcp.flags.ece = false;
   packet.telem.reset();  // INT stamps never cross into the VM
 
   // Template for §3.3 injection; SYN-ACK windows have different (unscaled)
@@ -353,15 +344,15 @@ int SenderModule::infer_timeouts(sim::Time now) {
   core_.table.for_each([&](const FlowRef& f) {
     FlowHot& s = *f.hot;
     if (!s.seq_valid || !seq_lt(s.snd_una, s.snd_nxt)) return;
-    // Per-flow RTO once the estimator has a sample (clamped to the
-    // configured bounds); the fixed inactivity timeout is the sample-less
+    // Per-flow RTO once the estimator has a sample (clamped to
+    // [kMinRto, kMaxRto]); the fixed inactivity timeout is the sample-less
     // fallback for flows that stalled before any data round trip.
     sim::Time threshold = core_.config.inactivity_timeout;
     if (s.rtt.valid()) {
       threshold = std::clamp(
           sim::microseconds(
               static_cast<sim::Time>(s.rtt.rto_us(s.rto_backoff))),
-          core_.config.min_rto, core_.config.max_rto);
+          kMinRto, kMaxRto);
     }
     if (now - s.last_activity < threshold) return;
     if (f.cold->last_timeout_at != sim::kNoTime &&

@@ -5,8 +5,19 @@
 
 namespace acdc::vswitch {
 
-void VirtualCc::init(FlowHot& s, const VccConfig& cfg) const {
-  s.cwnd_bytes = cfg.initial_cwnd_packets * s.mss;
+namespace {
+
+// Duplicate ACKs that signal a loss (the standard fast-retransmit rule).
+constexpr std::uint32_t kLossDupacks = 3;
+// PowerTCP (arxiv 2112.14309): EWMA weight of the power-derived target, and
+// the additive bandwidth share in MSS.
+constexpr double kPowerTcpGamma = 0.9;
+constexpr double kPowerTcpBetaMss = 1.0;
+
+}  // namespace
+
+void VirtualCc::init(FlowHot& s) const {
+  s.cwnd_bytes = kInitialCwndPackets * s.mss;
   s.ssthresh_bytes = 1e18;
   s.alpha = 1.0;
   s.win_total = 0;
@@ -81,7 +92,7 @@ void VirtualDctcp::on_ack(FlowHot& s, const VccConfig& cfg,
     s.win_marked = 0;
   }
 
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
   const bool congestion = ev.fb_marked_delta > 0;
 
   if (loss) {
@@ -118,8 +129,9 @@ void VirtualDctcp::on_timeout(FlowHot& s, const VccConfig& cfg) const {
 
 void VirtualReno::on_ack(FlowHot& s, const VccConfig& cfg,
                          const VccEvent& ev) const {
+  (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
   const bool congestion = ev.fb_marked_delta > 0;
   if (loss || congestion) {
     if (!s.reduced_this_window) {
@@ -185,8 +197,9 @@ void VirtualCubic::grow(FlowHot& s, const VccEvent& ev) const {
 
 void VirtualCubic::on_ack(FlowHot& s, const VccConfig& cfg,
                           const VccEvent& ev) const {
+  (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
   const bool congestion = ev.fb_marked_delta > 0;
   if (loss || congestion) {
     if (!s.reduced_this_window) {
@@ -216,7 +229,7 @@ double VirtualPowerTcp::bdp_bytes(double tau_us,
 void VirtualPowerTcp::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
   if (loss) {
     if (!s.reduced_this_window) {
       s.reduced_this_window = true;
@@ -273,12 +286,10 @@ void VirtualPowerTcp::on_ack(FlowHot& s, const VccConfig& cfg,
   }
   const double gamma_norm = std::max(1e-9, pt.power);
 
-  const double target =
-      s.cwnd_bytes / gamma_norm + cfg.powertcp.beta_mss * s.mss;
+  const double target = s.cwnd_bytes / gamma_norm + kPowerTcpBetaMss * s.mss;
   const double w =
-      cfg.powertcp.gamma * target + (1.0 - cfg.powertcp.gamma) * s.cwnd_bytes;
-  const double cap =
-      std::max(min_cwnd_bytes(s), cfg.powertcp.cap_bdps * bdp);
+      kPowerTcpGamma * target + (1.0 - kPowerTcpGamma) * s.cwnd_bytes;
+  const double cap = std::max(min_cwnd_bytes(s), kCapBdps * bdp);
   s.cwnd_bytes = std::clamp(w, min_cwnd_bytes(s), cap);
 }
 
@@ -289,16 +300,16 @@ void VirtualPowerTcp::on_timeout(FlowHot& s, const VccConfig& cfg) const {
 
 // --------------------------------------------------------------- Fair rate
 
-double VirtualFairRate::window_bytes(double tau_us, double window_rtts,
+double VirtualFairRate::window_bytes(double tau_us,
                                      std::uint32_t fair_bytes_per_ms) {
   return static_cast<double>(fair_bytes_per_ms) * (tau_us / 1000.0) *
-         window_rtts;
+         kWindowRtts;
 }
 
 void VirtualFairRate::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= cfg.loss_dupacks;
+  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
   if (loss) {
     if (!s.reduced_this_window) {
       s.reduced_this_window = true;
@@ -320,8 +331,7 @@ void VirtualFairRate::on_ack(FlowHot& s, const VccConfig& cfg,
   // is that the vSwitch pins the VM to the fabric-computed fair share.
   s.cwnd_bytes = std::max(
       min_cwnd_bytes(s),
-      window_bytes(tau_us(cfg, ev), cfg.fair.window_rtts,
-                   ev.fair_bytes_per_ms));
+      window_bytes(tau_us(cfg, ev), ev.fair_bytes_per_ms));
 }
 
 // ----------------------------------------------------------------- Registry

@@ -5,11 +5,13 @@
 // policy engine (§3.4).
 //
 // Algorithms are stateless singletons: all per-flow state lives inline in
-// FlowHot so the flow table stays compact (§4). Tuning lives in VccConfig —
-// a small shared core plus one typed sub-config per algorithm family
-// (DctcpConfig / PowerTcpConfig / FairRateConfig), selected by the flow's
-// VccKind, so adding a controller grows its own struct rather than one
-// shared bag of loosely-owned fields.
+// FlowHot so the flow table stays compact (§4). VccConfig holds only what
+// runs vary: the fabric base-RTT fallback and DCTCP's gain g (the paper's
+// 1/16, swept by the g ablation). Every other tuning value is a constant
+// beside its reader: kInitialCwndPackets below (the policer reads it too),
+// the dupACK loss threshold and PowerTCP's γ and β in virtual_cc.cc, and the
+// two the property tests read, VirtualPowerTcp::kCapBdps and
+// VirtualFairRate::kWindowRtts.
 #pragma once
 
 #include <cstdint>
@@ -42,37 +44,18 @@ struct VccEvent {
   std::uint32_t ts_us = 0;             // stamping hop's clock (µs, wraps)
 };
 
-// ---- Per-kind tuning ------------------------------------------------------
+// RFC 6928 initial window (§3.1), in packets; also the policer's floor.
+inline constexpr double kInitialCwndPackets = 10;
 
 struct DctcpConfig {
   double g = 1.0 / 16.0;  // EWMA gain for the marked-fraction estimate
 };
 
-// PowerTCP (arxiv 2112.14309).
-struct PowerTcpConfig {
-  double gamma = 0.9;     // EWMA weight of the power-derived target
-  double beta_mss = 1.0;  // additive bandwidth share, in MSS
-  double cap_bdps = 8.0;  // window cap as a multiple of the BDP
-};
-
-// Switch-assisted fair rate (arxiv 2106.14100): window = fair_rate·τ·margin.
-// The margin buys headroom for τ underestimating the true RTT; the clamp
-// still only ever lowers the VM's own window.
-struct FairRateConfig {
-  double window_rtts = 1.5;
-};
-
 struct VccConfig {
-  // ---- shared across algorithms ----
-  double initial_cwnd_packets = 10;  // RFC 6928 (§3.1)
-  std::uint32_t loss_dupacks = 3;
   // Fabric base-RTT estimate (µs): the τ fallback used until the flow's own
   // RFC 6298 estimator has a sample (VccEvent::base_rtt_us).
   double base_rtt_us = 40.0;
-  // ---- per-kind ----
   DctcpConfig dctcp;
-  PowerTcpConfig powertcp;
-  FairRateConfig fair;
 };
 
 class VirtualCc {
@@ -81,7 +64,7 @@ class VirtualCc {
   virtual std::string_view name() const = 0;
 
   // Prepares a fresh hot record (initial window, zeroed CC aux state).
-  void init(FlowHot& s, const VccConfig& cfg) const;
+  void init(FlowHot& s) const;
 
   // Updates s.cwnd_bytes from one ACK's worth of evidence. Fig. 5 flow:
   // congestion? loss? -> reduce (at most once per window) else grow. The
@@ -152,6 +135,9 @@ class VirtualPowerTcp : public VirtualCc {
               const VccEvent& ev) const override;
   void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
 
+  // Window cap as a multiple of the BDP.
+  static constexpr double kCapBdps = 8.0;
+
   // BDP in bytes implied by one telemetry sample at base RTT τ (exposed for
   // tests).
   static double bdp_bytes(double tau_us, std::uint32_t tx_bytes_per_ms);
@@ -166,9 +152,12 @@ class VirtualFairRate : public VirtualCc {
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
 
+  // The margin, in base RTTs: headroom for τ underestimating the true RTT;
+  // the clamp still only ever lowers the VM's own window.
+  static constexpr double kWindowRtts = 1.5;
+
   // The window a fair-share sample converts to (exposed for tests).
-  static double window_bytes(double tau_us, double window_rtts,
-                             std::uint32_t fair_bytes_per_ms);
+  static double window_bytes(double tau_us, std::uint32_t fair_bytes_per_ms);
 };
 
 // Returns the singleton algorithm for a policy kind.

@@ -4,21 +4,29 @@
 
 namespace acdc::vswitch {
 
+namespace {
+
+// How often the timeout-inference scan visits stalled flows (§3.1).
+constexpr sim::Time kInactivityScanInterval = sim::milliseconds(10);
+// The GC removes any entry idle this long, FIN-marked or not (§4).
+constexpr sim::Time kIdleTimeout = sim::seconds(60);
+
+}  // namespace
+
 AcdcVswitch::AcdcVswitch(sim::Simulator* sim, AcdcConfig config)
     : sender_(core_), receiver_(core_) {
   core_.sim = sim;
   core_.config = config;
   if (config.flow_table_max_entries > 0) {
     core_.table.set_limit(
-        static_cast<std::size_t>(config.flow_table_max_entries),
-        config.flow_table_overflow);
+        static_cast<std::size_t>(config.flow_table_max_entries));
   }
 }
 
 void AcdcVswitch::ensure_timers() {
   if (core_.config.infer_timeouts && !scan_armed_) {
     scan_armed_ = true;
-    core_.sim->schedule(core_.config.inactivity_scan_interval,
+    core_.sim->schedule(kInactivityScanInterval,
                         [this] { run_inactivity_scan(); });
   }
   if (!gc_armed_) {
@@ -39,14 +47,14 @@ void AcdcVswitch::run_inactivity_scan() {
   }
   if (core_.table.size() > 0) {
     scan_armed_ = true;
-    core_.sim->schedule(core_.config.inactivity_scan_interval,
+    core_.sim->schedule(kInactivityScanInterval,
                         [this] { run_inactivity_scan(); });
   }
 }
 
 void AcdcVswitch::run_gc() {
   gc_armed_ = false;
-  core_.table.collect_garbage(core_.sim->now(), core_.config.idle_timeout,
+  core_.table.collect_garbage(core_.sim->now(), kIdleTimeout,
                               core_.config.fin_linger);
   if (core_.table.size() > 0) {
     gc_armed_ = true;
@@ -71,8 +79,7 @@ void AcdcVswitch::handle_egress(net::PacketPtr packet) {
   // §3.2: ALL egress packets are marked ECN-capable — including SYNs and
   // pure ACKs — so no packet of a managed flow is WRED-dropped where it
   // could have been marked. The peer's receiver module strips the bits.
-  if (core_.config.mark_egress_ect &&
-      packet->ip.ecn == net::Ecn::kNotEct) {
+  if (core_.config.enforce && packet->ip.ecn == net::Ecn::kNotEct) {
     packet->ip.ecn = net::Ecn::kEct0;
   }
   send_down(std::move(packet));
@@ -271,8 +278,6 @@ void AcdcVswitch::register_metrics(obs::MetricsRegistry& registry,
   registry.register_counter(prefix + ".flow_removals", &ft.removals);
   registry.register_counter(prefix + ".flow_gc_removed", &ft.gc_removed);
   registry.register_counter(prefix + ".flow_evictions", &ft.evictions);
-  registry.register_counter(prefix + ".flow_admission_rejects",
-                            &ft.admission_rejects);
   registry.register_counter(prefix + ".flow_rehashes", &ft.rehashes);
 }
 

@@ -17,7 +17,6 @@
 // (vSwitch-generated window updates and duplicate ACKs).
 #pragma once
 
-#include <cassert>
 #include <cstddef>
 #include <memory>
 #include <string>
@@ -26,6 +25,7 @@
 #include "acdc/receiver_module.h"
 #include "acdc/sender_module.h"
 #include "net/datapath.h"
+#include "sim/check.h"
 #include "sim/simulator.h"
 
 namespace acdc::vswitch {
@@ -61,9 +61,10 @@ class AcdcVswitch : public net::DuplexFilter {
 
   // Re-homes the vSwitch core onto a shard's simulator. Only legal before
   // any packet has been processed (the periodic scan/GC timers arm lazily
-  // on first traffic).
+  // on first traffic, on the simulator bound at the time).
   void rebind_simulator(sim::Simulator* sim) {
-    assert(!scan_armed_ && !gc_armed_);
+    ACDC_CHECK(!scan_armed_ && !gc_armed_,
+               "vSwitch: rebind_simulator after traffic armed its timers");
     core_.sim = sim;
   }
 

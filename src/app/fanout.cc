@@ -6,6 +6,12 @@
 
 namespace acdc::app {
 
+namespace {
+
+constexpr std::int64_t kLeafRequestBytes = 256;
+
+}  // namespace
+
 FanoutCoordinator::FanoutCoordinator(sim::Simulator* sim,
                                      std::vector<RpcClient*> leaves,
                                      const FanoutConfig& config, sim::Rng rng)
@@ -48,7 +54,7 @@ void FanoutCoordinator::issue(sim::Time budget, Done done) {
     }
     ++stats_.leaf_calls;
     ++in_flight_;
-    leaf->call(config_.leaf_request_bytes, deadline,
+    leaf->call(kLeafRequestBytes, deadline,
                [this, round](const RpcResult& r) {
                  --in_flight_;
                  stats_.leaf_latency.record(r.latency);
@@ -61,10 +67,7 @@ void FanoutCoordinator::issue(sim::Time budget, Done done) {
                  }
                  if (--round->waiting == 0) {
                    round->agg.wall = sim_->now() - round->t0;
-                   round->agg.ok =
-                       static_cast<double>(round->agg.answered) >=
-                       config_.quorum * static_cast<double>(round->agg.asked) -
-                           1e-9;
+                   round->agg.ok = round->agg.answered >= round->agg.asked;
                    if (!round->agg.ok) ++stats_.degraded;
                    round->done(round->agg);
                  }

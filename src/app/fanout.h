@@ -21,17 +21,14 @@ namespace acdc::app {
 
 struct FanoutConfig {
   int fanout = 4;  // leaves contacted per request (<= clients.size())
-  std::int64_t leaf_request_bytes = 256;
   sim::Time leaf_deadline = sim::milliseconds(8);  // relative, per leaf call
-  // Aggregate counts as ok when answered/fanout >= quorum (1.0 = all).
-  double quorum = 1.0;
 };
 
 struct FanoutStats {
   std::int64_t fanouts = 0;
   std::int64_t leaf_calls = 0;
   std::int64_t leaf_misses = 0;   // leaf calls past their deadline
-  std::int64_t degraded = 0;      // aggregates below quorum
+  std::int64_t degraded = 0;      // aggregates with a missed leaf
   obs::Histogram leaf_latency;    // per-leaf-call latency, ns
 };
 
@@ -41,7 +38,7 @@ class FanoutCoordinator {
     int asked = 0;
     int answered = 0;   // in-deadline, ok responses
     int missed = 0;     // timed-out or degraded leaf calls
-    bool ok = false;    // met the quorum
+    bool ok = false;    // every leaf answered
     sim::Time wall = 0; // first leaf call issued -> last leaf result
     std::int64_t response_bytes = 0;  // sum over answered leaves
   };

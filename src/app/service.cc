@@ -17,6 +17,10 @@ constexpr std::uint64_t kStorageStream = 0x5E45'0000'0000'0000ull;
 constexpr std::uint64_t kCoordStream = 0x5E4C'0000'0000'0000ull;
 constexpr std::uint64_t kGroupStream = 0x5E46'0000'0000'0000ull;
 
+// The worker -> storage nested call.
+constexpr std::int64_t kStorageRequestBytes = 128;
+constexpr sim::Time kStorageDeadline = sim::milliseconds(5);
+
 void merge_server(const RpcServerStats& from, RpcServerStats& into) {
   into.accepted_conns += from.accepted_conns;
   into.requests += from.requests;
@@ -67,18 +71,16 @@ ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
       storage_clients_.push_back(std::make_unique<RpcClient>(
           wsim, h, &registry_, sh->ip(), config_.storage.port, tcp_config));
       RpcClient* sc = storage_clients_.back().get();
-      const std::int64_t sbytes = config_.storage_request_bytes;
-      const sim::Time sdeadline = config_.storage_deadline;
       worker_servers_.back()->set_handler(
-          [wsim, sc, sbytes, sdeadline](const RpcServer::Request& req,
-                                        RpcServer::Respond respond) {
+          [wsim, sc](const RpcServer::Request& req,
+                     RpcServer::Respond respond) {
             const sim::Time t0 = wsim->now();
-            sim::Time deadline = sdeadline;
+            sim::Time deadline = kStorageDeadline;
             if (req.deadline != sim::kNoTime) {
               deadline = std::min(
                   deadline, std::max<sim::Time>(req.deadline - t0, 1));
             }
-            sc->call(sbytes, deadline,
+            sc->call(kStorageRequestBytes, deadline,
                      [wsim, t0, respond = std::move(respond)](
                          const RpcResult& r) {
                        respond(!r.timed_out && r.ok, wsim->now() - t0);

@@ -56,9 +56,6 @@ struct ServiceConfig {
                              .backlog_limit = 2048};
   FanoutConfig fanout;
   UserPopulationConfig users;
-  // Worker -> storage nested call (ignored when roles.storage is empty).
-  std::int64_t storage_request_bytes = 128;
-  sim::Time storage_deadline = sim::milliseconds(5);
   sim::Time start = sim::milliseconds(1);
 };
 

@@ -6,6 +6,14 @@
 
 namespace acdc::app {
 
+namespace {
+
+constexpr std::int64_t kRequestBytes = 256;
+// kDiurnal's rate swing around the mean, in [0, 1).
+constexpr double kDiurnalDepth = 0.6;
+
+}  // namespace
+
 void UserGroupStats::merge_into(UserGroupStats& into) const {
   into.sessions += sessions;
   into.sessions_ended += sessions_ended;
@@ -57,7 +65,7 @@ double UserGroup::rate_multiplier() const {
       const double phase = 2.0 * 3.14159265358979323846 *
                            sim::to_seconds(sim_->now()) /
                            sim::to_seconds(config_.diurnal_period);
-      return 1.0 + config_.diurnal_depth * std::sin(phase);
+      return 1.0 + kDiurnalDepth * std::sin(phase);
     }
     case LoadCurve::kBurst:
       return burst_on_ ? config_.burst_factor : 1.0;
@@ -88,7 +96,7 @@ void UserGroup::on_think(std::size_t session) {
   if (sessions_[session] != SessionState::kThinking) return;  // ended
   sessions_[session] = SessionState::kWaiting;
   ++stats_.issued;
-  client_.call(config_.request_bytes, config_.deadline,
+  client_.call(kRequestBytes, config_.deadline,
                [this, session](const RpcResult& r) { on_result(session, r); });
 }
 

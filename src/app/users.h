@@ -32,7 +32,6 @@ struct UserPopulationConfig {
   // Sessions multiplexed per persistent connection (edge-proxy fan-in).
   int users_per_connection = 32;
   sim::Time think_time_mean = sim::seconds(2.0);
-  std::int64_t request_bytes = 256;
   // End-to-end request deadline; a miss is a terminal outcome (the
   // response, if it ever arrives, is counted late and swallowed).
   sim::Time deadline = sim::milliseconds(100);
@@ -41,7 +40,6 @@ struct UserPopulationConfig {
   sim::Time slo = sim::milliseconds(20);
   LoadCurve curve = LoadCurve::kSteady;
   sim::Time diurnal_period = sim::seconds(20.0);
-  double diurnal_depth = 0.6;  // in [0, 1): rate swing around the mean
   sim::Time burst_on_mean = sim::seconds(0.5);
   sim::Time burst_off_mean = sim::seconds(2.0);
   double burst_factor = 4.0;  // think-rate multiplier while bursting

@@ -33,7 +33,7 @@ LeafSpine::LeafSpine(const LeafSpineConfig& config)
       net::Switch* spine = spine_switches_[static_cast<std::size_t>(s)];
       // Built as a scenario trunk so the links are recorded for the
       // partitioner (and get fault injectors when configured).
-      auto [up, down] = scenario_.trunk(leaf, spine, config.uplink_rate);
+      auto [up, down] = scenario_.trunk(leaf, spine);
       ups.push_back(up);
       spine_to_leaf[static_cast<std::size_t>(s)].push_back(down);
       uplinks_.push_back(up);

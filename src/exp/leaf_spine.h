@@ -15,8 +15,6 @@ struct LeafSpineConfig {
   int leaves = 2;
   int spines = 2;
   int hosts_per_leaf = 4;
-  // Uplink rate (leaf<->spine); downlinks use scenario.link_rate.
-  sim::Rate uplink_rate = sim::gigabits_per_second(10);
 };
 
 class LeafSpine {

@@ -21,6 +21,13 @@ namespace {
 constexpr std::uint64_t kCcStream = 0xCCAC5E00;
 constexpr std::uint64_t kScenStream = 0x5CE4A110;
 
+constexpr std::int64_t kIncastBytes = 64 * 1024;  // per sender per round
+constexpr double kSloMs = 10.0;  // mice FCT deadline (RTOmin-scale)
+// kService: sessions multiplexed per connection, and the request deadline.
+// Think time (2 s) and fan-out (4 workers) are the app-tier defaults.
+constexpr int kServiceUsersPerConn = 50;
+constexpr sim::Time kServiceDeadline = sim::milliseconds(40);
+
 std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
   const auto* p = static_cast<const unsigned char*>(data);
   for (std::size_t i = 0; i < n; ++i) {
@@ -101,11 +108,9 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
 
   app::ServiceConfig svc;
   svc.users.users = mc.service_users;
-  svc.users.users_per_connection = mc.service_users_per_conn;
-  svc.users.think_time_mean = mc.service_think_mean;
-  svc.users.deadline = mc.service_deadline;
-  svc.users.slo = static_cast<sim::Time>(mc.slo_ms * 1e6);
-  svc.fanout.fanout = mc.service_fanout;
+  svc.users.users_per_connection = kServiceUsersPerConn;
+  svc.users.deadline = kServiceDeadline;
+  svc.users.slo = static_cast<sim::Time>(kSloMs * 1e6);
   const tcp::TcpConfig tenant = s.tcp_config(tcp::CcId::kCubic);
   app::ServiceTier* tier = s.add_service_workload(roles, svc, tenant);
 
@@ -233,7 +238,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
 
   switch (scenario) {
     case MatrixScenario::kIncast:
-      // Near-synchronized rounds: every sender fires `incast_bytes` at
+      // Near-synchronized rounds: every sender fires kIncastBytes at
       // host 0 within a few µs — the §5 incast pattern. Two long-lived
       // elephants (same CC) keep the port loaded between rounds, so the
       // mice p99 reflects the standing queue each algorithm maintains.
@@ -245,7 +250,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
         w.measured.push_back(s.add_message_app(
             star.host(i), star.host(0), tenant,
             t0 + i * sim::microseconds(1), sim::milliseconds(2),
-            mc.incast_bytes, &fct));
+            kIncastBytes, &fct));
       }
       for (int i = mc.incast_fanin + 1; i <= mc.incast_fanin + 2; ++i) {
         w.background.push_back(s.add_bulk_flow(
@@ -344,7 +349,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
     out.fct_p99_ms = sorted.percentile(99.0);
     out.fct_mean_ms = sorted.mean();
     for (double v : samples) {
-      if (v > mc.slo_ms) ++out.slo_violations;
+      if (v > kSloMs) ++out.slo_violations;
     }
   }
 

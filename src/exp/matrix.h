@@ -54,23 +54,17 @@ struct MatrixConfig {
   int incast_fanin = 8;        // senders converging on host 0
   int shuffle_hosts = 6;       // all-to-all population
   int churn_sources = 4;       // open-loop churn senders
-  std::int64_t incast_bytes = 64 * 1024;   // per sender per round
-  std::int64_t message_bytes = 16 * 1024;  // mice size elsewhere
+  std::int64_t message_bytes = 16 * 1024;  // mice size (incast bursts: 64KB)
   sim::Time horizon = sim::milliseconds(400);  // per cell
   int queue_samples = 40;      // run_until boundaries per cell
-  double slo_ms = 10.0;        // mice FCT deadline (RTOmin-scale)
 
   // kService sizing: 3-tier closed-loop service (user sessions ->
   // frontends -> partition-aggregate across workers -> storage) on a
-  // 2-leaf / 2-spine fabric. Defaults sustain 100k simulated users per
+  // 2-leaf / 2-spine fabric. The default sustains 100k simulated users per
   // cell; fct_* then report user-perceived request latency and
-  // slo_violations counts terminations above slo_ms (misses censored at
-  // the deadline).
+  // slo_violations counts terminations above the 10 ms SLO (misses
+  // censored at the deadline).
   std::int64_t service_users = 100'000;
-  int service_users_per_conn = 50;   // sessions multiplexed per connection
-  int service_fanout = 4;            // workers per partition-aggregate
-  sim::Time service_think_mean = sim::seconds(2.0);
-  sim::Time service_deadline = sim::milliseconds(40);
 
   // Returns a down-sized copy for CI smoke runs (shorter horizon, smaller
   // fan-in) that still exercises every code path.
@@ -87,7 +81,7 @@ struct CellResult {
   double fct_p50_ms = 0.0;
   double fct_p99_ms = 0.0;
   double fct_mean_ms = 0.0;
-  std::int64_t slo_violations = 0;  // samples exceeding slo_ms
+  std::int64_t slo_violations = 0;  // samples exceeding the 10 ms SLO
 
   // Hub queue occupancy sampled at run_until boundaries (max over ports).
   std::int64_t queue_peak_bytes = 0;

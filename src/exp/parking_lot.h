@@ -31,7 +31,6 @@ class ParkingLot {
   host::Host* cross_receiver(int i) {
     return cross_receivers_[static_cast<std::size_t>(i)];
   }
-  net::Port* trunk_port(int i) { return trunks_[static_cast<std::size_t>(i)]; }
 
  private:
   Scenario scenario_;

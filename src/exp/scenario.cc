@@ -5,6 +5,7 @@
 #include "exp/partition.h"
 #include "net/packet.h"
 #include "net/packet_pool.h"
+#include "sim/check.h"
 
 namespace acdc::exp {
 
@@ -37,7 +38,9 @@ Scenario::Scenario(const ScenarioConfig& config)
     : config_(config), rng_(config.seed) {}
 
 host::Host* Scenario::add_host(const std::string& name) {
-  assert(shard_sims_.empty() && "topology is frozen after enable_parallel");
+  ACDC_CHECK(shard_sims_.empty(),
+             "scenario: add_host(%s) after enable_parallel froze the topology",
+             name.c_str());
   host::HostConfig hc;
   hc.link_rate = config_.link_rate;
   hc.link_delay = config_.host_link_delay;
@@ -52,22 +55,18 @@ host::Host* Scenario::add_host(const std::string& name) {
   return raw;
 }
 
-net::SwitchConfig Scenario::switch_config(const SwitchOptions& options) const {
+net::Switch* Scenario::add_switch(const std::string& name) {
+  ACDC_CHECK(
+      shard_sims_.empty(),
+      "scenario: add_switch(%s) after enable_parallel froze the topology",
+      name.c_str());
   net::SwitchConfig sc;
-  sc.shared_buffer_bytes =
-      options.buffer_bytes.value_or(config_.switch_buffer_bytes);
-  sc.buffer_alpha = config_.switch_buffer_alpha;
-  if (options.red.value_or(config_.red_enabled)) {
+  sc.shared_buffer_bytes = config_.switch_buffer_bytes;
+  if (config_.red_enabled) {
     sc.red_min_bytes = config_.derived_red_k();
     sc.red_max_bytes = config_.derived_red_k();
     sc.red_max_probability = 1.0;
   }
-  return sc;
-}
-
-net::Switch* Scenario::add_switch(const std::string& name,
-                                  const SwitchOptions& options) {
-  assert(shard_sims_.empty() && "topology is frozen after enable_parallel");
   // Each switch draws (RED marking) from its own RNG substream: shards must
   // not share mutable RNG state, and per-switch streams also keep draws
   // independent of unrelated switches in serial runs.
@@ -75,7 +74,7 @@ net::Switch* Scenario::add_switch(const std::string& name,
       kSwitchRngStreamBase + static_cast<std::uint64_t>(switches_.size());
   switch_rngs_.push_back(std::make_unique<sim::Rng>(rng_.split(stream)));
   switches_.push_back(std::make_unique<net::Switch>(
-      &sim_, name, switch_config(options), switch_rngs_.back().get()));
+      &sim_, name, sc, switch_rngs_.back().get()));
   net::Switch* raw = switches_.back().get();
   switch_index_.emplace(raw, static_cast<int>(switches_.size()) - 1);
   if (!shard_recorders_.empty()) {
@@ -99,7 +98,9 @@ net::PacketSink* Scenario::wrap_link(net::PacketSink* sink,
 }
 
 void Scenario::attach(host::Host* h, net::Switch* sw, sim::Time delay) {
-  assert(shard_sims_.empty() && "topology is frozen after enable_parallel");
+  ACDC_CHECK(shard_sims_.empty(),
+             "scenario: attach(%s) after enable_parallel froze the topology",
+             h->name().c_str());
   const sim::Time d = delay > 0 ? delay : config_.host_link_delay;
   LinkRec rec{};
   rec.host_side = true;
@@ -122,10 +123,12 @@ void Scenario::attach(host::Host* h, net::Switch* sw, sim::Time delay) {
 }
 
 std::pair<net::Port*, net::Port*> Scenario::trunk(net::Switch* a,
-                                                  net::Switch* b,
-                                                  sim::Rate rate) {
-  assert(shard_sims_.empty() && "topology is frozen after enable_parallel");
-  const sim::Rate r = rate > 0 ? rate : config_.link_rate;
+                                                  net::Switch* b) {
+  ACDC_CHECK(
+      shard_sims_.empty(),
+      "scenario: trunk(%s, %s) after enable_parallel froze the topology",
+      a->name().c_str(), b->name().c_str());
+  const sim::Rate r = config_.link_rate;
   LinkRec rec{};
   rec.host_side = false;
   rec.host = -1;
@@ -175,13 +178,22 @@ PartitionReport Scenario::enable_parallel(int shards, int threads) {
 PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   const int shards = options.shards;
   const int threads = options.threads > 0 ? options.threads : options.shards;
-  assert(executor_ == nullptr && shard_sims_.empty() &&
-         "enable_parallel may only be called once");
-  assert(shard_recorders_.empty() &&
-         "call enable_parallel before enable_tracing");
-  assert(filters_.empty() && bulk_apps_.empty() && echo_apps_.empty() &&
-         message_apps_.empty() &&
-         "call enable_parallel before vSwitches/shapers/apps");
+  // Components built earlier are bound to the serial simulator, which
+  // nothing runs once the scenario is partitioned: a violation would leave
+  // them silently stalled (and their timers unfired), not reassigned.
+  ACDC_CHECK(executor_ == nullptr && shard_sims_.empty(),
+             "scenario: enable_parallel may only be called once");
+  ACDC_CHECK(shard_recorders_.empty(),
+             "scenario: call enable_parallel before enable_tracing");
+  ACDC_CHECK(filters_.empty() && bulk_apps_.empty() && echo_apps_.empty() &&
+                 message_apps_.empty() && churn_engine_.sources().empty() &&
+                 service_engine_.empty(),
+             "scenario: call enable_parallel before vSwitches, shapers and "
+             "apps (%zu filters, %zu bulk, %zu echo, %zu message, %zu churn, "
+             "%zu service)",
+             filters_.size(), bulk_apps_.size(), echo_apps_.size(),
+             message_apps_.size(), churn_engine_.sources().size(),
+             service_engine_.tiers().size());
 
   report_ = PartitionReport{};
   report_.host_shard.assign(hosts_.size(), 0);
@@ -512,7 +524,8 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
       });
     }
     // vSwitches only exist before enable_parallel in serial scenarios
-    // (enable_parallel asserts no filters), so shard 0 is always right.
+    // (enable_parallel checks there are no filters), so shard 0 is always
+    // right.
     for (const auto& [vs, name] : acdc_filters_) {
       vswitch::AcdcVswitch::ObsHooks hooks;
       hooks.recorder = shard_recorders_[0].get();
@@ -545,12 +558,6 @@ net::PcapWriter* Scenario::attach_pcap(net::Port& port,
 std::vector<obs::FlightRecorder*> Scenario::recorders() {
   std::vector<obs::FlightRecorder*> out;
   for (const auto& rec : shard_recorders_) out.push_back(rec.get());
-  return out;
-}
-
-std::vector<obs::MetricsRegistry*> Scenario::metrics_registries() {
-  std::vector<obs::MetricsRegistry*> out;
-  for (const auto& reg : shard_metrics_) out.push_back(reg.get());
   return out;
 }
 

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -55,10 +54,6 @@ struct ScenarioConfig {
   sim::Time host_link_delay = sim::microseconds(2);
   sim::Time switch_link_delay = sim::microseconds(2);
   std::int64_t switch_buffer_bytes = 9 * 1024 * 1024;
-  double switch_buffer_alpha = 1.0;
-  // DCTCP-style step-marking threshold; the paper-standard K scales with
-  // MTU (65 x 1.5KB-packets' worth of bytes, ~100KB; larger for 9K).
-  std::int64_t red_k_bytes = 0;  // 0 -> derived from MTU
   bool red_enabled = true;
   // Wire-level fault injection applied to every unidirectional link built
   // by attach()/trunk(). Each link gets its own RNG substream split from
@@ -66,8 +61,9 @@ struct ScenarioConfig {
   // a clean fabric.
   net::FaultConfig link_faults;
 
+  // DCTCP-style step-marking threshold; the paper-standard K scales with
+  // MTU (65 x 1.5KB-packets' worth of bytes, ~100KB; larger for 9K).
   std::int64_t derived_red_k() const {
-    if (red_k_bytes > 0) return red_k_bytes;
     return mtu_bytes >= 9000 ? 20 * 9000 : 65 * 1500;
   }
   std::uint32_t mss() const {
@@ -109,39 +105,30 @@ class Scenario {
   sim::Rng& rng() { return rng_; }
   const ScenarioConfig& config() const { return config_; }
 
-  // Per-switch overrides. Every field defaults to "inherit from
-  // ScenarioConfig", so `add_switch("sw")` builds the paper-standard switch
-  // and call sites that differ say which knob they turn by name:
-  //   add_switch("tor", {.red = false});
-  //   add_switch("spine", {.buffer_bytes = 1 << 20});
-  struct SwitchOptions {
-    std::optional<bool> red;                     // WRED/ECN marking
-    std::optional<std::int64_t> buffer_bytes;    // shared buffer size
-  };
-
   // ---- Topology ----
+  // Topology calls are legal only before enable_parallel.
   host::Host* add_host(const std::string& name);
-  net::Switch* add_switch(const std::string& name,
-                          const SwitchOptions& options = {});
+  // A switch with the ScenarioConfig's shared buffer and WRED/ECN profile.
+  net::Switch* add_switch(const std::string& name);
   // Full-duplex host <-> switch attachment with routes installed.
   // delay == 0 inherits ScenarioConfig::host_link_delay; a positive value
   // overrides both directions (per-link skew decorrelates spokes so
   // independent uplinks never deliver on the same tick — cable-length
   // heterogeneity, and what keeps serial and sharded runs tie-free).
   void attach(host::Host* h, net::Switch* sw, sim::Time delay = 0);
-  // Full-duplex switch <-> switch trunk; returns the two unidirectional
-  // egress ports (a->b, b->a) so callers can install routes/inspect queues.
-  // rate == 0 inherits ScenarioConfig::link_rate.
-  std::pair<net::Port*, net::Port*> trunk(net::Switch* a, net::Switch* b,
-                                          sim::Rate rate = 0);
+  // Full-duplex switch <-> switch trunk at ScenarioConfig::link_rate;
+  // returns the two unidirectional egress ports (a->b, b->a) so callers can
+  // install routes/inspect queues.
+  std::pair<net::Port*, net::Port*> trunk(net::Switch* a, net::Switch* b);
 
   // ---- Parallel execution ----
   // Partitions the topology into `shards` shards (exp/partition.h) and runs
   // subsequent run_until() calls on up to `threads` worker threads. Must be
-  // called after the topology is built (add_host/attach/trunk) and before
-  // tracing, vSwitches, shapers or apps exist — those bind to shard
-  // simulators. Falls back to the serial engine (report.parallel == false)
-  // when the partition yields no cut links or zero lookahead.
+  // called once, after the topology is built (add_host/attach/trunk) and
+  // before tracing, vSwitches, shapers or apps exist — those bind to shard
+  // simulators; every build checks the order. Falls back to the serial
+  // engine (report.parallel == false) when the partition yields no cut
+  // links or zero lookahead.
   PartitionReport enable_parallel(int shards, int threads);
   PartitionReport enable_parallel(const ParallelOptions& options);
   const PartitionReport& partition() const { return report_; }
@@ -196,7 +183,6 @@ class Scenario {
                                             const workload::ChurnConfig& config,
                                             sim::Time start = 0);
   workload::ChurnStats churn_stats() const { return churn_engine_.stats(); }
-  const workload::ChurnEngine& churn_engine() const { return churn_engine_; }
 
   // ---- Closed-loop service workload ----
   // One 3-tier (or 2-tier, when roles.storage is empty) closed-loop
@@ -213,7 +199,6 @@ class Scenario {
                                          const app::ServiceConfig& config,
                                          const tcp::TcpConfig& cfg);
   app::ServiceStats service_stats() const { return service_engine_.stats(); }
-  const app::ServiceEngine& service_engine() const { return service_engine_; }
 
   void run_until(sim::Time t);
 
@@ -235,7 +220,7 @@ class Scenario {
   // snapshots (metrics can still be sampled manually). On a partitioned
   // scenario each shard gets its own recorder/registry (trace rings are
   // single-writer); the return value and recorder()/metrics() refer to
-  // shard 0, recorders()/metrics_registries() expose them all.
+  // shard 0, recorders() exposes every shard's recorder.
   obs::FlightRecorder& enable_tracing(
       std::size_t ring_capacity = std::size_t{1} << 18,
       sim::Time metrics_interval = sim::milliseconds(1));
@@ -246,7 +231,6 @@ class Scenario {
     return shard_metrics_.empty() ? nullptr : shard_metrics_[0].get();
   }
   std::vector<obs::FlightRecorder*> recorders();
-  std::vector<obs::MetricsRegistry*> metrics_registries();
 
   // Pcap bridge: every packet `port` transmits is appended to a classic
   // pcap file at `path` (nanosecond timestamps, LINKTYPE_RAW — opens in
@@ -256,7 +240,6 @@ class Scenario {
   net::PcapWriter* attach_pcap(net::Port& port, const std::string& path);
 
  private:
-  net::SwitchConfig switch_config(const SwitchOptions& options) const;
   // Interposes a FaultInjector in front of `sink` when link faults are
   // configured; otherwise returns `sink` unchanged. `injector` reports the
   // interposed injector (nullptr when none).

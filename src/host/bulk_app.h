@@ -45,7 +45,6 @@ class BulkApp {
   net::TcpPort port() const { return port_; }
 
   tcp::TcpConnection* sender_connection() { return conn_; }
-  const tcp::TcpConnection* receiver_connection() const { return server_conn_; }
 
  private:
   void start();

@@ -3,6 +3,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/check.h"
+
 namespace acdc::host {
 
 Host::Host(sim::Simulator* sim, std::string name, net::IpAddr ip,
@@ -38,7 +40,9 @@ void Host::EgressEntry::receive(net::PacketPtr packet) {
 }
 
 void Host::add_filter(net::DuplexFilter* filter) {
-  assert(connections_.empty() && "install filters before opening connections");
+  ACDC_CHECK(connections_.empty(),
+             "host %s: install filters before opening connections (%zu open)",
+             name_.c_str(), connections_.size());
   filters_.push_back(filter);
   rewire();
 }
@@ -207,8 +211,10 @@ void Host::receive(net::PacketPtr packet) {
 }
 
 void Host::rebind_simulator(sim::Simulator* sim) {
-  assert(connections_.empty() &&
-         "partition the scenario before opening connections");
+  ACDC_CHECK(connections_.empty(),
+             "host %s: partition the scenario before opening connections "
+             "(%zu open)",
+             name_.c_str(), connections_.size());
   sim_ = sim;
   nic_.rebind_simulator(sim);
 }

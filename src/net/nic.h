@@ -30,7 +30,6 @@ class Nic : public PacketSink {
   void set_up(PacketSink* up) { up_ = up; }
 
   std::int64_t received_packets() const { return received_packets_; }
-  std::int64_t received_bytes() const { return received_bytes_; }
 
   // Re-homes the NIC (and its TX port) onto a shard's simulator.
   void rebind_simulator(sim::Simulator* sim) {

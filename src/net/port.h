@@ -102,8 +102,8 @@ class Port : public PacketSink {
   // INT telemetry: once enabled, each data packet is stamped at dequeue
   // with this port's queue depth / rate / fair share (net/telemetry.h).
   // Off by default — the datapath pays only a null check.
-  void enable_telemetry(const TelemetryConfig& config = {}) {
-    telemetry_ = std::make_unique<TelemetrySampler>(rate_, config);
+  void enable_telemetry() {
+    telemetry_ = std::make_unique<TelemetrySampler>(rate_);
   }
   TelemetrySampler* telemetry() const { return telemetry_.get(); }
 

@@ -19,21 +19,29 @@ std::uint64_t flow_hash(const Packet& p) {
   return h;
 }
 
+// Distinct-flow counting epoch. The published active-flow count is the
+// running maximum of the current epoch's set size and the previous epoch's
+// total, so new flows raise the count immediately and departed flows age
+// out within one epoch.
+constexpr sim::Time kEpoch = sim::microseconds(200);
+// Hard cap on tracked distinct flows per epoch (bounds memory; counts
+// saturate at this value under pathological churn).
+constexpr std::size_t kMaxTrackedFlows = 65536;
+
 }  // namespace
 
-TelemetrySampler::TelemetrySampler(sim::Rate rate, TelemetryConfig config)
+TelemetrySampler::TelemetrySampler(sim::Rate rate)
     : rate_bpms_(static_cast<std::uint32_t>(
-          std::max<sim::Rate>(1, rate / 8000))),
-      config_(config) {}
+          std::max<sim::Rate>(1, rate / 8000))) {}
 
 void TelemetrySampler::roll_epoch(sim::Time now) {
   if (now < epoch_end_) return;
   // A gap of one or more whole epochs with no traffic means the previous
   // epoch saw nothing; otherwise the set we just filled is the previous
   // epoch's census.
-  last_epoch_flows_ = (now - epoch_end_ >= config_.epoch) ? 0 : seen_.size();
+  last_epoch_flows_ = (now - epoch_end_ >= kEpoch) ? 0 : seen_.size();
   seen_.clear();
-  epoch_end_ = (now / config_.epoch + 1) * config_.epoch;
+  epoch_end_ = (now / kEpoch + 1) * kEpoch;
 }
 
 std::int64_t TelemetrySampler::active_flows() const {
@@ -50,8 +58,7 @@ void TelemetrySampler::stamp(Packet& p, std::int64_t queue_bytes,
                              sim::Time now) {
   if (p.payload_bytes <= 0) return;
   roll_epoch(now);
-  if (seen_.size() < config_.max_tracked_flows) seen_.insert(flow_hash(p));
-  ++stamped_packets_;
+  if (seen_.size() < kMaxTrackedFlows) seen_.insert(flow_hash(p));
 
   TelemetryStamp here;
   here.qlen_bytes = static_cast<std::uint32_t>(std::min<std::int64_t>(

@@ -26,20 +26,9 @@
 
 namespace acdc::net {
 
-struct TelemetryConfig {
-  // Distinct-flow counting epoch. The published active-flow count is the
-  // running maximum of the current epoch's set size and the previous
-  // epoch's total, so new flows raise the count immediately and departed
-  // flows age out within one epoch.
-  sim::Time epoch = sim::microseconds(200);
-  // Hard cap on tracked distinct flows per epoch (bounds memory; counts
-  // saturate at this value under pathological churn).
-  std::size_t max_tracked_flows = 65536;
-};
-
 class TelemetrySampler {
  public:
-  TelemetrySampler(sim::Rate rate, TelemetryConfig config);
+  explicit TelemetrySampler(sim::Rate rate);
 
   // Stamps `p` with this port's telemetry at time `now` (called by Port at
   // transmission start, after the dequeue). `queue_bytes` is the egress
@@ -53,17 +42,13 @@ class TelemetrySampler {
   std::uint32_t fair_share_bytes_per_ms() const;
   std::uint32_t line_rate_bytes_per_ms() const { return rate_bpms_; }
 
-  std::int64_t stamped_packets() const { return stamped_packets_; }
-
  private:
   void roll_epoch(sim::Time now);
 
   std::uint32_t rate_bpms_;  // line rate in bytes per millisecond
-  TelemetryConfig config_;
   std::unordered_set<std::uint64_t> seen_;  // flow hashes, current epoch
   std::size_t last_epoch_flows_ = 0;
   sim::Time epoch_end_ = 0;
-  std::int64_t stamped_packets_ = 0;
 };
 
 }  // namespace acdc::net

@@ -47,7 +47,6 @@ void TokenBucketShaper::drain() {
     PacketPtr p = std::move(backlog_.front());
     backlog_.pop_front();
     backlog_bytes_ -= need;
-    ++shaped_packets_;
     send_down(std::move(p));
   }
   if (!backlog_.empty() && !drain_scheduled_) {

@@ -19,7 +19,6 @@ class TokenBucketShaper : public DuplexFilter {
                     std::int64_t burst_bytes,
                     std::int64_t backlog_limit_bytes = 0);
 
-  std::int64_t shaped_packets() const { return shaped_packets_; }
   std::int64_t backlog_bytes() const { return backlog_bytes_; }
   std::int64_t dropped_packets() const { return dropped_packets_; }
 
@@ -40,7 +39,6 @@ class TokenBucketShaper : public DuplexFilter {
   std::deque<PacketPtr> backlog_;
   std::int64_t backlog_bytes_ = 0;
   bool drain_scheduled_ = false;
-  std::int64_t shaped_packets_ = 0;
 };
 
 }  // namespace acdc::net

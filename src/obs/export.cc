@@ -94,17 +94,18 @@ bool write_file(const std::string& path, Fn&& fn) {
   return os.good();
 }
 
-// Both FlightRecorder and MergedTrace satisfy the same trace-view shape
-// (for_each + source_name) except for the source table accessor.
-const std::vector<std::string>& source_table(const FlightRecorder& rec) {
-  return rec.sources();
-}
-const std::vector<std::string>& source_table(const MergedTrace& trace) {
-  return trace.sources;
+}  // namespace
+
+std::string flow_to_string(const TraceEvent& ev) {
+  if (!ev.flow_scoped()) return "";
+  std::string out;
+  append_quad(out, ev.src_ip, ev.src_port);
+  out += '>';
+  append_quad(out, ev.dst_ip, ev.dst_port);
+  return out;
 }
 
-template <typename Trace>
-void write_trace_jsonl_impl(const Trace& trace, std::ostream& os) {
+void write_trace_jsonl(const MergedTrace& trace, std::ostream& os) {
   trace.for_each([&](const TraceEvent& ev) {
     const EventMeta& meta = event_meta(ev.type);
     os << "{\"t_ns\":" << ev.t << ",\"type\":\"" << meta.name << '"';
@@ -119,8 +120,7 @@ void write_trace_jsonl_impl(const Trace& trace, std::ostream& os) {
   });
 }
 
-template <typename Trace>
-void write_trace_csv_impl(const Trace& trace, std::ostream& os) {
+void write_trace_csv(const MergedTrace& trace, std::ostream& os) {
   os << "t_ns,type,src,flow,a,b,x\n";
   trace.for_each([&](const TraceEvent& ev) {
     os << ev.t << ',' << event_meta(ev.type).name << ','
@@ -129,10 +129,8 @@ void write_trace_csv_impl(const Trace& trace, std::ostream& os) {
   });
 }
 
-template <typename Trace>
-void write_chrome_trace_impl(const Trace& trace,
-                             const MetricsRegistry* metrics,
-                             std::ostream& os) {
+void write_chrome_trace(const MergedTrace& trace,
+                        const MetricsRegistry* metrics, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   bool first = true;
   auto sep = [&] {
@@ -145,9 +143,8 @@ void write_chrome_trace_impl(const Trace& trace,
   sep();
   os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
         "\"args\":{\"name\":\"acdc datapath\"}}";
-  const std::vector<std::string>& sources = source_table(trace);
-  for (std::uint32_t id = 0; id < sources.size(); ++id) {
-    const std::string& name = sources[id];
+  for (std::uint32_t id = 0; id < trace.sources.size(); ++id) {
+    const std::string& name = trace.sources[id];
     if (name.empty()) continue;
     sep();
     os << "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":" << id
@@ -192,75 +189,10 @@ void write_chrome_trace_impl(const Trace& trace,
   os << "\n]}\n";
 }
 
-}  // namespace
-
-std::string flow_to_string(const TraceEvent& ev) {
-  if (!ev.flow_scoped()) return "";
-  std::string out;
-  append_quad(out, ev.src_ip, ev.src_port);
-  out += '>';
-  append_quad(out, ev.dst_ip, ev.dst_port);
-  return out;
-}
-
-void write_trace_jsonl(const FlightRecorder& rec, std::ostream& os) {
-  write_trace_jsonl_impl(rec, os);
-}
-
-void write_trace_jsonl(const MergedTrace& trace, std::ostream& os) {
-  write_trace_jsonl_impl(trace, os);
-}
-
-void write_trace_csv(const FlightRecorder& rec, std::ostream& os) {
-  write_trace_csv_impl(rec, os);
-}
-
-void write_trace_csv(const MergedTrace& trace, std::ostream& os) {
-  write_trace_csv_impl(trace, os);
-}
-
-void write_chrome_trace(const FlightRecorder& rec,
-                        const MetricsRegistry* metrics, std::ostream& os) {
-  write_chrome_trace_impl(rec, metrics, os);
-}
-
-void write_chrome_trace(const MergedTrace& trace,
-                        const MetricsRegistry* metrics, std::ostream& os) {
-  write_chrome_trace_impl(trace, metrics, os);
-}
-
-bool write_trace_jsonl_file(const FlightRecorder& rec,
-                            const std::string& path) {
-  return write_file(path, [&](std::ostream& os) {
-    write_trace_jsonl(rec, os);
-  });
-}
-
 bool write_trace_jsonl_file(const MergedTrace& trace,
                             const std::string& path) {
   return write_file(path, [&](std::ostream& os) {
     write_trace_jsonl(trace, os);
-  });
-}
-
-bool write_trace_csv_file(const FlightRecorder& rec,
-                          const std::string& path) {
-  return write_file(path, [&](std::ostream& os) {
-    write_trace_csv(rec, os);
-  });
-}
-
-bool write_trace_csv_file(const MergedTrace& trace, const std::string& path) {
-  return write_file(path, [&](std::ostream& os) {
-    write_trace_csv(trace, os);
-  });
-}
-
-bool write_chrome_trace_file(const FlightRecorder& rec,
-                             const MetricsRegistry* metrics,
-                             const std::string& path) {
-  return write_file(path, [&](std::ostream& os) {
-    write_chrome_trace(rec, metrics, os);
   });
 }
 

@@ -1,5 +1,6 @@
-// Trace exporters: turn a FlightRecorder ring (and optionally the metrics
-// snapshots) into files an analysis tool can open.
+// Trace exporters: turn a merged trace (obs/merge.h; merge_recorders() of
+// one recorder keeps its events and source ids) and optionally the metrics
+// snapshots into files an analysis tool can open.
 //
 //   - JSONL:  one JSON object per event; jq/pandas-friendly.
 //   - CSV:    fixed columns; spreadsheet-friendly.
@@ -14,34 +15,22 @@
 #include <iosfwd>
 #include <string>
 
-#include "obs/flight_recorder.h"
 #include "obs/merge.h"
 #include "obs/metrics.h"
+#include "obs/trace_event.h"
 
 namespace acdc::obs {
 
-void write_trace_jsonl(const FlightRecorder& rec, std::ostream& os);
-void write_trace_csv(const FlightRecorder& rec, std::ostream& os);
-void write_chrome_trace(const FlightRecorder& rec,
-                        const MetricsRegistry* metrics, std::ostream& os);
-
-// MergedTrace overloads: identical output format, but events come from the
-// globally time-ordered multi-shard merge (obs/merge.h), so a sharded run
-// exports one coherent trace instead of S arbitrarily interleaved rings.
+// Events come from the globally time-ordered multi-shard merge, so a
+// sharded run exports one coherent trace instead of S arbitrarily
+// interleaved rings.
 void write_trace_jsonl(const MergedTrace& trace, std::ostream& os);
 void write_trace_csv(const MergedTrace& trace, std::ostream& os);
 void write_chrome_trace(const MergedTrace& trace,
                         const MetricsRegistry* metrics, std::ostream& os);
 
 // File helpers; return false when the file cannot be opened.
-bool write_trace_jsonl_file(const FlightRecorder& rec,
-                            const std::string& path);
-bool write_trace_csv_file(const FlightRecorder& rec, const std::string& path);
-bool write_chrome_trace_file(const FlightRecorder& rec,
-                             const MetricsRegistry* metrics,
-                             const std::string& path);
 bool write_trace_jsonl_file(const MergedTrace& trace, const std::string& path);
-bool write_trace_csv_file(const MergedTrace& trace, const std::string& path);
 bool write_chrome_trace_file(const MergedTrace& trace,
                              const MetricsRegistry* metrics,
                              const std::string& path);

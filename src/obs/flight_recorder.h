@@ -75,8 +75,6 @@ class FlightRecorder {
   // digests build on. Listeners must not record() back into this recorder.
   using Listener = std::function<void(const TraceEvent&)>;
   std::size_t add_listener(Listener fn);
-  std::size_t listener_count() const { return listeners_.size(); }
-  void clear_listeners() { listeners_.clear(); }
 
   // ---- Inspection (oldest first) ----
   std::size_t size() const { return size_; }

@@ -127,15 +127,4 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
   }
 }
 
-void MetricsRegistry::write_jsonl(std::ostream& os) const {
-  for (const Snapshot& snap : snapshots_) {
-    os << "{\"t_ns\":" << snap.t;
-    for (std::size_t i = 0; i < names_.size(); ++i) {
-      os << ",\"" << names_[i]
-         << "\":" << (i < snap.values.size() ? snap.values[i] : 0.0);
-    }
-    os << "}\n";
-  }
-}
-
 }  // namespace acdc::obs

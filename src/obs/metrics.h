@@ -128,8 +128,6 @@ class MetricsRegistry {
   // CSV: header "t_ns,<name>,..." then one row per snapshot (short rows
   // padded with 0 for late-registered metrics).
   void write_csv(std::ostream& os) const;
-  // JSONL: one {"t_ns":..., "<name>":...} object per snapshot.
-  void write_jsonl(std::ostream& os) const;
 
  private:
   struct Metric {

@@ -12,7 +12,6 @@ class RttEstimator {
 
   void add_sample(sim::Time rtt);
 
-  bool has_sample() const { return srtt_ > 0; }
   sim::Time srtt() const { return srtt_; }
   sim::Time rttvar() const { return rttvar_; }
   sim::Time min_rtt() const { return min_rtt_; }

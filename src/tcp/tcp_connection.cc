@@ -8,6 +8,7 @@ namespace acdc::tcp {
 
 namespace {
 constexpr int kMaxRtoBackoff = 64;
+constexpr double kInitialCwnd = 10.0;  // packets, RFC 6928
 
 std::int64_t effective_window(std::uint16_t raw, bool scaled,
                               std::uint8_t wscale) {
@@ -47,7 +48,7 @@ TcpConnection::TcpConnection(sim::Simulator* sim, TcpConfig config,
   dctcp_echo_ = config_.cc == CcId::kDctcp;
   effective_mss_ = config_.mss;
   cc_state_.mss = effective_mss_;
-  cc_state_.cwnd = config_.initial_cwnd;
+  cc_state_.cwnd = kInitialCwnd;
   cc_->init(cc_state_);
   iss_ = config_.initial_seq;
   snd_una_ = iss_;

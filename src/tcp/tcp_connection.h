@@ -43,8 +43,7 @@ struct TcpConfig {
   std::uint32_t mss = 8960;
   std::uint8_t window_scale = 9;
   std::int64_t receive_buffer_bytes = std::int64_t{16} * 1024 * 1024;
-  double initial_cwnd = 10.0;  // RFC 6928
-  bool ecn = false;            // negotiate ECN (RFC 3168)
+  bool ecn = false;  // negotiate ECN (RFC 3168)
   // Mark SYNs and pure ACKs ECT as well (RFC 8311-style; standard practice
   // in DCTCP deployments so control packets are marked, not dropped, at
   // saturated WRED queues — cf. Judd, NSDI'15).

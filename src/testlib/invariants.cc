@@ -340,8 +340,7 @@ void InvariantChecker::on_wire_egress(const std::string& host,
   }
   // §3.2: everything the vSwitch sends is ECN-capable so WRED marks instead
   // of dropping. FACKs are emitted below the marking point and stay NotEct.
-  if (config_.expect_egress_ect && !p.acdc_fack &&
-      !net::ecn_capable(p.ip.ecn)) {
+  if (config_.enforce && !p.acdc_fack && !net::ecn_capable(p.ip.ecn)) {
     msg << host << ": egress packet left vSwitch " << ecn_name(p.ip.ecn)
         << " (expected ECN-capable)";
     fail(msg.str());
@@ -353,36 +352,36 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
   ++packets_checked_;
   std::ostringstream msg;
 
-  if (config_.expect_hidden_feedback) {
-    // §3.2/§3.3: the feedback machinery is invisible to the tenant.
-    if (p.tcp.options.acdc) {
-      msg << host << ": PACK option reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    if (p.acdc_fack) {
-      msg << host << ": FACK reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    // DESIGN.md §13: INT telemetry is fabric/vSwitch machinery; like the
-    // PACK option it must be stripped before the tenant boundary.
-    if (p.telem.has_value()) {
-      msg << host << ": INT telemetry stamp reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
-    if (p.tcp.flags.ack && !p.tcp.flags.syn && p.tcp.flags.ece) {
-      msg << host << ": ECN-Echo reached the VM";
-      fail(msg.str());
-      msg.str("");
-    }
+  // §3.2/§3.3: the feedback machinery is invisible to the tenant, in
+  // observer mode too.
+  if (p.tcp.options.acdc) {
+    msg << host << ": PACK option reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  if (p.acdc_fack) {
+    msg << host << ": FACK reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  // DESIGN.md §13: INT telemetry is fabric/vSwitch machinery; like the
+  // PACK option it must be stripped before the tenant boundary.
+  if (p.telem.has_value()) {
+    msg << host << ": INT telemetry stamp reached the VM";
+    fail(msg.str());
+    msg.str("");
+  }
+  if (config_.enforce && p.tcp.flags.ack && !p.tcp.flags.syn &&
+      p.tcp.flags.ece) {
+    msg << host << ": ECN-Echo reached the VM";
+    fail(msg.str());
+    msg.str("");
   }
 
   // §3.2: with ECN stripped at the receiver, a non-ECN tenant must see
   // unmarked data. (Pure ACKs are not stripped by design; a non-ECN stack
   // ignores their codepoint.)
-  if (config_.expect_clean_vm_data_ecn && p.payload_bytes > 0 &&
+  if (config_.enforce && p.payload_bytes > 0 &&
       p.ip.ecn != net::Ecn::kNotEct) {
     msg << host << ": data reached the VM carrying " << ecn_name(p.ip.ecn);
     fail(msg.str());

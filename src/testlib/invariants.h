@@ -36,13 +36,10 @@
 namespace acdc::testlib {
 
 struct InvariantConfig {
-  // Mirrors of the AcdcConfig knobs the packet-level checks depend on.
-  bool enforce = true;              // false: observer mode, RWND must be untouched
-  bool expect_egress_ect = true;    // mark_egress_ect
-  bool expect_hidden_feedback = true;  // hide_ecn_feedback + generate_feedback
-  // strip_ecn_at_receiver with non-ECN tenants: data reaching the VM must
-  // carry no ECN codepoint at all.
-  bool expect_clean_vm_data_ecn = true;
+  // Mirror of AcdcConfig::enforce. true: egress leaves ECN-capable, ECE and
+  // CE are hidden from the VM (non-ECN tenants see no ECN codepoint at all)
+  // and RWND is only ever lowered; false: observer mode, RWND untouched.
+  bool enforce = true;
   // kWindowEnforced floor sanity: enforced window may exceed cwnd only up
   // to the min-RWND floor (one MSS; bounded by the largest MTU we run).
   std::int64_t min_rwnd_floor_bytes = 9000;

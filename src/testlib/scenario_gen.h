@@ -49,7 +49,7 @@ struct TransferPlan {
 
 // Optional open-loop churn workload riding on a sampled scenario: short
 // flows with the full SYN -> data -> FIN/RST lifecycle, plus (optionally) a
-// flow-table cap so eviction and admission-reject paths see fuzz pressure.
+// flow-table cap so the LRU eviction path sees fuzz pressure.
 // Sampled from its own RNG substream, so enabling/disabling churn never
 // shifts any other plan draw — the property the shrinker relies on.
 struct ChurnWorkloadPlan {

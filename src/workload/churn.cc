@@ -5,28 +5,13 @@
 
 namespace acdc::workload {
 
-std::vector<ChurnPlanItem> make_churn_plan(sim::Rng rng,
-                                           const ChurnConfig& cfg,
-                                           sim::Time horizon) {
-  // Same draw order as the live Poisson source (gap, bytes, abort) so a
-  // plan built from a seed matches what that seed would generate online.
-  std::vector<ChurnPlanItem> plan;
-  const sim::Time mean_gap = sim::seconds(1.0 / cfg.flows_per_sec);
-  sim::Time t = 0;
-  for (;;) {
-    t += rng.exponential_gap(mean_gap);
-    if (t >= horizon) break;
-    ChurnPlanItem item;
-    item.at = t;
-    item.bytes = cfg.sizes != nullptr
-                     ? std::clamp<std::int64_t>(cfg.sizes->sample(rng), 1,
-                                                cfg.max_flow_bytes)
-                     : cfg.message_bytes;
-    item.abort_flow = rng.chance(cfg.abort_probability);
-    plan.push_back(item);
-  }
-  return plan;
-}
+namespace {
+
+// Ceiling on a size drawn from ChurnConfig::sizes, so a heavy-tail draw
+// cannot turn a churn flow into an elephant.
+constexpr std::int64_t kMaxFlowBytes = 1'000'000;
+
+}  // namespace
 
 ChurnSource::ChurnSource(sim::Simulator* sim, host::Host* sender,
                          host::Host* receiver, net::TcpPort port,
@@ -75,9 +60,6 @@ void ChurnSource::start() {
       sim_->schedule(rng_.exponential_gap(config_.burst_on_mean),
                      [this] { flip_phase(); });
       break;
-    case ArrivalKind::kReplay:
-      replay_next();
-      break;
   }
 }
 
@@ -108,20 +90,10 @@ void ChurnSource::flip_phase() {
   if (burst_on_) arm_arrival();
 }
 
-void ChurnSource::replay_next() {
-  if (replay_index_ >= config_.replay.size()) return;
-  const ChurnPlanItem& item = config_.replay[replay_index_++];
-  const sim::Time at = std::max(start_ + item.at, sim_->now());
-  sim_->schedule_at(at, [this, &item] {
-    launch(item.bytes, item.abort_flow);
-    replay_next();
-  });
-}
-
 std::int64_t ChurnSource::draw_bytes() {
   if (config_.sizes == nullptr) return config_.message_bytes;
   return std::clamp<std::int64_t>(config_.sizes->sample(rng_), 1,
-                                  config_.max_flow_bytes);
+                                  kMaxFlowBytes);
 }
 
 void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {

@@ -15,10 +15,6 @@
 //   kPoisson     exponential inter-arrival gaps at flows_per_sec
 //   kBurstyOnOff exponential on/off phases; arrivals only during "on", at
 //                flows_per_sec * burst_factor
-//   kReplay      a pre-materialised plan of (time, bytes, abort) items —
-//                either supplied verbatim (ChurnConfig::replay) or built
-//                from a seed with make_churn_plan(); the same plan replays
-//                bit-identically on any engine/thread configuration
 #pragma once
 
 #include <cstdint>
@@ -33,16 +29,7 @@
 
 namespace acdc::workload {
 
-enum class ArrivalKind { kPoisson, kBurstyOnOff, kReplay };
-
-// One planned arrival: a flow of `bytes` at time `at` (relative to the
-// source's start time); abort_flow tears it down with a RST mid-transfer
-// instead of a FIN handshake.
-struct ChurnPlanItem {
-  sim::Time at = 0;
-  std::int64_t bytes = 0;
-  bool abort_flow = false;
-};
+enum class ArrivalKind { kPoisson, kBurstyOnOff };
 
 struct ChurnConfig {
   ArrivalKind arrival = ArrivalKind::kPoisson;
@@ -53,12 +40,10 @@ struct ChurnConfig {
   sim::Time burst_on_mean = sim::milliseconds(10);
   sim::Time burst_off_mean = sim::milliseconds(40);
   double burst_factor = 4.0;
-  // Flow sizes: drawn from `sizes` when set (clamped to max_flow_bytes so a
-  // heavy-tail draw cannot turn a churn flow into an elephant), otherwise a
+  // Flow sizes: drawn from `sizes` when set (clamped to 1 MB), otherwise a
   // fixed message_bytes.
   const EmpiricalSizeDistribution* sizes = nullptr;
   std::int64_t message_bytes = 10'000;
-  std::int64_t max_flow_bytes = 1'000'000;
   // Fraction of flows torn down by RST at a uniformly-drawn point of the
   // transfer instead of completing the FIN handshake.
   double abort_probability = 0.0;
@@ -73,8 +58,6 @@ struct ChurnConfig {
   // skipped instead of launched (0 = unbounded). Bounds sender memory when
   // the fabric cannot keep up with the offered load.
   std::int64_t max_concurrent_per_source = 0;
-  // kReplay: the plan to execute. Ignored for the open-ended kinds.
-  std::vector<ChurnPlanItem> replay;
 };
 
 struct ChurnStats {
@@ -97,14 +80,6 @@ struct ChurnStats {
     return *this;
   }
 };
-
-// Materialises a Poisson plan with `cfg`'s rate/size/abort draws over
-// [0, horizon). Feed the result to ChurnConfig::replay (arrival = kReplay)
-// for a workload that is bit-identical regardless of when other RNG
-// consumers interleave.
-std::vector<ChurnPlanItem> make_churn_plan(sim::Rng rng,
-                                           const ChurnConfig& cfg,
-                                           sim::Time horizon);
 
 class ChurnSource {
  public:
@@ -134,7 +109,6 @@ class ChurnSource {
   void arm_arrival();
   void on_arrival();
   void flip_phase();
-  void replay_next();
   void launch(std::int64_t bytes, bool abort_flow);
   void finish(tcp::TcpConnection* conn);
   std::int64_t draw_bytes();
@@ -151,7 +125,6 @@ class ChurnSource {
   sim::Time mean_gap_ = 0;       // Poisson / bursty-on inter-arrival mean
   bool burst_on_ = true;
   bool arrival_armed_ = false;
-  std::size_t replay_index_ = 0;
   std::unordered_map<tcp::TcpConnection*, Flow> flows_;
   ChurnStats stats_;
 };

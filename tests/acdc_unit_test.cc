@@ -186,7 +186,7 @@ class VirtualDctcpTest : public ::testing::Test {
     state_.mss = 9000 - 40;
     state_.snd_una = 1000;
     state_.seq_valid = true;
-    cc().init(state_, cfg_);
+    cc().init(state_);
     state_.snd_nxt = state_.snd_una + 10 * state_.mss;  // a window in flight
   }
 
@@ -304,7 +304,7 @@ TEST(VirtualRenoTest, HalvesOnCongestion) {
   s.mss = 1448;
   VccConfig cfg;
   const VirtualCc& reno = virtual_cc_for(VccKind::kReno);
-  reno.init(s, cfg);
+  reno.init(s);
   const double before = s.cwnd_bytes;
   VccEvent ev;
   ev.fb_marked_delta = 100;
@@ -317,7 +317,7 @@ TEST(VirtualCubicTest, GrowsTowardOriginAfterCut) {
   s.mss = 1448;
   VccConfig cfg;
   const VirtualCc& cubic = virtual_cc_for(VccKind::kCubic);
-  cubic.init(s, cfg);
+  cubic.init(s);
   s.ssthresh_bytes = 0;  // force congestion avoidance
   VccEvent ev;
   ev.acked_bytes = s.mss;

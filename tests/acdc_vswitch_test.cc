@@ -46,6 +46,9 @@ class WireTap : public net::PacketSink {
         --drop_next_;
         return;
       }
+    } else if (!p->acdc_fack) {
+      ++control_packets_;
+      if (net::ecn_capable(p->ip.ecn)) ++ect_control_packets_;
     }
     if (p->tcp.options.acdc) ++packs_seen_;
     if (p->acdc_fack) ++facks_seen_;
@@ -57,9 +60,28 @@ class WireTap : public net::PacketSink {
   int drop_next_ = 0;
   std::int64_t data_packets_ = 0;
   std::int64_t ect_data_packets_ = 0;
+  std::int64_t control_packets_ = 0;  // SYNs, pure ACKs, FINs (no FACKs)
+  std::int64_t ect_control_packets_ = 0;
   std::int64_t marked_ = 0;
   std::int64_t packs_seen_ = 0;
   std::int64_t facks_seen_ = 0;
+};
+
+// Pass-through filter between a tenant stack and its vSwitch: counts the
+// congestion signals that actually reach the VM.
+class VmTap : public net::DuplexFilter {
+ public:
+  std::int64_t ce_data_in_ = 0;   // CE-marked data delivered to the VM
+  std::int64_t ece_acks_in_ = 0;  // ECN-Echo ACKs delivered to the VM
+
+ protected:
+  void handle_ingress(net::PacketPtr p) override {
+    if (p->payload_bytes > 0 && p->ip.ecn == net::Ecn::kCe) ++ce_data_in_;
+    if (p->tcp.flags.ack && !p->tcp.flags.syn && p->tcp.flags.ece) {
+      ++ece_acks_in_;
+    }
+    send_up(std::move(p));
+  }
 };
 
 struct AcdcPair {
@@ -70,6 +92,8 @@ struct AcdcPair {
   std::unique_ptr<AcdcVswitch> vs_b;
   std::unique_ptr<WireTap> tap_ab;
   std::unique_ptr<WireTap> tap_ba;
+  VmTap vm_a;
+  VmTap vm_b;
 
   explicit AcdcPair(const AcdcConfig& cfg = AcdcConfig{}) {
     host::HostConfig hc;
@@ -80,6 +104,8 @@ struct AcdcPair {
     b = std::make_unique<Host>(&sim, "B", net::make_ip(10, 0, 0, 2), hc);
     vs_a = std::make_unique<AcdcVswitch>(&sim, cfg);
     vs_b = std::make_unique<AcdcVswitch>(&sim, cfg);
+    a->add_filter(&vm_a);  // the first filter sits next to the stack
+    b->add_filter(&vm_b);
     a->add_filter(vs_a.get());
     b->add_filter(vs_b.get());
     tap_ab = std::make_unique<WireTap>(&b->nic());
@@ -169,9 +195,9 @@ TEST(AcdcVswitchTest, StripsCeBeforeReceiverVm) {
 
 TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
   AcdcConfig cfg;
-  cfg.enforce = false;  // Fig. 9: log, don't overwrite
+  cfg.enforce = false;  // Fig. 9: log, leave the VM's traffic untouched
   AcdcPair net(cfg);
-  net.tap_ab->mark_all_ = true;
+  net.tap_ab->mark_all_ = true;  // saturated ECN switch
   int window_logs = 0;
   std::int64_t last_window = 0;
   obs::FlightRecorder window_log(1);  // the listener sees every event
@@ -181,12 +207,40 @@ TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
     ++window_logs;
     last_window = ev.a;
   });
-  TcpConnection* c = net.start_transfer(1'000'000, cubic_cfg());
+  TcpConfig ecn_cfg = cubic_cfg();
+  ecn_cfg.ecn = true;  // the VM's own ECN loop runs, AC/DC only watches
+  TcpConnection* c = net.start_transfer(1'000'000, ecn_cfg);
   net.sim.run_until(sim::seconds(2));
+  EXPECT_EQ(net.b->connections()[0]->delivered_bytes(), 1'000'000);
   EXPECT_GT(window_logs, 0);
   EXPECT_GT(last_window, 0);
+  // No ECT marking: the VM's pure ACKs leave the vSwitch Not-ECT.
+  EXPECT_GT(net.tap_ba->control_packets_, 0);
+  EXPECT_EQ(net.tap_ba->ect_control_packets_, 0)
+      << "observer mode must not mark egress packets ECT";
+  // CE reaches the receiving VM, and its ECN-Echo reaches the sender's.
+  EXPECT_GT(net.tap_ab->marked_, 0);
+  EXPECT_GT(net.vm_b.ce_data_in_, 0) << "CE must reach the receiving VM";
+  EXPECT_GT(net.vm_a.ece_acks_in_, 0) << "ECE must reach the sending VM";
+  EXPECT_GT(c->stats().ecn_reductions, 0);
+  // RWND untouched.
   EXPECT_EQ(net.vs_a->stats().windows_lowered, 0);
   EXPECT_GT(c->peer_rwnd_bytes(), 1 << 20) << "peer window untouched";
+}
+
+// The vSwitch's scan and GC timers arm on the simulator bound when the
+// first packet passes; rebinding later would strand them there. Checked in
+// every build, NDEBUG included.
+TEST(AcdcVswitchDeathTest, RebindAfterTrafficDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  AcdcPair net;
+  sim::Simulator shard;
+  net.vs_a->rebind_simulator(&shard);  // no traffic yet: legal
+  net.vs_a->rebind_simulator(&net.sim);
+  net.start_transfer(10'000, cubic_cfg());
+  net.sim.run_until(sim::milliseconds(1));
+  EXPECT_DEATH(net.vs_a->rebind_simulator(&shard),
+               "vSwitch: rebind_simulator after traffic armed its timers");
 }
 
 TEST(AcdcVswitchTest, FackPathWhenPackDoesNotFit) {
@@ -541,8 +595,8 @@ TEST(AcdcVswitchTest, BurstPipelineMatchesPacketAtATime) {
   const auto table = [](const vswitch::FlowTable& t) {
     const vswitch::FlowTable::Stats& s = t.stats();
     return std::vector<std::int64_t>{
-        s.lookups,   s.hits,      s.inserts,           s.removals,
-        s.gc_removed, s.evictions, s.admission_rejects, s.rehashes,
+        s.lookups,    s.hits,      s.inserts,  s.removals,
+        s.gc_removed, s.evictions, s.rehashes,
         static_cast<std::int64_t>(t.size())};
   };
   EXPECT_EQ(table(burst.vs.flows()), table(single.vs.flows()));

@@ -360,28 +360,5 @@ TEST_F(FlowCacheEvictionTest, GcNeverLeavesStaleCacheAcrossAllSlots) {
   EXPECT_GE(core_.stats.flow_cache_misses - misses, 4);
 }
 
-TEST_F(FlowCacheEvictionTest, RejectedAdmissionIsNeverCached) {
-  core_.table.set_limit(1, FlowTable::OverflowPolicy::kReject);
-  FlowRef resident = core_.entry(key_n(1), AcdcCore::kCacheSndEgress);
-  ASSERT_TRUE(resident);
-  const FlowHandle resident_handle = resident.handle;
-
-  // Every rejected lookup must go to the table (caching the null result
-  // would go stale-positive the moment the resident flow leaves).
-  EXPECT_FALSE(core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck));
-  EXPECT_FALSE(core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck));
-  EXPECT_EQ(core_.table.stats().admission_rejects, 2);
-
-  // The resident flow stays served, including through the cache.
-  EXPECT_EQ(core_.entry(key_n(1), AcdcCore::kCacheSndEgress).handle,
-            resident_handle);
-
-  // Once the resident leaves, the previously rejected flow must be admitted.
-  ASSERT_TRUE(core_.table.erase(key_n(1)));
-  FlowRef admitted = core_.entry(key_n(2), AcdcCore::kCacheSndIngressAck);
-  ASSERT_TRUE(admitted);
-  EXPECT_EQ(core_.table.find(key_n(2)).handle, admitted.handle);
-}
-
 }  // namespace
 }  // namespace acdc::vswitch

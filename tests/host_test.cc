@@ -68,6 +68,28 @@ TEST(HostTest, FilterOrdering) {
   EXPECT_EQ(ingress[1], 1);
 }
 
+// Host preconditions hold in every build, NDEBUG included: an open
+// connection is already wired to the old filter chain and simulator.
+TEST(HostDeathTest, FiltersPrecedeConnections) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+  a.connect(net::make_ip(10, 0, 0, 2), 80, tcp::TcpConfig{});
+  net::DuplexFilter late;
+  EXPECT_DEATH(a.add_filter(&late),
+               "host A: install filters before opening connections \\(1 open");
+}
+
+TEST(HostDeathTest, RebindPrecedesConnections) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  sim::Simulator shard;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+  a.connect(net::make_ip(10, 0, 0, 2), 80, tcp::TcpConfig{});
+  EXPECT_DEATH(a.rebind_simulator(&shard),
+               "host A: partition the scenario before opening connections");
+}
+
 TEST(HostTest, DemuxAcrossManyConnections) {
   sim::Simulator sim;
   HostConfig hc;

@@ -116,7 +116,7 @@ TEST(WindowTrackingIntegrationTest, AcdcRwndTracksDctcpCwnd) {
   Dumbbell bell(cfg);
   exp::Scenario& s = bell.scenario();
 
-  const vswitch::AcdcConfig observer = vswitch::AcdcConfig::observer();
+  const vswitch::AcdcConfig observer{.enforce = false};
   std::vector<host::Host*> hosts;
   for (int i = 0; i < bell.pairs(); ++i) {
     hosts.push_back(bell.sender(i));    // sender modules (even indices)

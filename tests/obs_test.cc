@@ -193,8 +193,10 @@ TEST(ExportTest, JsonlAndCsvShapes) {
   EXPECT_EQ(flow_to_string(ev), "10.0.0.1:5000>10.0.0.2:40000");
   EXPECT_EQ(flow_to_string(make_event(0, EventType::kQueueDrop)), "");
 
+  const MergedTrace trace =
+      merge_recorders(std::vector<const FlightRecorder*>{&rec});
   std::ostringstream jsonl;
-  write_trace_jsonl(rec, jsonl);
+  write_trace_jsonl(trace, jsonl);
   const std::string j = jsonl.str();
   EXPECT_EQ(std::count(j.begin(), j.end(), '\n'), 2);
   EXPECT_NE(j.find("\"type\":\"ecn_mark\""), std::string::npos);
@@ -202,7 +204,7 @@ TEST(ExportTest, JsonlAndCsvShapes) {
   EXPECT_NE(j.find("10.0.0.1:5000>10.0.0.2:40000"), std::string::npos);
 
   std::ostringstream csv;
-  write_trace_csv(rec, csv);
+  write_trace_csv(trace, csv);
   EXPECT_EQ(csv.str().substr(0, csv.str().find('\n')),
             "t_ns,type,src,flow,a,b,x");
 }
@@ -218,7 +220,8 @@ TEST(ExportTest, ChromeTraceIsWellFormed) {
   reg.sample(1000);
 
   std::ostringstream os;
-  write_chrome_trace(rec, &reg, os);
+  write_chrome_trace(merge_recorders(std::vector<const FlightRecorder*>{&rec}),
+                     &reg, os);
   const std::string s = os.str();
   EXPECT_EQ(s.rfind("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[", 0), 0u);
   EXPECT_EQ(s.substr(s.size() - 3), "]}\n");

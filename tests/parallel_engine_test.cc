@@ -358,6 +358,76 @@ TEST(ScenarioParallelTest, DumbbellTransfersCompleteAcrossShards) {
   EXPECT_GT(s.executed_events(), 0u);
 }
 
+// Scenario ordering preconditions hold in every build, NDEBUG included:
+// anything built out of order stays bound to the serial simulator, which
+// nothing runs once the scenario is partitioned.
+TEST(ScenarioDeathTest, TopologyIsFrozenAfterEnableParallel) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  exp::DumbbellConfig cfg;
+  cfg.pairs = 2;
+  exp::Dumbbell bell(cfg);
+  exp::Scenario& s = bell.scenario();
+  ASSERT_TRUE(s.enable_parallel(2, 2).parallel);
+  EXPECT_DEATH(s.add_host("late"),
+               "add_host\\(late\\) after enable_parallel froze the topology");
+  EXPECT_DEATH(s.add_switch("late"),
+               "add_switch\\(late\\) after enable_parallel froze");
+  EXPECT_DEATH(s.attach(bell.sender(0), bell.right()),
+               "attach\\(s1\\) after enable_parallel froze");
+  EXPECT_DEATH(s.trunk(bell.left(), bell.right()),
+               "trunk\\(sw-left, sw-right\\) after enable_parallel froze");
+}
+
+TEST(ScenarioDeathTest, EnableParallelRunsOnce) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  exp::DumbbellConfig cfg;
+  cfg.pairs = 2;
+  exp::Dumbbell bell(cfg);
+  ASSERT_TRUE(bell.scenario().enable_parallel(2, 2).parallel);
+  EXPECT_DEATH(bell.scenario().enable_parallel(2, 2),
+               "enable_parallel may only be called once");
+}
+
+TEST(ScenarioDeathTest, EnableParallelPrecedesTracingAndComponents) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  exp::DumbbellConfig cfg;
+  cfg.pairs = 2;
+  {
+    // vSwitches attached first would stay on the serial simulator, their
+    // scan and GC timers with them.
+    exp::Dumbbell bell(cfg);
+    exp::Scenario& s = bell.scenario();
+    for (int i = 0; i < bell.pairs(); ++i) {
+      s.attach_acdc(bell.sender(i), {});
+      s.attach_acdc(bell.receiver(i), {});
+    }
+    EXPECT_DEATH(s.enable_parallel(2, 2),
+                 "call enable_parallel before vSwitches, shapers and apps "
+                 "\\(4 filters, 0 bulk");
+  }
+  {
+    exp::Dumbbell bell(cfg);
+    exp::Scenario& s = bell.scenario();
+    s.add_bulk_flow(bell.sender(0), bell.receiver(0),
+                    s.tcp_config(tcp::CcId::kCubic), 0, 1000);
+    EXPECT_DEATH(s.enable_parallel(2, 2),
+                 "before vSwitches, shapers and apps \\(0 filters, 1 bulk");
+  }
+  {
+    exp::Dumbbell bell(cfg);
+    exp::Scenario& s = bell.scenario();
+    s.add_churn_workload(bell.sender(0), bell.receiver(0),
+                         s.tcp_config(tcp::CcId::kCubic), {});
+    EXPECT_DEATH(s.enable_parallel(2, 2), "0 message, 1 churn, 0 service");
+  }
+  {
+    exp::Dumbbell bell(cfg);
+    bell.scenario().enable_tracing();
+    EXPECT_DEATH(bell.scenario().enable_parallel(2, 2),
+                 "call enable_parallel before enable_tracing");
+  }
+}
+
 TEST(ScenarioParallelTest, LeafSpineParallelMatchesSerialDeliveries) {
   auto build = [](int shards) {
     exp::LeafSpineConfig cfg;

@@ -83,7 +83,6 @@ struct SoakResult {
   std::size_t table_peak = 0;        // max sampled size over all vSwitches
   std::int64_t gc_removed = 0;
   std::int64_t evictions = 0;
-  std::int64_t admission_rejects = 0;
   std::uint64_t violations = 0;
   std::string first_violation;
   double pool_hwm_mid = 0.0;  // serial runs only (pool gauges are
@@ -207,7 +206,6 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
     const vswitch::FlowTable::Stats& fs = vs->flows().stats();
     out.gc_removed += fs.gc_removed;
     out.evictions += fs.evictions;
-    out.admission_rejects += fs.admission_rejects;
     out.table_peak = std::max(out.table_peak, vs->flows().size());
   }
   for (const auto& c : checkers) {

@@ -24,14 +24,13 @@
 namespace acdc::vswitch {
 namespace {
 
-FlowHot make_state(const VccConfig& cfg, VccKind kind,
-                   std::uint32_t mss = 1448) {
+FlowHot make_state(VccKind kind, std::uint32_t mss = 1448) {
   FlowHot s;
   s.mss = mss;
   s.snd_una = 1'000;
   s.snd_nxt = 1'000;
   s.seq_valid = true;
-  virtual_cc_for(kind).init(s, cfg);
+  virtual_cc_for(kind).init(s);
   return s;
 }
 
@@ -53,7 +52,7 @@ TEST(PowerTcpProperty, WindowStaysWithinBoundsUnderAdversarialTelemetry) {
   const VirtualCc& cc = virtual_cc_for(VccKind::kPowerTcp);
   sim::Rng rng(testlib::test_seed(0x50E4ACD1));
   for (int flow = 0; flow < 50; ++flow) {
-    FlowHot s = make_state(cfg, VccKind::kPowerTcp);
+    FlowHot s = make_state(VccKind::kPowerTcp);
     std::uint32_t ts = static_cast<std::uint32_t>(
         rng.uniform_int(0, std::numeric_limits<std::uint32_t>::max()));
     for (int i = 0; i < 400; ++i) {
@@ -74,8 +73,8 @@ TEST(PowerTcpProperty, WindowStaysWithinBoundsUnderAdversarialTelemetry) {
 
       ASSERT_TRUE(std::isfinite(s.cwnd_bytes));
       const double bdp = VirtualPowerTcp::bdp_bytes(cfg.base_rtt_us, tx);
-      const double cap =
-          std::max(static_cast<double>(s.mss), cfg.powertcp.cap_bdps * bdp);
+      const double cap = std::max(static_cast<double>(s.mss),
+                                  VirtualPowerTcp::kCapBdps * bdp);
       EXPECT_GE(s.cwnd_bytes, static_cast<double>(s.mss));
       EXPECT_LE(s.cwnd_bytes, cap)
           << "flow " << flow << " step " << i << " qlen " << qlen << " tx "
@@ -91,7 +90,7 @@ TEST(PowerTcpProperty, EmptyQueueGrowsAndSaturatedQueueShrinks) {
   const std::uint32_t tx = 1'250'000;
   const double bdp = VirtualPowerTcp::bdp_bytes(cfg.base_rtt_us, tx);
 
-  FlowHot idle = make_state(cfg, VccKind::kPowerTcp);
+  FlowHot idle = make_state(VccKind::kPowerTcp);
   std::uint32_t ts = 100;
   for (int i = 0; i < 2'000; ++i) {
     ts += 10;
@@ -101,10 +100,10 @@ TEST(PowerTcpProperty, EmptyQueueGrowsAndSaturatedQueueShrinks) {
     cc.on_ack(idle, cfg, ev);
   }
   // Γ = 1 on an empty queue: the window must climb to the cap.
-  EXPECT_NEAR(idle.cwnd_bytes, cfg.powertcp.cap_bdps * bdp,
+  EXPECT_NEAR(idle.cwnd_bytes, VirtualPowerTcp::kCapBdps * bdp,
               static_cast<double>(idle.mss));
 
-  FlowHot jammed = make_state(cfg, VccKind::kPowerTcp);
+  FlowHot jammed = make_state(VccKind::kPowerTcp);
   ts = 100;
   for (int i = 0; i < 2'000; ++i) {
     ts += 10;
@@ -120,7 +119,7 @@ TEST(PowerTcpProperty, EmptyQueueGrowsAndSaturatedQueueShrinks) {
 TEST(PowerTcpProperty, TimeoutResetsGradientBaseline) {
   const VccConfig cfg;
   const VirtualCc& cc = virtual_cc_for(VccKind::kPowerTcp);
-  FlowHot s = make_state(cfg, VccKind::kPowerTcp);
+  FlowHot s = make_state(VccKind::kPowerTcp);
   VccEvent ev = telemetry_ack(1'000, 1'250'000, 500);
   s.snd_una += ev.acked_bytes;
   cc.on_ack(s, cfg, ev);
@@ -133,18 +132,17 @@ TEST(PowerTcpProperty, TimeoutResetsGradientBaseline) {
 TEST(FairRateProperty, WindowMatchesFairShareConversion) {
   VccConfig cfg;
   cfg.base_rtt_us = 40.0;
-  cfg.fair.window_rtts = 1.5;
-  // 100 bytes/µs fair share · 40µs · 1.5 = 6000 bytes.
-  EXPECT_DOUBLE_EQ(VirtualFairRate::window_bytes(40.0, 1.5, 100'000),
-                   6'000.0);
+  // 100 bytes/µs fair share · 40µs = 4000 bytes, widened by the margin.
+  const double window = 4'000.0 * VirtualFairRate::kWindowRtts;
+  EXPECT_DOUBLE_EQ(VirtualFairRate::window_bytes(40.0, 100'000), window);
 
   const VirtualCc& cc = virtual_cc_for(VccKind::kFairRate);
-  FlowHot s = make_state(cfg, VccKind::kFairRate);
+  FlowHot s = make_state(VccKind::kFairRate);
   VccEvent ev = telemetry_ack(0, 1'250'000, 100);
   ev.fair_bytes_per_ms = 100'000;
   s.snd_una += ev.acked_bytes;
   cc.on_ack(s, cfg, ev);
-  EXPECT_DOUBLE_EQ(s.cwnd_bytes, 6'000.0);
+  EXPECT_DOUBLE_EQ(s.cwnd_bytes, window);
 
   // A fair share below one MSS still floors at one MSS.
   ev.fair_bytes_per_ms = 1;
@@ -162,7 +160,7 @@ TEST(FairRateProperty, WindowMatchesFairShareConversion) {
 TEST(TelemetrySamplerProperty, FairSharesNeverOversubscribeThePort) {
   sim::Rng rng(testlib::test_seed(0x50E4ACD2));
   for (int trial = 0; trial < 40; ++trial) {
-    net::TelemetrySampler sampler(sim::gigabits_per_second(10), {});
+    net::TelemetrySampler sampler(sim::gigabits_per_second(10));
     const int flows = static_cast<int>(rng.uniform_int(1, 64));
     sim::Time now = sim::microseconds(rng.uniform_int(0, 1'000'000));
     for (int i = 0; i < flows; ++i) {
@@ -189,7 +187,7 @@ TEST(TelemetrySamplerProperty, FairSharesNeverOversubscribeThePort) {
 }
 
 TEST(TelemetrySamplerProperty, IdleEpochsForgetOldFlows) {
-  net::TelemetrySampler sampler(sim::gigabits_per_second(10), {});
+  net::TelemetrySampler sampler(sim::gigabits_per_second(10));
   net::Packet p;
   p.ip.src = net::make_ip(10, 0, 0, 1);
   p.ip.dst = net::make_ip(10, 0, 1, 1);
