@@ -1,6 +1,5 @@
 #include "host/host.h"
 
-#include <cassert>
 #include <utility>
 
 #include "sim/check.h"
@@ -84,9 +83,9 @@ tcp::TcpConnection* Host::make_connection(const tcp::TcpConfig& config,
       return false;
     };
   }
-  conn_index_[raw] = connections_.size();
+  raw->host_index = connections_.size();
   connections_.push_back(std::move(conn));
-  demux_[ConnKey{local.port, remote.ip, remote.port}] = raw;
+  demux_[conn_key(local.port, remote.ip, remote.port)] = raw;
   ++conns_opened_;
   return raw;
 }
@@ -100,11 +99,14 @@ net::TcpPort Host::alloc_ephemeral(net::IpAddr remote_ip,
     const net::TcpPort port = next_ephemeral_;
     next_ephemeral_ =
         next_ephemeral_ >= 65'535 ? kEphemeralBase : next_ephemeral_ + 1;
-    if (demux_.find(ConnKey{port, remote_ip, remote_port}) == demux_.end()) {
+    if (demux_.find(conn_key(port, remote_ip, remote_port)) == nullptr) {
       return port;
     }
   }
-  assert(false && "ephemeral port space toward this remote is exhausted");
+  ACDC_CHECK(false,
+             "host %s: ephemeral ports toward %s:%u are exhausted (%d in use)",
+             name_.c_str(), net::ip_to_string(remote_ip).c_str(),
+             static_cast<unsigned>(remote_port), 65'536 - kEphemeralBase);
   return 0;
 }
 
@@ -119,20 +121,22 @@ tcp::TcpConnection* Host::connect(net::IpAddr remote_ip,
 }
 
 void Host::release_connection(tcp::TcpConnection* conn) {
-  auto idx = conn_index_.find(conn);
-  if (idx == conn_index_.end()) return;  // already released
-  const ConnKey key{conn->local().port, conn->remote().ip,
-                    conn->remote().port};
-  auto dit = demux_.find(key);
+  const std::size_t i = conn->host_index;
+  if (i >= connections_.size() || connections_[i].get() != conn) {
+    return;  // already released
+  }
+  const std::uint64_t key =
+      conn_key(conn->local().port, conn->remote().ip, conn->remote().port);
   // Only erase our own demux entry — a recycled 4-tuple may already map to
   // a successor connection.
-  if (dit != demux_.end() && dit->second == conn) demux_.erase(dit);
-  const std::size_t i = idx->second;
-  conn_index_.erase(idx);
+  if (tcp::TcpConnection** owner = demux_.find(key);
+      owner != nullptr && *owner == conn) {
+    demux_.erase(key);
+  }
   // Swap-and-pop keeps removal O(1); re-stamp the moved connection's index.
   if (i + 1 < connections_.size()) {
     std::swap(connections_[i], connections_.back());
-    conn_index_[connections_[i].get()] = i;
+    connections_[i]->host_index = i;
   }
   graveyard_.push_back(std::move(connections_.back()));
   connections_.pop_back();
@@ -157,19 +161,16 @@ void Host::listen(net::TcpPort port, const tcp::TcpConfig& config,
 }
 
 void Host::receive(net::PacketPtr packet) {
-  const ConnKey key{packet->tcp.dst_port, packet->ip.src,
-                    packet->tcp.src_port};
-  auto it = demux_.find(key);
-  if (it != demux_.end()) {
+  if (tcp::TcpConnection** found = demux_.find(conn_key(
+          packet->tcp.dst_port, packet->ip.src, packet->tcp.src_port))) {
     // A fresh SYN landing on a dead (kDone, unreleased) connection means
     // the client recycled its ephemeral port faster than this side tore
     // down state. Reap the corpse and let the listener spawn a successor
     // below — otherwise the SYN would be swallowed and the client stuck.
-    tcp::TcpConnection* conn = it->second;
+    tcp::TcpConnection* conn = *found;
     const bool stale_syn = packet->tcp.flags.syn && !packet->tcp.flags.ack &&
                            conn->state() == tcp::TcpConnection::State::kDone &&
-                           listeners_.find(packet->tcp.dst_port) !=
-                               listeners_.end();
+                           listeners_.find(packet->tcp.dst_port) != nullptr;
     if (!stale_syn) {
       conn->receive(std::move(packet));
       return;
@@ -178,14 +179,13 @@ void Host::receive(net::PacketPtr packet) {
   }
   // No connection: a SYN to a listening port spawns one.
   if (packet->tcp.flags.syn && !packet->tcp.flags.ack) {
-    auto lit = listeners_.find(packet->tcp.dst_port);
-    if (lit != listeners_.end()) {
+    if (const Listener* listener = listeners_.find(packet->tcp.dst_port)) {
       const tcp::Endpoint local{ip_, packet->tcp.dst_port};
       const tcp::Endpoint remote{packet->ip.src, packet->tcp.src_port};
       tcp::TcpConnection* conn =
-          make_connection(lit->second.config, local, remote);
+          make_connection(listener->config, local, remote);
       conn->open_passive(*packet);
-      if (lit->second.on_accept) lit->second.on_accept(conn);
+      if (listener->on_accept) listener->on_accept(conn);
       return;
     }
   }

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/datapath.h"
@@ -15,6 +14,7 @@
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "sim/flat_map.h"
 #include "sim/simulator.h"
 #include "tcp/tcp_connection.h"
 
@@ -87,21 +87,12 @@ class Host : public net::PacketSink {
   void register_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  struct ConnKey {
-    net::TcpPort local_port = 0;
-    net::IpAddr remote_ip = 0;
-    net::TcpPort remote_port = 0;
-
-    bool operator==(const ConnKey&) const = default;
-  };
-  struct ConnKeyHash {
-    std::size_t operator()(const ConnKey& k) const {
-      std::size_t h = k.remote_ip;
-      h = h * 1000003u + k.local_port;
-      h = h * 1000003u + k.remote_port;
-      return h;
-    }
-  };
+  // A connection's demux key: {remote ip, local port, remote port}.
+  static std::uint64_t conn_key(net::TcpPort local_port, net::IpAddr remote_ip,
+                                net::TcpPort remote_port) {
+    return (std::uint64_t{remote_ip} << 32) |
+           (std::uint64_t{local_port} << 16) | remote_port;
+  }
   struct Listener {
     tcp::TcpConfig config;
     std::function<void(tcp::TcpConnection*)> on_accept;
@@ -136,16 +127,15 @@ class Host : public net::PacketSink {
   EgressEntry egress_entry_{this};
   net::PacketSink* egress_target_ = nullptr;  // head of the egress chain
   std::vector<net::DuplexFilter*> filters_;
+  // Live connections; each one's host_index is its position here, for
+  // O(1) swap-and-pop removal when release_connection reaps it.
   std::vector<std::unique_ptr<tcp::TcpConnection>> connections_;
-  // Index of each live connection in connections_, for O(1) swap-and-pop
-  // removal when release_connection reaps it.
-  std::unordered_map<tcp::TcpConnection*, std::size_t> conn_index_;
   // Released connections awaiting destruction on the next zero-delay event
   // (they may still be on the call stack when released).
   std::vector<std::unique_ptr<tcp::TcpConnection>> graveyard_;
   bool graveyard_flush_scheduled_ = false;
-  std::unordered_map<ConnKey, tcp::TcpConnection*, ConnKeyHash> demux_;
-  std::unordered_map<net::TcpPort, Listener> listeners_;
+  sim::FlatMap<std::uint64_t, tcp::TcpConnection*> demux_;  // by conn_key
+  sim::FlatMap<net::TcpPort, Listener> listeners_;
   // Observation channel, set from the const register_metrics (the registry
   // owns the histogram; recording does not change the host's logical state).
   mutable obs::Histogram* rtt_hist_ = nullptr;

@@ -79,11 +79,11 @@ std::size_t flow_hash(const Packet& p) {
 
 void Switch::receive(PacketPtr packet) {
   Port* out = nullptr;
-  if (auto it = routes_.find(packet->ip.dst); it != routes_.end()) {
-    out = it->second;
-  } else if (auto eit = ecmp_routes_.find(packet->ip.dst);
-             eit != ecmp_routes_.end() && !eit->second.empty()) {
-    out = eit->second[flow_hash(*packet) % eit->second.size()];
+  if (Port* const* route = routes_.find(packet->ip.dst)) {
+    out = *route;
+  } else if (const auto* ecmp = ecmp_routes_.find(packet->ip.dst);
+             ecmp != nullptr && !ecmp->empty()) {
+    out = (*ecmp)[flow_hash(*packet) % ecmp->size()];
   } else if (!default_ecmp_.empty()) {
     out = default_ecmp_[flow_hash(*packet) % default_ecmp_.size()];
   } else {

@@ -6,12 +6,12 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
 #include "net/port.h"
 #include "net/red_queue.h"
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
@@ -79,8 +79,8 @@ class Switch : public PacketSink {
   sim::Rng* rng_;
   SharedBufferPool pool_;
   std::vector<std::unique_ptr<Port>> ports_;
-  std::unordered_map<IpAddr, Port*> routes_;
-  std::unordered_map<IpAddr, std::vector<Port*>> ecmp_routes_;
+  sim::FlatMap<IpAddr, Port*> routes_;
+  sim::FlatMap<IpAddr, std::vector<Port*>> ecmp_routes_;
   Port* default_route_ = nullptr;
   std::vector<Port*> default_ecmp_;
   std::int64_t routing_failures_ = 0;

@@ -91,13 +91,33 @@ void EventQueue::sift_down(std::size_t i) {
   const std::size_t n = heap_.size();
   Entry moving = heap_[i];
   for (;;) {
-    const std::size_t first_child = 4 * i + 1;
-    if (first_child >= n) break;
-    std::size_t best = first_child;
-    const std::size_t last_child =
-        first_child + 4 <= n ? first_child + 4 : n;
-    for (std::size_t c = first_child + 1; c < last_child; ++c) {
-      if (earlier(heap_[c], heap_[best])) best = c;
+    const std::size_t first = 4 * i + 1;
+    if (first >= n) break;
+    std::size_t best = first;
+    if (first + 4 <= n) {
+      // A full sibling group: the earliest time by selects. Slots are read
+      // only when two children share it.
+      const Entry* c = heap_.data() + first;
+      const bool right01 = c[1].at < c[0].at;
+      const bool right23 = c[3].at < c[2].at;
+      const Time t01 = right01 ? c[1].at : c[0].at;
+      const Time t23 = right23 ? c[3].at : c[2].at;
+      const bool right = t23 < t01;
+      best = right ? first + 2 + right23 : first + right01;
+      const Time t = right ? t23 : t01;
+      if ((c[0].at == t) + (c[1].at == t) + (c[2].at == t) + (c[3].at == t) >
+          1) {
+        for (std::size_t k = 0; k < 4; ++k) {
+          if (first + k != best && c[k].at == t &&
+              tie_earlier(c[k].slot, heap_[best].slot)) {
+            best = first + k;
+          }
+        }
+      }
+    } else {
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (earlier(heap_[c], heap_[best])) best = c;
+      }
     }
     if (!earlier(heap_[best], moving)) break;
     heap_[i] = heap_[best];
@@ -117,9 +137,12 @@ void EventQueue::link_far(std::uint32_t index) {
   const std::int64_t bucket = bucket_of(slot.at);
   if (bucket < lap_end_) {
     const auto pos = static_cast<std::size_t>(bucket & kLapMask);
-    slot.next = bucket_head_[pos];
+    const std::uint64_t bit = std::uint64_t{1} << (pos % 64);
+    std::uint64_t& word = occupied_[pos / 64];
+    slot.next = (word & bit) != 0 ? bucket_head_[pos] : kNone;
     bucket_head_[pos] = index;
-    occupied_[pos / 64] |= std::uint64_t{1} << (pos % 64);
+    word |= bit;
+    occupied_words_ |= std::uint64_t{1} << (pos / 64);
   } else {
     slot.next = overflow_head_;
     overflow_head_ = index;
@@ -220,24 +243,20 @@ void EventQueue::spread_overflow() {
 }
 
 void EventQueue::pull_next_bucket() {
-  std::size_t pos = kBuckets;
-  for (std::size_t w = 0; w < occupied_.size(); ++w) {
-    if (occupied_[w] != 0) {
-      pos = w * 64 + static_cast<std::size_t>(std::countr_zero(occupied_[w]));
-      break;
-    }
-  }
-  if (pos == kBuckets) {
+  if (occupied_words_ == 0) {
     spread_overflow();
     return;
   }
   // Only buckets after cur_bucket_ are ever occupied, so the lowest set bit
   // is the earliest far bucket. Its events move into the (empty) heap.
-  occupied_[pos / 64] &= ~(std::uint64_t{1} << (pos % 64));
+  const auto w = static_cast<std::size_t>(std::countr_zero(occupied_words_));
+  const auto pos =
+      w * 64 + static_cast<std::size_t>(std::countr_zero(occupied_[w]));
+  occupied_[w] &= occupied_[w] - 1;
+  if (occupied_[w] == 0) occupied_words_ &= occupied_words_ - 1;
   cur_bucket_ = lap_end_ - static_cast<std::int64_t>(kBuckets) +
                 static_cast<std::int64_t>(pos);
   std::uint32_t index = bucket_head_[pos];
-  bucket_head_[pos] = kNone;
   while (index != kNone) {
     const std::uint32_t next = slots_[index].next;
     if (!reap_far(index)) {

@@ -4,21 +4,33 @@
 //
 // Design notes (this is the simulator's hottest structure):
 //  - Near level: a 4-ary min-heap of 16-byte POD entries {time, slot}
-//    holding every event whose ~1 ms bucket (time >> kBucketShift) is at or
-//    before the current bucket, so one sibling group of four fits in one
-//    cache line. Sift operations move only these, never the callbacks. Only
-//    entries that tie on time read their tie-breaks from the slot arena.
+//    holding every event whose ~65.5 us bucket (time >> kBucketShift) is at
+//    or before the current bucket. Sift operations move only these, never
+//    the callbacks, and only entries that tie on time read their
+//    tie-breaks from the slot arena. sift_down picks the earliest child of
+//    a full sibling group by time with selects; the slots are read only
+//    when two of the four children, or a child and the moving entry, share
+//    that time. (A sibling group is 64 bytes, but the heap vector is only
+//    16-byte aligned and siblings start at index 4i+1, so a group usually
+//    spans two cache lines.)
 //  - Far level: later events wait unsorted in their slots, linked into one
 //    list per calendar bucket of the current lap (kBuckets buckets, aligned
 //    to a multiple of kBuckets) or into a single overflow list past the
 //    lap. When the heap runs dry, the earliest occupied bucket moves into
-//    it wholesale (found via an occupancy bitmap); when the lap runs dry,
-//    the queue jumps straight to the overflow's earliest lap and spreads
-//    the overflow entries of that lap into the calendar. So a timer tens of
-//    milliseconds out costs a list push, not a walk through ~log4(n)
-//    cache-missing heap levels, and each overflow entry is touched once per
-//    lap. This follows Varghese & Lauck's timing wheels (SOSP '87) and
-//    Brown's calendar queues (CACM '88).
+//    it wholesale (found via a two-level occupancy bitmap: one summary
+//    word over 64 words); when the lap runs dry, the queue jumps straight
+//    to the overflow's earliest lap and spreads the overflow entries of
+//    that lap into the calendar. A bucket head is read only while the
+//    bucket's occupancy bit is set, so the heads start unfilled and an idle
+//    queue never touches them. So a timer tens of milliseconds out costs a
+//    list push, not a walk through ~log4(n) cache-missing heap levels, and
+//    each overflow entry is touched once per lap. This follows Varghese &
+//    Lauck's timing wheels (SOSP '87) and Brown's calendar queues (CACM
+//    '88), whose rule is to size buckets to the event spacing: most
+//    inserts land a few microseconds ahead, so a bucket of ~65 us keeps
+//    the heap to the events of the next few dozen microseconds (~109
+//    entries per pop on the 100k-user service workload, against ~362 with
+//    ~1 ms buckets).
 //  - Every heap entry belongs to a bucket at or before every far entry's,
 //    so the heap top is the global minimum and the pop order is exactly
 //    (time, key, seq) whatever the level an event waited in.
@@ -53,6 +65,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "sim/inline_function.h"
@@ -88,11 +101,12 @@ inline constexpr std::uint64_t mail_tie_seq(std::uint32_t src_shard,
 
 class EventQueue {
  public:
-  // Calendar geometry: 2^20 ns (~1.05 ms) buckets, 256 to a lap (~268 ms).
-  static constexpr int kBucketShift = 20;
-  static constexpr std::size_t kBuckets = 256;
+  // Calendar geometry: 2^16 ns (~65.5 us) buckets, 4096 to a lap (2^28 ns,
+  // ~268 ms).
+  static constexpr int kBucketShift = 16;
+  static constexpr std::size_t kBuckets = 4096;
 
-  EventQueue() { bucket_head_.fill(kNone); }
+  EventQueue() = default;
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
   // Discards every event still pending (see InlineFunction::discard).
@@ -201,7 +215,8 @@ class EventQueue {
     bool cancelled = false;  // lazily reaped (heap top or bucket move)
   };
 
-  static_assert(sizeof(Entry) == 16, "a 4-ary sibling group per cache line");
+  static_assert(sizeof(Entry) == 16, "a 4-ary sibling group is 64 bytes");
+  static_assert(kBuckets / 64 <= 64, "one summary word covers the bitmap");
   static_assert(sizeof(Slot) <= 96,
                 "a pending event costs at most 112 B with its heap entry");
 
@@ -246,8 +261,12 @@ class EventQueue {
   // lap_end_ - 1); the overflow list holds everything from lap_end_ on.
   // Lists run through Slot::next.
   std::size_t far_size_ = 0;  // slots on lists, cancelled ones included
-  std::array<std::uint32_t, kBuckets> bucket_head_;
+  // Valid only where the bucket's occupied_ bit is set; the first push onto
+  // an empty bucket writes its head. Left unfilled, and off the queue's own
+  // footprint, so a new queue touches none of its 16 KiB.
+  std::unique_ptr<std::uint32_t[]> bucket_head_{new std::uint32_t[kBuckets]};
   std::array<std::uint64_t, kBuckets / 64> occupied_{};  // bit per bucket
+  std::uint64_t occupied_words_ = 0;  // bit w: occupied_[w] != 0
   std::uint32_t overflow_head_ = kNone;
   std::int64_t overflow_min_ = kNoBucket;  // lower bound on its buckets
   std::int64_t cur_bucket_ = 0;

@@ -161,6 +161,10 @@ class TcpConnection {
   // measurement. Must outlive the connection.
   void set_rtt_histogram(obs::Histogram* hist) { rtt_hist_ = hist; }
 
+  // The owning host's position of this connection in its connection list,
+  // stamped by the host for O(1) release.
+  std::size_t host_index = 0;
+
  private:
   struct TxSegment {
     Seq seq = 0;

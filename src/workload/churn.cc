@@ -1,7 +1,8 @@
 #include "workload/churn.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "sim/check.h"
 
 namespace acdc::workload {
 
@@ -28,7 +29,10 @@ ChurnSource::ChurnSource(sim::Simulator* sim, host::Host* sender,
   const double rate = config_.arrival == ArrivalKind::kBurstyOnOff
                           ? config_.flows_per_sec * config_.burst_factor
                           : config_.flows_per_sec;
-  assert(rate > 0.0);
+  ACDC_CHECK(rate > 0.0,
+             "churn: the arrival rate must be positive (flows_per_sec=%g, "
+             "burst_factor=%g)",
+             config_.flows_per_sec, config_.burst_factor);
   mean_gap_ = sim::seconds(1.0 / rate);
   // Receiver side, wired once before any run: accepted connections answer
   // the client's FIN with their own and release themselves on kDone. Both
@@ -114,19 +118,21 @@ void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {
     f.abort_at = rng_.uniform_int(0, f.bytes);
   }
 
+  // A Flow reference dies with the next insertion or erase in flows_, and
+  // abort() reaches finish(), which erases: nothing reads a flow after it.
   conn->on_established = [this, conn] {
-    auto it = flows_.find(conn);
-    if (it == flows_.end()) return;
-    if (it->second.abort_at == 0) {
+    const Flow* flow = flows_.find(conn);
+    if (flow == nullptr) return;
+    if (flow->abort_at == 0) {
       conn->abort();  // fires on_closed -> finish()
       return;
     }
-    conn->send(it->second.bytes);
+    conn->send(flow->bytes);
   };
   conn->on_acked = [this, conn](std::int64_t cum) {
-    auto it = flows_.find(conn);
-    if (it == flows_.end() || it->second.data_done) return;
-    Flow& flow = it->second;
+    Flow* found = flows_.find(conn);
+    if (found == nullptr || found->data_done) return;
+    Flow& flow = *found;
     if (flow.abort_at >= 0 && cum >= flow.abort_at) {
       flow.data_done = true;
       conn->abort();  // fires on_closed -> finish()
@@ -136,7 +142,7 @@ void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {
       flow.data_done = true;
       if (config_.linger > 0) {
         sim_->schedule(config_.linger, [this, conn] {
-          if (flows_.find(conn) != flows_.end()) conn->close();
+          if (flows_.find(conn) != nullptr) conn->close();
         });
       } else {
         conn->close();
@@ -147,16 +153,16 @@ void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {
 }
 
 void ChurnSource::finish(tcp::TcpConnection* conn) {
-  auto it = flows_.find(conn);
-  if (it == flows_.end()) return;
-  if (it->second.abort_at >= 0) {
+  const Flow* flow = flows_.find(conn);
+  if (flow == nullptr) return;
+  if (flow->abort_at >= 0) {
     ++stats_.aborted;
   } else {
     ++stats_.completed;
   }
   stats_.acked_bytes += conn->acked_payload_bytes();
   --stats_.concurrent;
-  flows_.erase(it);
+  flows_.erase(conn);
   sender_->release_connection(conn);
 }
 

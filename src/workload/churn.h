@@ -19,10 +19,10 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "host/host.h"
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "workload/distributions.h"
@@ -125,7 +125,7 @@ class ChurnSource {
   sim::Time mean_gap_ = 0;       // Poisson / bursty-on inter-arrival mean
   bool burst_on_ = true;
   bool arrival_armed_ = false;
-  std::unordered_map<tcp::TcpConnection*, Flow> flows_;
+  sim::FlatMap<tcp::TcpConnection*, Flow> flows_;
   ChurnStats stats_;
 };
 

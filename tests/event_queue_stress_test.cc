@@ -2,8 +2,9 @@
 // calendar plus overflow list): cancellation via generation-tagged ids, FIFO
 // tie-breaking at equal timestamps, the exact (time, key, seq) pop order
 // under randomized schedule/cancel churn spanning every level (lazily keyed
-// events included, whose keys are computed only on time ties),
-// allocation-free recycling of slots, and the lifetime of event actions.
+// events included, whose keys are computed only on time ties) and under
+// tie-dense churn on bucket and lap edges, allocation-free recycling of
+// slots, and the lifetime of event actions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -189,7 +190,9 @@ ChurnResult churn_run(std::uint64_t seed) {
       if (span < 30) {
         delay = static_cast<Time>(rng() % 64);  // heavy ties near now
       } else if (span < 45) {
-        delay = static_cast<Time>(rng() % (Time{1} << 21));
+        // Within two buckets of now.
+        delay = static_cast<Time>(
+            rng() % (Time{1} << (EventQueue::kBucketShift + 1)));
       } else if (span < 75) {
         delay = static_cast<Time>(rng() % milliseconds(300));  // calendar
       } else if (span < 90 || live.empty()) {
@@ -299,6 +302,117 @@ TEST(EventQueueStressTest, CancelChurnIsDeterministic) {
   EXPECT_LT(a.key_calls, a.lazy_events);
 }
 
+// Tie-dense churn: events land 2-4 to a nanosecond on the nanoseconds
+// around bucket edges and lap ends, so after a bucket moves, sibling groups
+// hold 2-4 equal times and moving entries tie with children. Unkeyed,
+// keyed, lazily keyed and mail events mix on every such nanosecond, and
+// every pop is checked against the (time, key, seq) reference.
+TEST(EventQueueStressTest, TieDenseSiblingGroupsPopInOrder) {
+  std::mt19937_64 rng(testlib::test_seed(11));
+  EventQueue q;
+  ChurnResult result;
+  std::vector<int> key_calls;  // per tag
+  using RefKey = std::tuple<Time, std::uint64_t, std::uint64_t, int>;
+  std::set<RefKey> reference;
+  std::vector<std::pair<EventId, RefKey>> live;
+  std::uint64_t local_seq = 0;
+  std::uint64_t mail_seq = 0;
+  Time now = 0;
+  int tied_pops = 0;  // pops at the previous pop's time
+  constexpr Time kBucket = Time{1} << EventQueue::kBucketShift;
+  constexpr Time kLap = kBucket * static_cast<Time>(EventQueue::kBuckets);
+
+  const auto pop = [&] {
+    ASSERT_FALSE(reference.empty());
+    const RefKey expected = *reference.begin();
+    EventQueue::Next next = q.take_next();
+    next.action();
+    ASSERT_EQ(result.order.back(), std::get<3>(expected))
+        << "popped out of (time, key, seq) order at t=" << next.at;
+    ASSERT_EQ(next.at, std::get<0>(expected));
+    if (next.at == now) ++tied_pops;
+    now = next.at;
+    reference.erase(reference.begin());
+    const auto it = std::find_if(live.begin(), live.end(), [&](const auto& l) {
+      return std::get<3>(l.second) == std::get<3>(expected);
+    });
+    *it = live.back();
+    live.pop_back();
+  };
+
+  for (int round = 0; round < 3'000; ++round) {
+    // The next bucket edge, one a few buckets on, or the lap end.
+    Time edge;
+    switch (rng() % 3) {
+      case 0:
+        edge = (now / kBucket + 1) * kBucket;
+        break;
+      case 1:
+        edge = (now / kBucket + 2 + static_cast<Time>(rng() % 6)) * kBucket;
+        break;
+      default:
+        edge = (now / kLap + 1) * kLap;
+        break;
+    }
+    for (Time at = std::max(now, edge - 1); at <= edge + 1; ++at) {
+      for (auto copies = 2 + rng() % 3; copies > 0; --copies) {
+        const int tag = static_cast<int>(key_calls.size());
+        key_calls.push_back(0);
+        const std::uint64_t key = rng() % 3;
+        RefKey ref;
+        EventId id;
+        switch (rng() % 4) {
+          case 0:
+            ref = {at, kUnkeyedTieKey, ++local_seq, tag};
+            id = q.schedule(at, [&result, tag] { result.order.push_back(tag); });
+            break;
+          case 1:
+            ref = {at, key, ++local_seq, tag};
+            id = q.schedule(at, key,
+                            [&result, tag] { result.order.push_back(tag); });
+            break;
+          case 2:
+            ref = {at, key, ++local_seq, tag};
+            id = q.schedule_keyed(at, LazyKeyed{&result, &key_calls, tag, key});
+            break;
+          default: {
+            const std::uint64_t seq =
+                mail_tie_seq(static_cast<std::uint32_t>(rng() % 3), ++mail_seq);
+            ref = {at, key, seq, tag};
+            id = q.schedule(at, key, seq,
+                            [&result, tag] { result.order.push_back(tag); });
+            break;
+          }
+        }
+        reference.insert(ref);
+        live.emplace_back(id, ref);
+      }
+    }
+    if (rng() % 4 == 0) {
+      const std::size_t victim = rng() % live.size();
+      q.cancel(live[victim].first);
+      reference.erase(live[victim].second);
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    for (auto pops = rng() % 14; pops > 0 && !reference.empty(); --pops) {
+      pop();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    ASSERT_EQ(q.size(), reference.size());
+  }
+  while (!reference.empty()) {
+    pop();
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_TRUE(q.empty());
+  // Most pops tie with the one before, and each lazy key is computed once
+  // at most.
+  EXPECT_GT(tied_pops, static_cast<int>(result.order.size()) / 2);
+  EXPECT_LE(*std::max_element(key_calls.begin(), key_calls.end()), 1);
+  EXPECT_GT(result.key_calls, 1'000);
+}
+
 TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
   // Each round re-arms an RTO-style far timer 10 ms out (cancel + schedule)
   // and runs 64 near events. The heap never runs dry within a bucket, so
@@ -338,7 +452,7 @@ TEST(EventQueueStressTest, SlotsRecycleInsteadOfGrowing) {
 
 TEST(EventQueueTest, HeapEntriesAreSixteenBytes) {
   static_assert(EventQueue::heap_entry_bytes() == 16,
-                "four heap siblings per 64-byte cache line");
+                "a sibling group of four heap entries is 64 bytes");
 }
 
 TEST(EventQueueTest, LazyKeysAreComputedOnlyOnTimeTies) {

@@ -11,6 +11,7 @@
 #include "host/message_app.h"
 #include "net/datapath.h"
 #include "stats/fct_collector.h"
+#include "workload/churn.h"
 
 namespace acdc {
 namespace {
@@ -88,6 +89,37 @@ TEST(HostDeathTest, RebindPrecedesConnections) {
   a.connect(net::make_ip(10, 0, 0, 2), 80, tcp::TcpConfig{});
   EXPECT_DEATH(a.rebind_simulator(&shard),
                "host A: partition the scenario before opening connections");
+}
+
+// Under NDEBUG the exhausted allocator used to hand out port 0.
+TEST(HostDeathTest, EphemeralPortExhaustionDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_DEATH(
+      {
+        sim::Simulator sim;
+        Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+        // Ports 40000-65535 toward one remote; the next connect has none.
+        for (int i = 0; i <= 65'536 - 40'000; ++i) {
+          a.connect(net::make_ip(10, 0, 0, 2), 80, tcp::TcpConfig{});
+        }
+      },
+      "host A: ephemeral ports toward 10.0.0.2:80 are exhausted "
+      "\\(25536 in use\\)");
+}
+
+// A zero rate used to reach seconds(1.0 / 0.0), an infinite double
+// converted to an integer, under NDEBUG.
+TEST(ChurnSourceDeathTest, ZeroArrivalRateDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+  Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
+  workload::ChurnConfig config;
+  config.flows_per_sec = 0.0;
+  EXPECT_DEATH(workload::ChurnSource(&sim, &a, &b, 80, tcp::TcpConfig{},
+                                     config, sim::Rng(1), 0),
+               "churn: the arrival rate must be positive "
+               "\\(flows_per_sec=0, burst_factor=4\\)");
 }
 
 TEST(HostTest, DemuxAcrossManyConnections) {
