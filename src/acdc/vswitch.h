@@ -25,7 +25,6 @@
 #include "acdc/receiver_module.h"
 #include "acdc/sender_module.h"
 #include "net/datapath.h"
-#include "sim/check.h"
 #include "sim/simulator.h"
 
 namespace acdc::vswitch {
@@ -58,15 +57,6 @@ class AcdcVswitch : public net::DuplexFilter {
     std::string name = "acdc";  // trace-source name and metrics prefix
   };
   void attach_observability(ObsHooks hooks);
-
-  // Re-homes the vSwitch core onto a shard's simulator. Only legal before
-  // any packet has been processed (the periodic scan/GC timers arm lazily
-  // on first traffic, on the simulator bound at the time).
-  void rebind_simulator(sim::Simulator* sim) {
-    ACDC_CHECK(!scan_armed_ && !gc_armed_,
-               "vSwitch: rebind_simulator after traffic armed its timers");
-    core_.sim = sim;
-  }
 
   // ---- §3.3 flexibility features ----
   // Crafts a TCP window update toward the VM for data flow `key`

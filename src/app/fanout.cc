@@ -1,8 +1,9 @@
 #include "app/fanout.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::app {
 
@@ -16,8 +17,9 @@ FanoutCoordinator::FanoutCoordinator(sim::Simulator* sim,
                                      std::vector<RpcClient*> leaves,
                                      const FanoutConfig& config, sim::Rng rng)
     : sim_(sim), leaves_(std::move(leaves)), config_(config), rng_(rng) {
-  assert(!leaves_.empty());
-  assert(config_.fanout > 0);
+  ACDC_CHECK(!leaves_.empty(), "fanout: no leaf clients (leaves=0)");
+  ACDC_CHECK(config_.fanout > 0, "fanout: fanout must be positive (fanout=%d)",
+             config_.fanout);
   // Decorrelate coordinators sharing a leaf pool: each starts its rotation
   // at its own substream-drawn offset.
   cursor_ = static_cast<std::size_t>(

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "sim/check.h"
+
 namespace acdc::app {
 
 // ---- ConduitRegistry ----
@@ -16,14 +18,6 @@ FrameConduit* ConduitRegistry::create(const tcp::Endpoint& client,
   if (e.conduit == nullptr) e.conduit = std::make_unique<FrameConduit>();
   ++e.attached;
   return e.conduit.get();
-}
-
-FrameConduit* ConduitRegistry::claim(const tcp::Endpoint& client,
-                                     const tcp::Endpoint& server) {
-  // Same as create: the entry normally exists already (the client made it
-  // before its SYN left), but a non-RPC peer connecting to an RPC port
-  // just gets a fresh, forever-empty conduit.
-  return create(client, server);
 }
 
 void ConduitRegistry::detach(const tcp::Endpoint& client,
@@ -51,7 +45,9 @@ RpcServer::RpcServer(sim::Simulator* sim, host::Host* host,
       registry_(registry),
       config_(config),
       rng_(rng) {
-  assert(config_.workers > 0);
+  ACDC_CHECK(config_.workers > 0,
+             "rpc server on port %u: workers must be positive (workers=%d)",
+             static_cast<unsigned>(config_.port), config_.workers);
   host_->listen(config_.port, tcp_config,
                 [this](tcp::TcpConnection* conn) { on_accept(conn); });
 }
@@ -59,7 +55,10 @@ RpcServer::RpcServer(sim::Simulator* sim, host::Host* host,
 void RpcServer::on_accept(tcp::TcpConnection* conn) {
   ++stats_.accepted_conns;
   const std::uint64_t serial = next_serial_++;
-  FrameConduit* conduit = registry_->claim(conn->remote(), conn->local());
+  // The entry normally exists already (the client made it before its SYN
+  // left), but a non-RPC peer connecting to an RPC port just gets a fresh,
+  // forever-empty conduit.
+  FrameConduit* conduit = registry_->create(conn->remote(), conn->local());
   conns_.emplace(serial, ConnState{conn, conduit, /*peer_fin=*/false, 0});
   conn->on_deliver = [this, serial, conn, conduit](std::int64_t) {
     for (const RpcFrame& f : conduit->to_server.drain(conn->delivered_bytes())) {
@@ -208,8 +207,12 @@ RpcClient::RpcClient(sim::Simulator* sim, host::Host* host,
 
 std::uint64_t RpcClient::call(std::int64_t request_bytes, sim::Time deadline,
                               Callback done) {
-  assert(!close_requested_ && "call() after close()");
-  assert(request_bytes >= 0);
+  ACDC_CHECK(!close_requested_, "rpc client %s: call() after close()",
+             net::ip_to_string(local_.ip).c_str());
+  ACDC_CHECK(request_bytes >= 0,
+             "rpc client %s: request_bytes must not be negative (%lld)",
+             net::ip_to_string(local_.ip).c_str(),
+             static_cast<long long>(request_bytes));
   const std::uint64_t id = next_id_++;
   ++stats_.issued;
   RpcFrame f;
@@ -230,12 +233,9 @@ std::uint64_t RpcClient::call(std::int64_t request_bytes, sim::Time deadline,
 void RpcClient::on_response(const RpcFrame& frame) {
   auto it = pending_.find(frame.id);
   if (it == pending_.end()) {
-    // Straggler: its deadline already fired (result delivered as a miss).
-    auto late = timed_out_ids_.find(frame.id);
-    if (late != timed_out_ids_.end()) {
-      ++stats_.late;
-      timed_out_ids_.erase(late);
-    }
+    // Straggler: its deadline already fired or close() cancelled it (the
+    // result went out as a miss).
+    ++stats_.late;
     return;
   }
   Pending p = std::move(it->second);
@@ -257,7 +257,6 @@ void RpcClient::on_deadline(std::uint64_t id) {
   Pending p = std::move(it->second);
   pending_.erase(it);
   ++stats_.timed_out;
-  timed_out_ids_.emplace(id, true);
   RpcResult r;
   r.id = id;
   r.timed_out = true;
@@ -280,8 +279,7 @@ void RpcClient::close() {
     auto it = pending_.find(id);
     Pending p = std::move(it->second);
     pending_.erase(it);
-    ++stats_.cancelled;
-    timed_out_ids_.emplace(id, true);  // a straggler response counts late
+    ++stats_.cancelled;  // a straggler response counts late
     RpcResult r;
     r.id = id;
     r.timed_out = true;

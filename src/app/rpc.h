@@ -98,14 +98,14 @@ struct FrameConduit {
 };
 
 // Hands a conduit from the client (which creates it before its SYN leaves)
-// to the server (which claims it when the accept fires), keyed by the
+// to the server (which attaches to it when the accept fires), keyed by the
 // connection 4-tuple. Entries die when both ends detach. Shared across
-// shards, hence the mutex; every insert happens-before the matching claim
+// shards, hence the mutex; every insert happens-before the server's attach
 // via the SYN's own mailbox edge.
 class ConduitRegistry {
  public:
+  // Attaches to the 4-tuple's conduit, making it if it does not exist yet.
   FrameConduit* create(const tcp::Endpoint& client, const tcp::Endpoint& server);
-  FrameConduit* claim(const tcp::Endpoint& client, const tcp::Endpoint& server);
   void detach(const tcp::Endpoint& client, const tcp::Endpoint& server);
   std::size_t size() const;
 
@@ -289,10 +289,10 @@ class RpcClient {
   tcp::Endpoint remote_;
   RpcClientStats stats_;
 
+  // Calls not yet terminated. The server answers each id at most once, so
+  // a response whose id is missing here is a straggler of a call that
+  // timed out or was cancelled.
   std::unordered_map<std::uint64_t, Pending> pending_;
-  // Requests that timed out (or were dropped server-side) and may still see
-  // a straggler response; bounded by the timeout count.
-  std::unordered_map<std::uint64_t, bool> timed_out_ids_;
   std::uint64_t next_id_ = 1;
   bool close_requested_ = false;
   bool fin_sent_ = false;

@@ -1,9 +1,10 @@
 #include "app/service.h"
 
 #include <algorithm>
-#include <cassert>
 #include <string>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::app {
 namespace {
@@ -44,9 +45,12 @@ ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
                          const ServiceConfig& config,
                          const tcp::TcpConfig& tcp_config, sim::Rng rng)
     : config_(config) {
-  assert(!roles.clients.empty());
-  assert(!roles.frontends.empty());
-  assert(!roles.workers.empty());
+  ACDC_CHECK(!roles.clients.empty() && !roles.frontends.empty() &&
+                 !roles.workers.empty(),
+             "service tier: every role needs a host (clients=%zu, "
+             "frontends=%zu, workers=%zu)",
+             roles.clients.size(), roles.frontends.size(),
+             roles.workers.size());
 
   // ---- Storage tier (innermost first, so listeners exist before any SYN
   // can arrive) ----

@@ -1,8 +1,9 @@
 #include "app/users.h"
 
-#include <cassert>
 #include <cmath>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::app {
 
@@ -43,7 +44,9 @@ UserGroup::UserGroup(sim::Simulator* sim, host::Host* host,
       start_(start),
       client_(sim, host, registry, server_ip, server_port, tcp_config),
       sessions_(static_cast<std::size_t>(sessions), SessionState::kThinking) {
-  assert(sessions > 0);
+  ACDC_CHECK(sessions > 0,
+             "user group: sessions must be positive (sessions=%lld)",
+             static_cast<long long>(sessions));
   stats_.sessions = sessions;
   sim_->schedule_at(start_, [this] {
     if (config_.curve == LoadCurve::kBurst) {

@@ -29,6 +29,8 @@ class LeafSpine {
   host::Host* host(int leaf, int index) {
     return hosts_[static_cast<std::size_t>(leaf * hosts_per_leaf_ + index)];
   }
+  // Leaf-major: host(l, i) is hosts()[l * hosts_per_leaf() + i].
+  const std::vector<host::Host*>& hosts() const { return hosts_; }
   net::Switch* leaf(int i) {
     return leaf_switches_[static_cast<std::size_t>(i)];
   }

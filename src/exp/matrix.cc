@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <memory>
 #include <numeric>
+#include <utility>
 
 #include "app/service.h"
 #include "exp/leaf_spine.h"
@@ -21,6 +22,7 @@ namespace {
 constexpr std::uint64_t kCcStream = 0xCCAC5E00;
 constexpr std::uint64_t kScenStream = 0x5CE4A110;
 
+constexpr std::int64_t kMtuBytes = 1500;
 constexpr std::int64_t kIncastBytes = 64 * 1024;  // per sender per round
 constexpr double kSloMs = 10.0;  // mice FCT deadline (RTOmin-scale)
 // kService: sessions multiplexed per connection, and the request deadline.
@@ -51,6 +53,76 @@ struct CellWorkload {
   std::vector<host::BulkApp*> background;   // mixed-tenant elephants
 };
 
+// A vSwitch on every host, running `cc` as its default policy.
+std::vector<vswitch::AcdcVswitch*> attach_vswitches(
+    Scenario& s, const std::vector<host::Host*>& hosts, vswitch::VccKind cc) {
+  vswitch::AcdcConfig acfg;
+  acfg.mtu_bytes = kMtuBytes;
+  // The star's 4 x 2 us propagation plus serialization; the leaf-spine
+  // cell keeps the same base.
+  acfg.vcc.base_rtt_us = 25.0;
+  vswitch::FlowPolicy policy;
+  policy.kind = cc;
+  std::vector<vswitch::AcdcVswitch*> vswitches;
+  for (host::Host* h : hosts) {
+    vswitch::AcdcVswitch* vs = s.attach_acdc(h, acfg);
+    vs->policy().set_default(policy);
+    vswitches.push_back(vs);
+  }
+  return vswitches;
+}
+
+// Runs to mc.horizon in fixed steps and returns the mean, over the steps,
+// of the deepest queue on `switches` at each run_until boundary (shard
+// clocks agree there, so samples are shard-invariant). The peak comes from
+// the queues' exact high-watermark stat instead (finish_cell), so
+// sub-boundary transients are not missed.
+double run_sampling_queues(Scenario& s, const MatrixConfig& mc,
+                           const std::vector<net::Switch*>& switches) {
+  const int steps = std::max(1, mc.queue_samples);
+  std::int64_t queue_sum = 0;
+  for (int step = 1; step <= steps; ++step) {
+    s.run_until(mc.horizon * step / steps);
+    std::int64_t depth = 0;
+    for (const net::Switch* sw : switches) {
+      for (const auto& port : sw->ports()) {
+        depth = std::max(depth, port->queue().byte_length());
+      }
+    }
+    queue_sum += depth;
+  }
+  return static_cast<double>(queue_sum) / steps;
+}
+
+// FCT aggregates from a sorted copy: completion order is
+// shard-timing-dependent, the sorted multiset is not.
+void summarize_fct(std::vector<double> samples_ms, CellResult& out) {
+  std::sort(samples_ms.begin(), samples_ms.end());
+  out.fct_count = samples_ms.size();
+  if (samples_ms.empty()) return;
+  stats::Sampler sorted;
+  for (double v : samples_ms) sorted.add(v);
+  out.fct_p50_ms = sorted.percentile(50.0);
+  out.fct_p99_ms = sorted.percentile(99.0);
+  out.fct_mean_ms = sorted.mean();
+}
+
+// Jain fairness over `allocations`, and the fabric and vSwitch counters.
+void finish_cell(const Scenario& s, const std::vector<double>& allocations,
+                 const std::vector<vswitch::AcdcVswitch*>& vswitches,
+                 CellResult& out) {
+  out.fairness = allocations.size() > 1
+                     ? stats::jain_fairness_index(allocations)
+                     : 1.0;
+  const net::QueueStats q = s.fabric_stats();
+  out.queue_peak_bytes = q.peak_bytes;
+  out.drops = q.dropped_packets;
+  out.marks = q.marked_packets;
+  for (const vswitch::AcdcVswitch* vs : vswitches) {
+    out.windows_lowered += vs->stats().windows_lowered;
+  }
+}
+
 // The closed-loop service cell: a 3-tier service (clients -> frontends ->
 // partition-aggregate across workers -> storage) on a 2x2 leaf-spine,
 // every host's vSwitch running `cc`. The fct_* columns carry
@@ -63,7 +135,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
                             CellResult out) {
   LeafSpineConfig lc;
   lc.scenario.seed = out.cell_seed;
-  lc.scenario.mtu_bytes = 1500;
+  lc.scenario.mtu_bytes = kMtuBytes;
   lc.leaves = 2;
   lc.spines = 2;
   lc.hosts_per_leaf = 6;
@@ -83,19 +155,8 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
     for (const auto& port : sw->ports()) port->enable_telemetry();
   }
 
-  vswitch::AcdcConfig acfg;
-  acfg.mtu_bytes = lc.scenario.mtu_bytes;
-  acfg.vcc.base_rtt_us = 25.0;
-  vswitch::FlowPolicy policy;
-  policy.kind = cc;
-  std::vector<vswitch::AcdcVswitch*> vswitches;
-  for (int l = 0; l < fabric.leaves(); ++l) {
-    for (int h = 0; h < fabric.hosts_per_leaf(); ++h) {
-      vswitch::AcdcVswitch* vs = s.attach_acdc(fabric.host(l, h), acfg);
-      vs->policy().set_default(policy);
-      vswitches.push_back(vs);
-    }
-  }
+  const std::vector<vswitch::AcdcVswitch*> vswitches =
+      attach_vswitches(s, fabric.hosts(), cc);
 
   // Roles: clients and storage on leaf 0 / leaf 1's last host, workers on
   // leaf 1, one frontend per leaf — every tier boundary crosses the
@@ -114,19 +175,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   const tcp::TcpConfig tenant = s.tcp_config(tcp::CcId::kCubic);
   app::ServiceTier* tier = s.add_service_workload(roles, svc, tenant);
 
-  const int steps = std::max(1, mc.queue_samples);
-  std::int64_t queue_sum = 0;
-  for (int step = 1; step <= steps; ++step) {
-    s.run_until(mc.horizon * step / steps);
-    std::int64_t depth = 0;
-    for (net::Switch* sw : switches) {
-      for (const auto& port : sw->ports()) {
-        depth = std::max(depth, port->queue().byte_length());
-      }
-    }
-    queue_sum += depth;
-  }
-  out.queue_mean_bytes = static_cast<double>(queue_sum) / steps;
+  out.queue_mean_bytes = run_sampling_queues(s, mc, switches);
 
   const app::ServiceStats st = tier->stats();
   std::vector<double> samples;
@@ -134,15 +183,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   for (std::int64_t ns : st.user.samples) {
     samples.push_back(sim::to_milliseconds(ns));
   }
-  std::sort(samples.begin(), samples.end());
-  out.fct_count = samples.size();
-  if (!samples.empty()) {
-    stats::Sampler sorted;
-    for (double v : samples) sorted.add(v);
-    out.fct_p50_ms = sorted.percentile(50.0);
-    out.fct_p99_ms = sorted.percentile(99.0);
-    out.fct_mean_ms = sorted.mean();
-  }
+  summarize_fct(std::move(samples), out);
   out.slo_violations = st.user.slo_violations;
   out.delivered_bytes = st.user.response_bytes;
 
@@ -151,17 +192,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
     allocations.push_back(
         static_cast<double>(grp->stats().response_bytes));
   }
-  out.fairness = allocations.size() > 1
-                     ? stats::jain_fairness_index(allocations)
-                     : 1.0;
-
-  const net::QueueStats q = s.fabric_stats();
-  out.queue_peak_bytes = q.peak_bytes;
-  out.drops = q.dropped_packets;
-  out.marks = q.marked_packets;
-  for (const vswitch::AcdcVswitch* vs : vswitches) {
-    out.windows_lowered += vs->stats().windows_lowered;
-  }
+  finish_cell(s, allocations, vswitches, out);
   return out;
 }
 
@@ -200,7 +231,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
 
   StarConfig sc;
   sc.scenario.seed = out.cell_seed;
-  sc.scenario.mtu_bytes = 1500;
+  sc.scenario.mtu_bytes = kMtuBytes;
   sc.hosts = hosts;
   // 1ns per-spoke skew: keeps independent uplinks off each other's ticks,
   // which is what makes the serial and 2-shard reports byte-identical.
@@ -219,17 +250,8 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   // differ only in the virtual algorithm.
   for (const auto& port : star.hub()->ports()) port->enable_telemetry();
 
-  vswitch::AcdcConfig acfg;
-  acfg.mtu_bytes = sc.scenario.mtu_bytes;
-  acfg.vcc.base_rtt_us = 25.0;  // star: 4x2us prop + serialization
-  vswitch::FlowPolicy policy;
-  policy.kind = cc;
-  std::vector<vswitch::AcdcVswitch*> vswitches;
-  for (int i = 0; i < star.host_count(); ++i) {
-    vswitch::AcdcVswitch* vs = s.attach_acdc(star.host(i), acfg);
-    vs->policy().set_default(policy);
-    vswitches.push_back(vs);
-  }
+  const std::vector<vswitch::AcdcVswitch*> vswitches =
+      attach_vswitches(s, star.hosts(), cc);
 
   const tcp::TcpConfig tenant = s.tcp_config(tcp::CcId::kCubic);
   stats::FctCollector fct(10 * 1024);
@@ -302,7 +324,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
       w.background.push_back(s.add_bulk_flow(star.host(2), star.host(0),
                                              tenant, sim::microseconds(2)));
       for (host::BulkApp* bulk : w.background) {
-        vswitch::FlowPolicy bp = policy;
+        vswitch::FlowPolicy bp;
         bp.kind = vswitch::VccKind::kCubic;
         for (vswitch::AcdcVswitch* vs : vswitches) {
           vs->policy().add_dst_port_rule(bulk->port(), bp);
@@ -320,38 +342,12 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
       break;  // unreachable: dispatched to run_service_cell
   }
 
-  // Run in fixed steps, sampling hub queue occupancy at each run_until
-  // boundary (shard clocks agree there, so samples are shard-invariant);
-  // the peak comes from the queues' exact high-watermark stat instead, so
-  // sub-boundary transients are not missed.
-  const int steps = std::max(1, mc.queue_samples);
-  std::int64_t queue_sum = 0;
-  for (int step = 1; step <= steps; ++step) {
-    s.run_until(mc.horizon * step / steps);
-    std::int64_t depth = 0;
-    for (const auto& port : star.hub()->ports()) {
-      depth = std::max(depth, port->queue().byte_length());
-    }
-    queue_sum += depth;
-  }
-  out.queue_mean_bytes = static_cast<double>(queue_sum) / steps;
-  out.queue_peak_bytes = star.hub()->total_stats().peak_bytes;
+  out.queue_mean_bytes = run_sampling_queues(s, mc, {star.hub()});
 
-  // FCT aggregates from a sorted copy: the collector's insertion order is
-  // shard-timing-dependent, the sorted multiset is not.
-  std::vector<double> samples = fct.all_ms().values();
-  std::sort(samples.begin(), samples.end());
-  out.fct_count = samples.size();
-  if (!samples.empty()) {
-    stats::Sampler sorted;
-    for (double v : samples) sorted.add(v);
-    out.fct_p50_ms = sorted.percentile(50.0);
-    out.fct_p99_ms = sorted.percentile(99.0);
-    out.fct_mean_ms = sorted.mean();
-    for (double v : samples) {
-      if (v > kSloMs) ++out.slo_violations;
-    }
-  }
+  const std::vector<double>& samples = fct.all_ms().values();
+  summarize_fct(samples, out);
+  out.slo_violations = std::count_if(samples.begin(), samples.end(),
+                                     [](double v) { return v > kSloMs; });
 
   std::vector<double> allocations;
   for (host::MessageApp* app : w.measured) {
@@ -361,16 +357,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   for (host::BulkApp* app : w.background) {
     out.delivered_bytes += app->delivered_bytes();
   }
-  out.fairness = allocations.size() > 1
-                     ? stats::jain_fairness_index(allocations)
-                     : 1.0;
-
-  const net::QueueStats q = s.fabric_stats();
-  out.drops = q.dropped_packets;
-  out.marks = q.marked_packets;
-  for (const vswitch::AcdcVswitch* vs : vswitches) {
-    out.windows_lowered += vs->stats().windows_lowered;
-  }
+  finish_cell(s, allocations, vswitches, out);
   return out;
 }
 

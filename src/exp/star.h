@@ -28,6 +28,7 @@ class Star {
   net::Switch* hub() { return hub_; }
   host::Host* host(int i) { return hosts_[static_cast<std::size_t>(i)]; }
   int host_count() const { return static_cast<int>(hosts_.size()); }
+  const std::vector<host::Host*>& hosts() const { return hosts_; }
 
  private:
   Scenario scenario_;

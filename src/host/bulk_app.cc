@@ -1,6 +1,6 @@
 #include "host/bulk_app.h"
 
-#include <cassert>
+#include "sim/check.h"
 
 namespace acdc::host {
 
@@ -67,10 +67,12 @@ std::int64_t BulkApp::delivered_bytes() const {
   return server_conn_ != nullptr ? server_conn_->delivered_bytes() : 0;
 }
 
-void BulkApp::snapshot(sim::Time now) { (void)now; }
-
 double BulkApp::goodput_bps(sim::Time from, sim::Time to) const {
-  assert(to > from);
+  ACDC_CHECK(to > from,
+             "bulk app on port %u: goodput window must be non-empty "
+             "(from=%lld, to=%lld)",
+             static_cast<unsigned>(port_), static_cast<long long>(from),
+             static_cast<long long>(to));
   const double bytes = deliveries_.sum_range(from, to);
   return bytes * 8.0 / sim::to_seconds(to - from);
 }

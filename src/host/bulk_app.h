@@ -29,9 +29,7 @@ class BulkApp {
 
   // Receiver-side delivered application bytes.
   std::int64_t delivered_bytes() const;
-  // Average goodput over [from, to], computed from delivered bytes sampled
-  // at those instants; caller must have sampled via snapshot().
-  void snapshot(sim::Time now);
+  // Average goodput over [from, to], from the per-interval deliveries.
   double goodput_bps(sim::Time from, sim::Time to) const;
 
   // Per-interval delivered bytes for timeseries plots.

@@ -14,9 +14,10 @@ Host::Host(sim::Simulator* sim, std::string name, net::IpAddr ip,
       tsq_limit_bytes_(config.tsq_limit_bytes),
       nic_(sim, name_, config.link_rate, config.link_delay,
            config.nic_queue_bytes) {
-  if (tsq_limit_bytes_ > 0) {
-    nic_.tx_port().set_drain_callback([this] { on_nic_drain(); });
-  }
+  ACDC_CHECK(tsq_limit_bytes_ > 0,
+             "host %s: tsq_limit_bytes must be positive (%lld)", name_.c_str(),
+             static_cast<long long>(tsq_limit_bytes_));
+  nic_.tx_port().set_drain_callback([this] { on_nic_drain(); });
   rewire();
 }
 
@@ -74,15 +75,11 @@ tcp::TcpConnection* Host::make_connection(const tcp::TcpConfig& config,
                                name_ + ".tcp:" + std::to_string(local.port)));
   }
   if (rtt_hist_ != nullptr) raw->set_rtt_histogram(rtt_hist_);
-  if (tsq_limit_bytes_ > 0) {
-    raw->tx_gate = [this] {
-      if (nic_.tx_port().queue().byte_length() < tsq_limit_bytes_) {
-        return true;
-      }
-      tx_blocked_hint_ = true;
-      return false;
-    };
-  }
+  raw->tx_gate = [this] {
+    if (nic_.tx_port().queue().byte_length() < tsq_limit_bytes_) return true;
+    tx_blocked_hint_ = true;
+    return false;
+  };
   raw->host_index = connections_.size();
   connections_.push_back(std::move(conn));
   demux_[conn_key(local.port, remote.ip, remote.port)] = raw;

@@ -30,7 +30,7 @@ struct HostConfig {
   std::int64_t nic_queue_bytes = 512 * 1024;
   // TCP Small Queues analogue: connections stop emitting new data while
   // the NIC TX queue holds at least this much, and are poked when it
-  // drains. 0 disables the back-pressure.
+  // drains. Must be positive.
   std::int64_t tsq_limit_bytes = 128 * 1024;
 };
 

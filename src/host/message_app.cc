@@ -1,7 +1,8 @@
 #include "host/message_app.h"
 
-#include <cassert>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::host {
 
@@ -35,15 +36,19 @@ void MessageApp::start() {
 }
 
 void MessageApp::tick() {
-  if (stopped_) return;
   send_message(message_bytes_);
   sim_->schedule(interval_, [this] { tick(); });
 }
 
 void MessageApp::send_message(std::int64_t bytes,
                               std::function<void(sim::Time)> on_complete) {
-  assert(established_);
-  assert(bytes > 0);
+  ACDC_CHECK(established_,
+             "message app on port %u: send_message before the connection "
+             "is established",
+             static_cast<unsigned>(port_));
+  ACDC_CHECK(bytes > 0,
+             "message app on port %u: bytes must be positive (bytes=%lld)",
+             static_cast<unsigned>(port_), static_cast<long long>(bytes));
   conn_->send(bytes);
   written_total_ += bytes;
   ++messages_sent_;
@@ -62,10 +67,6 @@ void MessageApp::handle_acked(std::int64_t acked_total) {
     if (collector_ != nullptr) collector_->record(done.size, fct);
     if (done.on_complete) done.on_complete(fct);
   }
-}
-
-void MessageApp::stop_at(sim::Time t) {
-  sim_->schedule_at(t, [this] { stopped_ = true; });
 }
 
 }  // namespace acdc::host

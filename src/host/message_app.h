@@ -25,8 +25,6 @@ class MessageApp {
              sim::Time interval, std::int64_t message_bytes,
              stats::FctCollector* collector);
 
-  void stop_at(sim::Time t);
-
   // On-demand mode helper: send one message now (usable once established);
   // `on_complete` fires when the message is fully ACKed.
   void send_message(std::int64_t bytes,
@@ -64,7 +62,6 @@ class MessageApp {
   std::int64_t message_bytes_;
   stats::FctCollector* collector_;
   bool periodic_ = false;
-  bool stopped_ = false;
   bool established_ = false;
   tcp::TcpConnection* conn_ = nullptr;
   std::int64_t written_total_ = 0;

@@ -10,14 +10,16 @@
 // checksums; it backs the datapath microbenchmarks and codec tests.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 
-#include "net/small_vec.h"
+#include "sim/check.h"
 #include "sim/time.h"
 
 namespace acdc::net {
@@ -108,10 +110,41 @@ struct AcdcFeedback {
   bool operator==(const AcdcFeedback&) const = default;
 };
 
-// A legal TCP header carries at most 4 SACK blocks (2 + 8*4 = 34 bytes of a
-// 40-byte option budget), so the inline capacity covers every wire-valid
-// packet; only malformed test inputs spill to the heap.
-using SackBlocks = SmallVec<SackBlock, 4>;
+// The SACK blocks of one header, stored inline. A legal TCP header holds at
+// most 4: options get at most 40 bytes and a one-block option takes 10
+// (four blocks fit in one 34-byte option). TCP emits at most 3
+// (TcpConnection::current_sack_blocks), and wire::parse rejects a header
+// that would need a 5th, so a push past capacity is a program bug.
+class SackBlocks {
+ public:
+  static constexpr std::size_t kCapacity = 4;
+
+  SackBlocks() = default;
+  SackBlocks(std::initializer_list<SackBlock> init) {
+    for (const SackBlock& b : init) push_back(b);
+  }
+
+  void push_back(const SackBlock& b) {
+    ACDC_CHECK(size_ < kCapacity, "SACK: a header holds at most %zu blocks",
+               kCapacity);
+    blocks_[size_++] = b;
+  }
+  void clear() { size_ = 0; }
+
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  const SackBlock* begin() const { return blocks_; }
+  const SackBlock* end() const { return blocks_ + size_; }
+  const SackBlock& operator[](std::size_t i) const { return blocks_[i]; }
+
+  friend bool operator==(const SackBlocks& a, const SackBlocks& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  SackBlock blocks_[kCapacity];
+  std::uint32_t size_ = 0;
+};
 
 struct TcpOptions {
   std::optional<std::uint16_t> mss;         // kind 2, SYN only
@@ -135,7 +168,7 @@ struct TcpOptions {
     return static_cast<std::uint8_t>((n + 3) & ~3u);
   }
 
-  // Back to defaults, retaining grown SACK storage for pooled reuse.
+  // Back to defaults for pooled reuse.
   void reset_for_reuse() {
     mss.reset();
     window_scale.reset();

@@ -57,10 +57,6 @@ void Switch::register_metrics(obs::MetricsRegistry& registry) const {
 
 void Switch::add_route(IpAddr dst, Port* port) { routes_[dst] = port; }
 
-void Switch::add_ecmp_route(IpAddr dst, std::vector<Port*> ports) {
-  ecmp_routes_[dst] = std::move(ports);
-}
-
 namespace {
 // Symmetric 5-tuple hash, so both directions of a connection pick
 // consistent (but independent per switch tier) uplinks.
@@ -81,9 +77,6 @@ void Switch::receive(PacketPtr packet) {
   Port* out = nullptr;
   if (Port* const* route = routes_.find(packet->ip.dst)) {
     out = *route;
-  } else if (const auto* ecmp = ecmp_routes_.find(packet->ip.dst);
-             ecmp != nullptr && !ecmp->empty()) {
-    out = (*ecmp)[flow_hash(*packet) % ecmp->size()];
   } else if (!default_ecmp_.empty()) {
     out = default_ecmp_[flow_hash(*packet) % default_ecmp_.size()];
   } else {

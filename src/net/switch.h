@@ -42,11 +42,10 @@ class Switch : public PacketSink {
   void add_route(IpAddr dst, Port* port);
   void set_default_route(Port* port) { default_route_ = port; }
 
-  // ECMP: traffic to `dst` is spread over `ports` by a hash of the flow's
-  // 5-tuple, so every packet of one flow takes the same path but different
-  // flows may collide on one uplink (the §2.3 motivation for flow-granular
-  // congestion control).
-  void add_ecmp_route(IpAddr dst, std::vector<Port*> ports);
+  // ECMP: traffic with no exact route is spread over `ports` by a hash of
+  // the flow's 5-tuple, so every packet of one flow takes the same path but
+  // different flows may collide on one uplink (the §2.3 motivation for
+  // flow-granular congestion control).
   void set_default_ecmp(std::vector<Port*> ports) {
     default_ecmp_ = std::move(ports);
   }
@@ -80,7 +79,6 @@ class Switch : public PacketSink {
   SharedBufferPool pool_;
   std::vector<std::unique_ptr<Port>> ports_;
   sim::FlatMap<IpAddr, Port*> routes_;
-  sim::FlatMap<IpAddr, std::vector<Port*>> ecmp_routes_;
   Port* default_route_ = nullptr;
   std::vector<Port*> default_ecmp_;
   std::int64_t routing_failures_ = 0;

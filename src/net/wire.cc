@@ -259,6 +259,12 @@ std::optional<ParseResult> parse(std::span<const std::uint8_t> data) {
       case kOptSack: {
         if ((len - 2) % 8 != 0) return std::nullopt;
         for (std::size_t b = i + 2; b + 8 <= i + len; b += 8) {
+          // The 4-bit data offset caps options at 40 bytes, so no legal
+          // header carries a 5th block; the bytes come from outside, so the
+          // bound is checked rather than assumed.
+          if (p.tcp.options.sack.size() == SackBlocks::kCapacity) {
+            return std::nullopt;
+          }
           p.tcp.options.sack.push_back(
               SackBlock{get_u32(tcp, b), get_u32(tcp, b + 4)});
         }

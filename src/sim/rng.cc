@@ -1,6 +1,5 @@
 #include "sim/rng.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace acdc::sim {
@@ -41,15 +40,6 @@ double Rng::exponential(double mean) {
 
 Time Rng::exponential_gap(Time mean) {
   return static_cast<Time>(exponential(static_cast<double>(mean)));
-}
-
-std::size_t Rng::pick_cumulative(const std::vector<double>& cumulative) {
-  assert(!cumulative.empty());
-  const double total = cumulative.back();
-  const double x = uniform_real(0.0, total);
-  const auto it = std::upper_bound(cumulative.begin(), cumulative.end(), x);
-  if (it == cumulative.end()) return cumulative.size() - 1;
-  return static_cast<std::size_t>(it - cumulative.begin());
 }
 
 }  // namespace acdc::sim

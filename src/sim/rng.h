@@ -41,10 +41,6 @@ class Rng {
   // Exponential inter-arrival gap as simulated Time with mean `mean`.
   Time exponential_gap(Time mean);
 
-  // Index into a discrete distribution given cumulative weights (sorted,
-  // last == total weight).
-  std::size_t pick_cumulative(const std::vector<double>& cumulative);
-
   // Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& items) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 
 namespace acdc::stats {
 
@@ -35,14 +34,6 @@ double Sampler::max() const {
   return sorted_.empty() ? 0.0 : sorted_.back();
 }
 
-double Sampler::stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double acc = 0.0;
-  for (double v : values_) acc += (v - m) * (v - m);
-  return std::sqrt(acc / static_cast<double>(values_.size() - 1));
-}
-
 double Sampler::percentile(double p) const {
   ensure_sorted();
   if (sorted_.empty()) return 0.0;
@@ -53,26 +44,6 @@ double Sampler::percentile(double p) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::vector<std::pair<double, double>> Sampler::cdf(
-    std::size_t max_points) const {
-  ensure_sorted();
-  std::vector<std::pair<double, double>> out;
-  const std::size_t n = sorted_.size();
-  if (n == 0) return out;
-  const std::size_t step =
-      max_points == 0 ? 1 : std::max<std::size_t>(1, n / max_points);
-  for (std::size_t i = 0; i < n; i += step) {
-    out.emplace_back(sorted_[i],
-                     static_cast<double>(i + 1) / static_cast<double>(n));
-  }
-  if (out.back().first != sorted_.back()) {
-    out.emplace_back(sorted_.back(), 1.0);
-  } else {
-    out.back().second = 1.0;
-  }
-  return out;
 }
 
 double jain_fairness_index(const std::vector<double>& allocations) {

@@ -1,9 +1,8 @@
-// Sample accumulator with percentiles, CDF extraction and Jain's fairness
-// index — the metrics of the paper's evaluation (§5).
+// Sample accumulator with percentiles, and Jain's fairness index — the
+// metrics of the paper's evaluation (§5).
 #pragma once
 
 #include <cstddef>
-#include <utility>
 #include <vector>
 
 namespace acdc::stats {
@@ -17,15 +16,10 @@ class Sampler {
   double mean() const;
   double min() const;
   double max() const;
-  double stddev() const;
 
   // p in [0, 100]; nearest-rank with linear interpolation.
   double percentile(double p) const;
   double median() const { return percentile(50.0); }
-
-  // (value, cumulative fraction) pairs, optionally downsampled to at most
-  // `max_points` points (0 = all).
-  std::vector<std::pair<double, double>> cdf(std::size_t max_points = 0) const;
 
   const std::vector<double>& values() const { return values_; }
 

@@ -49,20 +49,6 @@ std::string Table::to_string() const {
   return out.str();
 }
 
-std::string Table::to_csv() const {
-  std::ostringstream out;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-      if (c > 0) out << ",";
-      out << cells[c];
-    }
-    out << "\n";
-  };
-  emit(headers_);
-  for (const auto& row : rows_) emit(row);
-  return out.str();
-}
-
 void Table::print(const std::string& title) const {
   std::printf("\n== %s ==\n%s", title.c_str(), to_string().c_str());
   std::fflush(stdout);

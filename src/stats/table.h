@@ -1,5 +1,5 @@
-// Fixed-width console tables and CSV emission for the bench harness: each
-// bench prints the paper's rows next to the measured ones.
+// Fixed-width console tables for the bench harness: each bench prints the
+// paper's rows next to the measured ones.
 #pragma once
 
 #include <string>
@@ -17,7 +17,6 @@ class Table {
   static std::string num(double value);
 
   std::string to_string() const;
-  std::string to_csv() const;
 
   // Prints to stdout with a title line.
   void print(const std::string& title) const;

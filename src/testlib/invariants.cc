@@ -13,6 +13,10 @@ namespace {
 // but consumed by the vSwitch, so stale entries must age out.
 constexpr std::size_t kMaxPendingAcks = 1024;
 
+// kWindowEnforced floor sanity: the enforced window may exceed cwnd only up
+// to the min-RWND floor (one MSS; bounded by the largest MTU we run).
+constexpr std::int64_t kMinRwndFloorBytes = 9000;
+
 bool in_unit_interval(double x) { return x >= 0.0 && x <= 1.0; }
 
 const char* ecn_name(net::Ecn e) {
@@ -84,7 +88,7 @@ net::DuplexFilter* InvariantChecker::wire_tap(const std::string& host) {
 
 void InvariantChecker::fail(const std::string& message) {
   ++violation_count_;
-  if (violations_.size() < config_.max_reported) {
+  if (violations_.size() < kMaxReportedViolations) {
     violations_.push_back(message);
   }
 }
@@ -118,9 +122,9 @@ void InvariantChecker::on_event(const obs::TraceEvent& ev) {
       // only up to that floor.
       if (ev.a < 1) {
         msg << name << ": enforced window " << ev.a << " < 1";
-      } else if (ev.a > ev.b && ev.a > config_.min_rwnd_floor_bytes) {
+      } else if (ev.a > ev.b && ev.a > kMinRwndFloorBytes) {
         msg << name << ": enforced window " << ev.a << " above cwnd " << ev.b
-            << " and floor " << config_.min_rwnd_floor_bytes;
+            << " and floor " << kMinRwndFloorBytes;
       } else if (!in_unit_interval(ev.x)) {
         msg << name << ": alpha " << ev.x << " outside [0,1]";
       }

@@ -40,12 +40,10 @@ struct InvariantConfig {
   // CE are hidden from the VM (non-ECN tenants see no ECN codepoint at all)
   // and RWND is only ever lowered; false: observer mode, RWND untouched.
   bool enforce = true;
-  // kWindowEnforced floor sanity: enforced window may exceed cwnd only up
-  // to the min-RWND floor (one MSS; bounded by the largest MTU we run).
-  std::int64_t min_rwnd_floor_bytes = 9000;
-  // First violations kept verbatim; the rest only counted.
-  std::size_t max_reported = 16;
 };
+
+// First violations kept verbatim; the rest only counted.
+inline constexpr std::size_t kMaxReportedViolations = 16;
 
 class InvariantChecker {
  public:

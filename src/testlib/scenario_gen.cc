@@ -644,7 +644,9 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
     }
     for (const auto& c : checkers) {
       for (const std::string& v : c->violations()) {
-        if (out.violations.size() < ic.max_reported) out.violations.push_back(v);
+        if (out.violations.size() < kMaxReportedViolations) {
+          out.violations.push_back(v);
+        }
       }
       out.violation_count += c->violation_count();
       out.packets_checked += c->packets_checked();

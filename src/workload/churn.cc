@@ -6,14 +6,6 @@
 
 namespace acdc::workload {
 
-namespace {
-
-// Ceiling on a size drawn from ChurnConfig::sizes, so a heavy-tail draw
-// cannot turn a churn flow into an elephant.
-constexpr std::int64_t kMaxFlowBytes = 1'000'000;
-
-}  // namespace
-
 ChurnSource::ChurnSource(sim::Simulator* sim, host::Host* sender,
                          host::Host* receiver, net::TcpPort port,
                          tcp::TcpConfig tcp_config, ChurnConfig config,
@@ -79,9 +71,8 @@ void ChurnSource::on_arrival() {
   // A straggler fired after the burst phase flipped off: swallow it; the
   // next on-phase re-arms.
   if (config_.arrival == ArrivalKind::kBurstyOnOff && !burst_on_) return;
-  const std::int64_t bytes = draw_bytes();
   const bool abort_flow = rng_.chance(config_.abort_probability);
-  launch(bytes, abort_flow);
+  launch(config_.message_bytes, abort_flow);
   arm_arrival();
 }
 
@@ -92,12 +83,6 @@ void ChurnSource::flip_phase() {
                                                 : config_.burst_off_mean),
                  [this] { flip_phase(); });
   if (burst_on_) arm_arrival();
-}
-
-std::int64_t ChurnSource::draw_bytes() {
-  if (config_.sizes == nullptr) return config_.message_bytes;
-  return std::clamp<std::int64_t>(config_.sizes->sample(rng_), 1,
-                                  kMaxFlowBytes);
 }
 
 void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {

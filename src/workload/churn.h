@@ -25,7 +25,6 @@
 #include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
-#include "workload/distributions.h"
 
 namespace acdc::workload {
 
@@ -40,9 +39,7 @@ struct ChurnConfig {
   sim::Time burst_on_mean = sim::milliseconds(10);
   sim::Time burst_off_mean = sim::milliseconds(40);
   double burst_factor = 4.0;
-  // Flow sizes: drawn from `sizes` when set (clamped to 1 MB), otherwise a
-  // fixed message_bytes.
-  const EmpiricalSizeDistribution* sizes = nullptr;
+  // Payload bytes of every flow.
   std::int64_t message_bytes = 10'000;
   // Fraction of flows torn down by RST at a uniformly-drawn point of the
   // transfer instead of completing the FIN handshake.
@@ -111,7 +108,6 @@ class ChurnSource {
   void flip_phase();
   void launch(std::int64_t bytes, bool abort_flow);
   void finish(tcp::TcpConnection* conn);
-  std::int64_t draw_bytes();
   bool stopped() const;
 
   sim::Simulator* sim_;

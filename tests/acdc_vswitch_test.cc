@@ -228,21 +228,6 @@ TEST(AcdcVswitchTest, ObserverModeComputesButDoesNotEnforce) {
   EXPECT_GT(c->peer_rwnd_bytes(), 1 << 20) << "peer window untouched";
 }
 
-// The vSwitch's scan and GC timers arm on the simulator bound when the
-// first packet passes; rebinding later would strand them there. Checked in
-// every build, NDEBUG included.
-TEST(AcdcVswitchDeathTest, RebindAfterTrafficDies) {
-  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  AcdcPair net;
-  sim::Simulator shard;
-  net.vs_a->rebind_simulator(&shard);  // no traffic yet: legal
-  net.vs_a->rebind_simulator(&net.sim);
-  net.start_transfer(10'000, cubic_cfg());
-  net.sim.run_until(sim::milliseconds(1));
-  EXPECT_DEATH(net.vs_a->rebind_simulator(&shard),
-               "vSwitch: rebind_simulator after traffic armed its timers");
-}
-
 TEST(AcdcVswitchTest, FackPathWhenPackDoesNotFit) {
   AcdcConfig cfg;
   cfg.mtu_bytes = 48;  // force every PACK to overflow into a FACK

@@ -1,15 +1,20 @@
 // RPC layer unit tests (src/app/rpc.h): out-of-band frame reassembly
 // across partial deliveries, request/response id matching over a real
-// TcpConnection, worker-pool backlog limits, and a hand-computed
-// 1-client/1-server latency check (2 x RTT + service time — the request
-// rides the connection handshake, so the client-observed latency is the
-// handshake RTT plus the request/response RTT plus the modeled service).
+// TcpConnection, worker-pool backlog limits, late-response accounting, a
+// hand-computed 1-client/1-server latency check (2 x RTT + service time —
+// the request rides the connection handshake, so the client-observed
+// latency is the handshake RTT plus the request/response RTT plus the
+// modeled service), and the app tier's construction and call
+// preconditions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "app/fanout.h"
 #include "app/rpc.h"
+#include "app/service.h"
+#include "app/users.h"
 #include "host/host.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -62,7 +67,7 @@ TEST(ConduitRegistry, SharedUntilBothEndsDetach) {
   const tcp::Endpoint client{net::make_ip(10, 0, 0, 1), 40000};
   const tcp::Endpoint server{net::make_ip(10, 0, 0, 2), 7000};
   FrameConduit* a = reg.create(client, server);
-  FrameConduit* b = reg.claim(client, server);
+  FrameConduit* b = reg.create(client, server);
   EXPECT_EQ(a, b) << "both ends must share one conduit";
   EXPECT_EQ(reg.size(), 1u);
   reg.detach(client, server);
@@ -161,7 +166,34 @@ TEST(RpcTest, BacklogOverflowDropsAndClientDeadlineSurfacesIt) {
   EXPECT_EQ(completed, 3);
   EXPECT_EQ(timed_out, 2);
   EXPECT_EQ(client.stats().timed_out, 2);
+  // A dropped request never gets a response, so nothing arrives late.
+  EXPECT_EQ(client.stats().late, 0);
   EXPECT_EQ(server.in_flight(), 0);
+}
+
+TEST(RpcTest, ResponseAfterItsDeadlineCountsLateOnce) {
+  RpcPair net;
+  RpcServerConfig scfg;
+  scfg.service_time = sim::milliseconds(5);  // well past the 2 ms deadline
+  RpcServer server(&net.sim, &net.server_host, &net.registry,
+                   tcp::TcpConfig{}, scfg,
+                   sim::Rng(testlib::test_seed(105)));
+  RpcClient client(&net.sim, &net.client_host, &net.registry,
+                   net.server_host.ip(), scfg.port, tcp::TcpConfig{});
+
+  int results = 0;
+  client.call(128, sim::milliseconds(2), [&results](const RpcResult& r) {
+    EXPECT_TRUE(r.timed_out);
+    ++results;
+  });
+  net.sim.run_until(sim::milliseconds(50));
+
+  EXPECT_EQ(results, 1) << "the caller hears of the miss once";
+  EXPECT_EQ(server.stats().responses, 1);
+  EXPECT_EQ(client.stats().timed_out, 1);
+  EXPECT_EQ(client.stats().completed, 0);
+  EXPECT_EQ(client.stats().late, 1);
+  EXPECT_EQ(client.outstanding(), 0);
 }
 
 TEST(RpcTest, HandComputedLatencyIsTwoRttPlusServiceTime) {
@@ -236,6 +268,70 @@ TEST(RpcTest, CloseCancelsDeadlinelessCallsAndReleasesConnections) {
   EXPECT_EQ(net.registry.size(), 0u);
   EXPECT_EQ(net.client_host.connections_released(), 1);
   EXPECT_EQ(net.server_host.connections_released(), 1);
+}
+
+// App-tier preconditions hold in every build, NDEBUG included. Under
+// NDEBUG, zero workers backlogged every request forever, a zero fan-out
+// never fired `done`, and empty workers reached uniform_int(0, -1) and then
+// an index modulo zero.
+TEST(AppTierDeathTest, RpcServerNeedsWorkers) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  RpcServerConfig scfg;
+  scfg.workers = 0;
+  EXPECT_DEATH(RpcServer(&net.sim, &net.server_host, &net.registry,
+                         tcp::TcpConfig{}, scfg, sim::Rng(1)),
+               "rpc server on port 7000: workers must be positive "
+               "\\(workers=0\\)");
+}
+
+TEST(AppTierDeathTest, RpcClientCallPreconditions) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  RpcClient client(&net.sim, &net.client_host, &net.registry,
+                   net.server_host.ip(), 7000, tcp::TcpConfig{});
+  EXPECT_DEATH(client.call(-1, sim::kNoTime, {}),
+               "rpc client 10.0.0.1: request_bytes must not be negative "
+               "\\(-1\\)");
+  client.close();
+  EXPECT_DEATH(client.call(128, sim::kNoTime, {}),
+               "rpc client 10.0.0.1: call\\(\\) after close\\(\\)");
+}
+
+TEST(AppTierDeathTest, FanoutNeedsLeavesAndAPositiveFanout) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  EXPECT_DEATH(FanoutCoordinator(&net.sim, {}, FanoutConfig{}, sim::Rng(1)),
+               "fanout: no leaf clients \\(leaves=0\\)");
+  RpcClient leaf(&net.sim, &net.client_host, &net.registry,
+                 net.server_host.ip(), 7000, tcp::TcpConfig{});
+  FanoutConfig zero;
+  zero.fanout = 0;
+  EXPECT_DEATH(FanoutCoordinator(&net.sim, {&leaf}, zero, sim::Rng(1)),
+               "fanout: fanout must be positive \\(fanout=0\\)");
+}
+
+TEST(AppTierDeathTest, UserGroupNeedsSessions) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  EXPECT_DEATH(UserGroup(&net.sim, &net.client_host, &net.registry,
+                         net.server_host.ip(), 7000, tcp::TcpConfig{},
+                         UserPopulationConfig{}, /*sessions=*/0, sim::Rng(1),
+                         0),
+               "user group: sessions must be positive \\(sessions=0\\)");
+}
+
+TEST(AppTierDeathTest, ServiceTierNeedsEveryRole) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  ServiceRoles roles;
+  roles.clients = {&net.client_host};
+  roles.frontends = {&net.server_host};
+  const ServiceTier::SimOf sim_of = [&net](host::Host*) { return &net.sim; };
+  EXPECT_DEATH(ServiceTier(sim_of, roles, ServiceConfig{}, tcp::TcpConfig{},
+                           sim::Rng(1)),
+               "service tier: every role needs a host \\(clients=1, "
+               "frontends=1, workers=0\\)");
 }
 
 }  // namespace

@@ -107,6 +107,16 @@ TEST(HostDeathTest, EphemeralPortExhaustionDies) {
       "\\(25536 in use\\)");
 }
 
+// The TSQ limit has no off mode: a zero limit would stall every sender.
+TEST(HostDeathTest, NonPositiveTsqLimitDies) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  HostConfig hc;
+  hc.tsq_limit_bytes = 0;
+  EXPECT_DEATH(Host(&sim, "A", net::make_ip(10, 0, 0, 1), hc),
+               "host A: tsq_limit_bytes must be positive \\(0\\)");
+}
+
 // A zero rate used to reach seconds(1.0 / 0.0), an infinite double
 // converted to an integer, under NDEBUG.
 TEST(ChurnSourceDeathTest, ZeroArrivalRateDies) {
@@ -239,6 +249,41 @@ TEST(AppTest, MessageAppRecordsFcts) {
             static_cast<std::size_t>(app->messages_completed()));
   // On an idle 10G path a 5KB message completes in tens of microseconds.
   EXPECT_LT(fct.mice_ms().median(), 0.2);
+}
+
+// App API preconditions hold in every build, NDEBUG included. Under NDEBUG
+// a message sent before the handshake or of zero bytes went out silently,
+// and an empty goodput window divided by zero.
+TEST(AppDeathTest, MessageAppSendPreconditions) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+  Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
+  a.nic().tx_port().set_peer(&b.nic());
+  b.nic().tx_port().set_peer(&a.nic());
+  host::MessageApp app(&sim, &a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
+                       /*start_time=*/0, /*interval=*/0, 1'000, nullptr);
+  sim.run_until(sim::microseconds(1));  // SYN sent, not yet answered
+  ASSERT_NE(app.connection(), nullptr);
+  EXPECT_DEATH(app.send_message(1'000),
+               "message app on port 80: send_message before the connection "
+               "is established");
+  sim.run_until(sim::milliseconds(1));
+  ASSERT_TRUE(app.established());
+  EXPECT_DEATH(app.send_message(0),
+               "message app on port 80: bytes must be positive \\(bytes=0\\)");
+}
+
+TEST(AppDeathTest, BulkAppGoodputNeedsAWindow) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
+  Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
+  host::BulkApp app(&sim, &a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
+                    /*start_time=*/0);
+  EXPECT_DEATH(app.goodput_bps(sim::milliseconds(5), sim::milliseconds(5)),
+               "bulk app on port 80: goodput window must be non-empty "
+               "\\(from=5000000, to=5000000\\)");
 }
 
 TEST(AppTest, EchoAppMeasuresRtt) {

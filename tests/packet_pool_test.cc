@@ -1,9 +1,8 @@
 // Packet-pool recycling tests: a recycled packet must come back in the
 // default-constructed state (no leaked ECN bits, TCP options, flags or
-// bookkeeping), the SACK small-vector must keep wire-legal blocks inline,
-// pooling must be observable through PacketPool::stats(), and every packet
-// must come back to the pool: dropped by a port with no peer, or still in
-// flight when its scenario is torn down.
+// bookkeeping), pooling must be observable through PacketPool::stats(),
+// and every packet must come back to the pool: dropped by a port with no
+// peer, or still in flight when its scenario is torn down.
 #include <gtest/gtest.h>
 
 #include "exp/dumbbell.h"
@@ -11,7 +10,6 @@
 #include "net/packet_pool.h"
 #include "net/port.h"
 #include "net/queue.h"
-#include "net/small_vec.h"
 
 namespace acdc::net {
 namespace {
@@ -160,39 +158,6 @@ TEST(PacketPoolTest, PeerlessPortReturnsPacketsToThePool) {
   for (int i = 0; i < 3; ++i) port.send(make_packet());
   sim.run();
   EXPECT_EQ(PacketPool::instance().live(), before);
-}
-
-TEST(SmallVecTest, StaysInlineUpToCapacityThenSpills) {
-  SmallVec<SackBlock, 4> v;
-  EXPECT_TRUE(v.empty());
-  for (std::uint32_t i = 0; i < 4; ++i) v.push_back({i, i + 1});
-  EXPECT_TRUE(v.is_inline()) << "4 wire-legal SACK blocks must stay inline";
-  v.push_back({9, 10});  // malformed-input spill path
-  EXPECT_FALSE(v.is_inline());
-  ASSERT_EQ(v.size(), 5u);
-  EXPECT_EQ(v[0], (SackBlock{0, 1}));
-  EXPECT_EQ(v[4], (SackBlock{9, 10}));
-}
-
-TEST(SmallVecTest, ClearKeepsCapacityForReuse) {
-  SmallVec<SackBlock, 4> v;
-  for (std::uint32_t i = 0; i < 8; ++i) v.push_back({i, i + 1});
-  EXPECT_FALSE(v.is_inline());
-  v.clear();
-  EXPECT_TRUE(v.empty());
-  // Refilling past 4 must not allocate again: capacity was retained.
-  for (std::uint32_t i = 0; i < 8; ++i) v.push_back({i, i + 1});
-  EXPECT_EQ(v.size(), 8u);
-}
-
-TEST(SmallVecTest, CopyAndCompare) {
-  SmallVec<SackBlock, 4> a{{1, 2}, {3, 4}};
-  SmallVec<SackBlock, 4> b = a;
-  EXPECT_EQ(a, b);
-  b.push_back({5, 6});
-  EXPECT_NE(a, b);
-  a = b;
-  EXPECT_EQ(a, b);
 }
 
 }  // namespace

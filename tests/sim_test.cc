@@ -358,14 +358,6 @@ TEST(RngTest, ExponentialMean) {
   EXPECT_NEAR(sum / kN, 100.0, 3.0);
 }
 
-TEST(RngTest, PickCumulativeRespectsWeights) {
-  Rng rng(testlib::test_seed(7));
-  std::vector<double> cum{1.0, 1.0 + 9.0};  // weights 1 and 9
-  int counts[2] = {0, 0};
-  for (int i = 0; i < 10'000; ++i) ++counts[rng.pick_cumulative(cum)];
-  EXPECT_GT(counts[1], counts[0] * 5);
-}
-
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(testlib::test_seed(7));
   std::vector<int> v{1, 2, 3, 4, 5};

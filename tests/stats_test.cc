@@ -20,7 +20,6 @@ TEST(SamplerTest, BasicStatistics) {
   EXPECT_DOUBLE_EQ(s.min(), 1.0);
   EXPECT_DOUBLE_EQ(s.max(), 5.0);
   EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
 }
 
 TEST(SamplerTest, EmptyIsSafe) {
@@ -28,7 +27,6 @@ TEST(SamplerTest, EmptyIsSafe) {
   EXPECT_TRUE(s.empty());
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.percentile(99), 0.0);
-  EXPECT_TRUE(s.cdf().empty());
 }
 
 TEST(SamplerTest, PercentileInterpolates) {
@@ -47,19 +45,6 @@ TEST(SamplerTest, SingleValue) {
   EXPECT_DOUBLE_EQ(s.percentile(99), 42.0);
 }
 
-TEST(SamplerTest, CdfIsMonotoneAndEndsAtOne) {
-  Sampler s;
-  for (int i = 0; i < 1000; ++i) s.add(i % 37);
-  const auto cdf = s.cdf(50);
-  ASSERT_FALSE(cdf.empty());
-  for (std::size_t i = 1; i < cdf.size(); ++i) {
-    EXPECT_GE(cdf[i].first, cdf[i - 1].first);
-    EXPECT_GE(cdf[i].second, cdf[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(cdf.back().second, 1.0);
-  EXPECT_LE(cdf.size(), 60u);
-}
-
 TEST(SamplerTest, EmptyQuantilesAndMoments) {
   Sampler s;
   EXPECT_DOUBLE_EQ(s.percentile(0), 0.0);
@@ -68,8 +53,6 @@ TEST(SamplerTest, EmptyQuantilesAndMoments) {
   EXPECT_DOUBLE_EQ(s.median(), 0.0);
   EXPECT_DOUBLE_EQ(s.min(), 0.0);
   EXPECT_DOUBLE_EQ(s.max(), 0.0);
-  EXPECT_DOUBLE_EQ(s.stddev(), 0.0);
-  EXPECT_TRUE(s.cdf(10).empty());
 }
 
 TEST(SamplerTest, AddAfterQuantileInvalidatesSortedCache) {
@@ -166,12 +149,6 @@ TEST(TableTest, FormatsAligned) {
   const std::string s = t.to_string();
   EXPECT_NE(s.find("| a  | long header |"), std::string::npos);
   EXPECT_NE(s.find("| 22 |"), std::string::npos);
-}
-
-TEST(TableTest, CsvOutput) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "x,y\n1,2\n");
 }
 
 TEST(TableTest, NumFormatting) {

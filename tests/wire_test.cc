@@ -4,7 +4,9 @@
 // patch performs on live packets (§4).
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <random>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/wire.h"
@@ -91,6 +93,69 @@ TEST(WireTest, RoundTripSackAndPack) {
   ASSERT_TRUE(parsed->packet.tcp.options.acdc.has_value());
   EXPECT_EQ(parsed->packet.tcp.options.acdc->total_bytes, 123456789u);
   EXPECT_EQ(parsed->packet.tcp.options.acdc->marked_bytes, 987654u);
+}
+
+// `p` serialised with `options` spliced in as its raw option bytes (a
+// multiple of 4); the checksums are left stale.
+std::vector<std::uint8_t> with_raw_options(
+    const Packet& p, const std::vector<std::uint8_t>& options) {
+  std::vector<std::uint8_t> bytes = wire::serialize(p);
+  bytes.insert(bytes.begin() + 40, options.begin(), options.end());
+  const auto words = static_cast<std::uint8_t>((20 + options.size()) / 4);
+  bytes[32] = static_cast<std::uint8_t>((words << 4) | (bytes[32] & 0x0f));
+  const std::size_t total =
+      (std::size_t{bytes[2]} << 8 | bytes[3]) + options.size();
+  bytes[2] = static_cast<std::uint8_t>(total >> 8);
+  bytes[3] = static_cast<std::uint8_t>(total);
+  return bytes;
+}
+
+void put_sack_option(std::vector<std::uint8_t>& out,
+                     std::initializer_list<SackBlock> blocks) {
+  out.push_back(5);  // kind: SACK
+  out.push_back(static_cast<std::uint8_t>(2 + 8 * blocks.size()));
+  for (const SackBlock& b : blocks) {
+    for (const std::uint32_t v : {b.start, b.end}) {
+      for (int shift = 24; shift >= 0; shift -= 8) {
+        out.push_back(static_cast<std::uint8_t>(v >> shift));
+      }
+    }
+  }
+}
+
+// The two legal ways to carry 4 SACK blocks, the most a header holds: one
+// 34-byte option, or four 10-byte ones filling all 40 option bytes.
+TEST(WireTest, FourSackBlocksParseAndRoundTrip) {
+  Packet p = sample_packet();
+  p.payload_bytes = 0;
+  const SackBlocks want{{100, 200}, {300, 400}, {500, 600}, {700, 800}};
+  std::vector<std::uint8_t> one_option;
+  put_sack_option(one_option, {want[0], want[1], want[2], want[3]});
+  one_option.push_back(1);  // NOP padding to a 4-byte boundary
+  one_option.push_back(1);
+  std::vector<std::uint8_t> four_options;
+  for (const SackBlock& b : want) put_sack_option(four_options, {b});
+  ASSERT_EQ(four_options.size(), static_cast<std::size_t>(kMaxTcpOptionBytes));
+
+  for (const auto* options : {&one_option, &four_options}) {
+    const auto parsed = wire::parse(with_raw_options(p, *options));
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(parsed->packet.tcp.options.sack, want);
+    const auto again = wire::parse(wire::serialize(parsed->packet));
+    ASSERT_TRUE(again.has_value());
+    EXPECT_TRUE(again->tcp_checksum_ok);
+    EXPECT_EQ(again->packet.tcp.options, parsed->packet.tcp.options);
+  }
+}
+
+// No legal header needs a 5th block, so storing one is a program bug that
+// fails loudly in every build, NDEBUG included.
+TEST(SackBlocksDeathTest, FifthBlockIsRejected) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  SackBlocks full{{1, 2}, {3, 4}, {5, 6}, {7, 8}};
+  ASSERT_EQ(full.size(), SackBlocks::kCapacity);
+  EXPECT_DEATH(full.push_back({9, 10}),
+               "SACK: a header holds at most 4 blocks");
 }
 
 TEST(WireTest, PackOptionCosts12WireBytes) {
@@ -195,9 +260,7 @@ TEST_P(WireFuzzTest, RandomHeadersRoundTrip) {
       }
       if (rng() % 2) p.tcp.options.acdc = AcdcFeedback{r32(), r32()};
     }
-    if (p.tcp.options.wire_size() > 40) {
-      p.tcp.options.sack.resize(3);
-    }
+    ASSERT_LE(p.tcp.options.wire_size(), kMaxTcpOptionBytes);
 
     auto parsed = wire::parse(wire::serialize(p));
     ASSERT_TRUE(parsed.has_value());
