@@ -71,8 +71,9 @@ union CcState {
 // LRU links are embedded here rather than kept in side arrays: at 1M+
 // resident flows every random lane is a separate DRAM line AND a separate
 // 4 KB page, so folding identity into the record turns three random lines
-// per lookup into two — and one page walk instead of two where the kernel
-// can't grant huge pages.
+// per lookup into two — and one page walk instead of two where a lane has
+// 4 KB pages (the kernel can't grant huge ones, or a capped table reserved
+// it; table_array.h).
 //
 // The layout is line-budgeted: every field the universal per-packet path
 // touches (identity, sequence tracking, feedback, enforcement, the CC

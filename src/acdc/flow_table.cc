@@ -47,7 +47,6 @@ FlowRef FlowTable::find(const FlowKey& key) {
 
 FlowRef FlowTable::find_or_create(const FlowKey& key, sim::Time now) {
   ++stats_.lookups;
-  if (capacity_ == 0) rehash(kMinCapacity);
   std::uint32_t slot = lookup_slot(key);
   if (slot != kNil) {
     ++stats_.hits;
@@ -152,7 +151,10 @@ std::size_t FlowTable::collect_garbage(sim::Time now, sim::Time idle_timeout,
                                        sim::Time fin_linger) {
   std::size_t removed = 0;
   for (std::uint32_t slot = 0; slot < capacity_;) {
-    if (hot_[slot].gen == 0) {
+    // The control byte, not the record, says whether a slot is live, so a
+    // sweep over a sparse table reads one byte per slot and never faults
+    // in a lane page that holds no flow.
+    if (ctrl_[slot] == kCtrlEmpty) {
       ++slot;
       continue;
     }
@@ -248,17 +250,18 @@ void FlowTable::move_slot(std::uint32_t from, std::uint32_t to) {
 void FlowTable::ensure_insert_capacity() {
   if ((size_ + 1) * 8 <= static_cast<std::size_t>(capacity_) * 7) return;
   rehash(capacity_ == 0 ? kMinCapacity
-                        : static_cast<std::size_t>(capacity_) * 2);
+                        : static_cast<std::size_t>(capacity_) * 2,
+         LaneFill::kDense);
 }
 
 void FlowTable::reserve_for(std::size_t entries) {
   // Smallest power of two keeping `entries` live flows under the 7/8 bound.
   std::size_t want = next_pow2(entries + entries / 7 + 1);
   if (want < kMinCapacity) want = kMinCapacity;
-  if (want > capacity_) rehash(want);
+  if (want > capacity_) rehash(want, LaneFill::kSparse);
 }
 
-void FlowTable::rehash(std::size_t new_capacity) {
+void FlowTable::rehash(std::size_t new_capacity, LaneFill fill) {
   assert((new_capacity & (new_capacity - 1)) == 0);
   const std::uint32_t old_capacity = capacity_;
   auto old_hot = std::move(hot_);
@@ -267,14 +270,15 @@ void FlowTable::rehash(std::size_t new_capacity) {
 
   capacity_ = static_cast<std::uint32_t>(new_capacity);
   mask_ = capacity_ - 1;
-  ctrl_ = TableArray<std::uint8_t>(capacity_);
+  ctrl_ = TableArray<std::uint8_t>(capacity_, LaneFill::kDense);
   std::memset(ctrl_.data(), kCtrlEmpty, capacity_);
   // Zero bytes already mean "vacant" (gen 0) in every slot's identity
   // field; the hot and cold records stay raw until occupy() constructs
   // into them, so growing a sparse table never sweeps hundreds of MB of
-  // record storage.
-  hot_ = TableArray<FlowHot>(capacity_);
-  cold_ = TableArray<FlowCold>(capacity_);
+  // record storage, and a lane reserved for a cap costs only the pages
+  // its flows write (table_array.h).
+  hot_ = TableArray<FlowHot>(capacity_, fill);
+  cold_ = TableArray<FlowCold>(capacity_, fill);
   size_ = 0;
   lru_head_ = kNil;
   lru_tail_ = kNil;

@@ -132,11 +132,12 @@ class FlowTable {
   const Stats& stats() const { return stats_; }
 
   // Visits every live flow in slot order. The callback may mutate flow
-  // state but must not insert or erase.
+  // state but must not insert or erase. Live slots are found by control
+  // byte, so the sweep reads no record of an empty slot.
   template <typename Fn>
   void for_each(Fn&& fn) {
     for (std::uint32_t s = 0; s < capacity_; ++s) {
-      if (hot_[s].gen != 0) fn(ref_at(s, false));
+      if (ctrl_[s] != kCtrlEmpty) fn(ref_at(s, false));
     }
   }
 
@@ -183,20 +184,25 @@ class FlowTable {
   // Ensures one more insert keeps the live load under 7/8, doubling
   // otherwise.
   void ensure_insert_capacity();
+  // Sizes the table for a cap once, in sparse lanes (table_array.h).
   void reserve_for(std::size_t entries);
-  void rehash(std::size_t new_capacity);
+  void rehash(std::size_t new_capacity, LaneFill fill);
 
   void lru_unlink(std::uint32_t slot);
   void lru_push_back(std::uint32_t slot);
 
-  // Slot storage lives in huge-page-backed raw lanes (table_array.h): at
-  // 1M+ slots the hot lane alone spans hundreds of MB, and with 4 KB pages
-  // every random lookup costs a TLB miss on top of the DRAM line — which
-  // also silently kills the burst path's prefetches (x86 drops a software
-  // prefetch whose translation misses the TLB). 2 MB pages put the whole
-  // table back inside the STLB; where the kernel can't grant them, the
+  // Slot storage lives in raw lanes (table_array.h) whose pages follow how
+  // they fill. A growth rehash fills a lane at least 7/16 full at once, so
+  // large grown lanes take 2 MB pages: at 1M+ slots the hot lane alone
+  // spans hundreds of MB, and with 4 KB pages every random lookup costs a
+  // TLB miss on top of the DRAM line — which also silently kills the burst
+  // path's prefetches (x86 drops a software prefetch whose translation
+  // misses the TLB). Where the kernel can't grant them, the
   // key/generation/LRU embedding in FlowHot (flow_state.h) caps the damage
-  // at one walk per lookup.
+  // at one walk per lookup. A lane reserved for a cap (set_limit) fills one
+  // flow at a time and may never fill, so it takes lazily faulted 4 KB
+  // pages and costs only the pages its flows write; the control lane is
+  // memset whole either way.
   TableArray<std::uint8_t> ctrl_;
   TableArray<FlowHot> hot_;
   TableArray<FlowCold> cold_;

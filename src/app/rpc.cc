@@ -59,16 +59,16 @@ void RpcServer::on_accept(tcp::TcpConnection* conn) {
   // left), but a non-RPC peer connecting to an RPC port just gets a fresh,
   // forever-empty conduit.
   FrameConduit* conduit = registry_->create(conn->remote(), conn->local());
-  conns_.emplace(serial, ConnState{conn, conduit, /*peer_fin=*/false, 0});
+  conns_[serial] = ConnState{conn, conduit, /*peer_fin=*/false, 0};
   conn->on_deliver = [this, serial, conn, conduit](std::int64_t) {
     for (const RpcFrame& f : conduit->to_server.drain(conn->delivered_bytes())) {
       on_request(serial, f);
     }
   };
   conn->on_peer_fin = [this, serial] {
-    auto it = conns_.find(serial);
-    if (it == conns_.end()) return;
-    it->second.peer_fin = true;
+    ConnState* cs = conns_.find(serial);
+    if (cs == nullptr) return;
+    cs->peer_fin = true;
     maybe_close(serial);
   };
   conn->on_closed = [this, serial] { teardown(serial); };
@@ -76,9 +76,12 @@ void RpcServer::on_accept(tcp::TcpConnection* conn) {
 
 void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
   ++stats_.requests;
-  auto it = conns_.find(serial);
-  assert(it != conns_.end());
-  ++it->second.outstanding;
+  // No use of `cs` outlives a call below. Neither start_service() nor
+  // maybe_close() erases today (teardown() runs from on_closed, which only
+  // a received packet or an abort fires), but nothing here relies on it.
+  ConnState* cs = conns_.find(serial);
+  assert(cs != nullptr);
+  ++cs->outstanding;
   Pending p;
   p.req = Request{frame.id, frame.bytes, frame.deadline, sim_->now()};
   p.conn_serial = serial;
@@ -87,7 +90,7 @@ void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
       // Overload drop: no response is ever sent; the client's deadline
       // timer surfaces the loss.
       ++stats_.rejected;
-      --it->second.outstanding;
+      --cs->outstanding;
       maybe_close(serial);
       return;
     }
@@ -132,12 +135,14 @@ void RpcServer::start_service(Pending p) {
 void RpcServer::finish(const Pending& p, sim::Time queue_ns,
                        sim::Time service_ns, bool ok,
                        sim::Time downstream_ns) {
-  auto it = conns_.find(p.conn_serial);
-  if (it == conns_.end()) {
+  // As in on_request(), no use of `cs` outlives a call that might reach
+  // teardown(): send() reads it last, and maybe_close() finds its own.
+  ConnState* found = conns_.find(p.conn_serial);
+  if (found == nullptr) {
     ++stats_.orphaned;  // connection died while the request was in service
     return;
   }
-  ConnState& cs = it->second;
+  ConnState& cs = *found;
   --cs.outstanding;
   using State = tcp::TcpConnection::State;
   const State st = cs.conn->state();
@@ -162,20 +167,21 @@ void RpcServer::finish(const Pending& p, sim::Time queue_ns,
 }
 
 void RpcServer::maybe_close(std::uint64_t serial) {
-  auto it = conns_.find(serial);
-  if (it == conns_.end()) return;
-  ConnState& cs = it->second;
+  const ConnState* cs = conns_.find(serial);
+  if (cs == nullptr) return;
   // Half-close etiquette: answer the client's FIN once every outstanding
-  // request for this connection has been responded to (or dropped).
-  if (cs.peer_fin && cs.outstanding == 0) cs.conn->close();
+  // request for this connection has been responded to (or dropped). The
+  // close is the last use of `cs`.
+  if (cs->peer_fin && cs->outstanding == 0) cs->conn->close();
 }
 
 void RpcServer::teardown(std::uint64_t serial) {
-  auto it = conns_.find(serial);
-  if (it == conns_.end()) return;
-  tcp::TcpConnection* conn = it->second.conn;
+  const ConnState* cs = conns_.find(serial);
+  if (cs == nullptr) return;
+  // Copied out before the erase, which moves slots under `cs`.
+  tcp::TcpConnection* conn = cs->conn;
   registry_->detach(conn->remote(), conn->local());
-  conns_.erase(it);
+  conns_.erase(serial);
   host_->release_connection(conn);
 }
 

@@ -30,6 +30,7 @@
 
 #include "host/host.h"
 #include "net/packet.h"
+#include "sim/flat_map.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -132,6 +133,7 @@ class ConduitRegistry {
   };
 
   mutable std::mutex mutex_;
+  // Node-based: the key is 96 bits, wider than sim::FlatMap's integer keys.
   std::unordered_map<Key, Entry, KeyHash> map_;
 };
 
@@ -216,7 +218,9 @@ class RpcServer {
   Handler handler_;
   RpcServerStats stats_;
 
-  std::unordered_map<std::uint64_t, ConnState> conns_;  // by serial
+  // By serial. A ConnState pointer from find() dies at the next insert or
+  // erase, i.e. at on_accept() or teardown(); see rpc.cc for who holds one.
+  sim::FlatMap<std::uint64_t, ConnState> conns_;
   std::uint64_t next_serial_ = 1;
   std::deque<Pending> backlog_;
   int busy_ = 0;
@@ -291,7 +295,8 @@ class RpcClient {
 
   // Calls not yet terminated. The server answers each id at most once, so
   // a response whose id is missing here is a straggler of a call that
-  // timed out or was cancelled.
+  // timed out or was cancelled. Node-based because close() iterates it,
+  // which sim::FlatMap does not offer.
   std::unordered_map<std::uint64_t, Pending> pending_;
   std::uint64_t next_id_ = 1;
   bool close_requested_ = false;

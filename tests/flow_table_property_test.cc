@@ -267,6 +267,17 @@ TEST(FlowTableProperty, RandomOpMixMatchesShadowModel) {
     // Structural invariants after every op.
     ASSERT_EQ(t.size(), model.size());
     ASSERT_LE(t.size(), kCap);
+    // The sweep (for_each, and GC above) finds live slots by control byte
+    // alone; it must visit exactly the model's live keys, each once.
+    std::vector<std::uint16_t> visited;
+    t.for_each([&](const FlowRef& f) {
+      EXPECT_TRUE(f.handle.valid());
+      visited.push_back(f.key->src_port);
+    });
+    std::sort(visited.begin(), visited.end());
+    std::vector<std::uint16_t> live;
+    for (const auto& entry : model) live.push_back(entry.first);
+    ASSERT_EQ(visited, live) << "for_each must visit exactly the live flows";
     for (auto& [p, shadow] : model) {
       FlowRef f = t.deref(shadow.handle);
       if (f) {
