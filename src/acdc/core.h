@@ -106,13 +106,14 @@ struct AcdcCore {
   // Single-entry lookup caches, one per datapath direction so the four hot
   // call sites never evict each other. A slot remembers the last key looked
   // up there together with the generation-checked handle it resolved to;
-  // a repeat of the same key revalidates with one bounds check plus one
-  // integer compare (FlowTable::deref) — no hashing, no probing. Erase, GC,
-  // eviction and rehash all retire the handle's generation, so a stale slot
-  // simply fails deref and falls through to a real lookup. This replaces
-  // the old whole-table version counter: invalidation is per-flow and
-  // cannot be forgotten, and a membership change elsewhere in the table no
-  // longer evicts unrelated cache slots.
+  // a repeat of the same key revalidates with one bounds check, one slot
+  // word load and one integer compare (FlowTable::deref) — no hashing, no
+  // probing. Erase, GC, eviction, rehash and a neighbour's backward shift
+  // all leave the handle's slot naming no record or another flow's, so a
+  // stale slot simply fails deref and falls through to a real lookup. This
+  // replaces the old whole-table version counter: invalidation is per-flow
+  // and cannot be forgotten, and a membership change elsewhere in the table
+  // no longer evicts unrelated cache slots.
   struct FlowCacheSlot {
     FlowKey key{};
     FlowHandle handle{};
@@ -184,8 +185,8 @@ struct AcdcCore {
   }
 
   // Restarts a flow in place for a recycled 4-tuple (fresh SYN over a
-  // FIN-marked entry the GC has not swept yet). Key, slot, handle, policy
-  // and the LRU position survive; all per-incarnation state is
+  // FIN-marked entry the GC has not swept yet). Key, record, slot, handle,
+  // policy and the LRU position survive; all per-incarnation state is
   // re-initialised.
   void reset_entry(const FlowRef& f) {
     f.hot->reset_runtime();

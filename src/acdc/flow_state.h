@@ -5,21 +5,21 @@
 //
 // The state is split for cache lines, not convenience (DESIGN.md §14):
 //
-//   FlowHot  — the table slot itself: probe identity (key + generation),
-//              LRU links, and everything the per-packet path touches —
-//              sequence tracking, feedback counters, RWND-rewrite state,
-//              the CC scalars, the RFC 6298 RTT estimator and a packed
-//              copy of the policy fields the datapath reads per packet.
-//              Exactly four cache lines; the first two cover the universal
-//              data/ACK bookkeeping, the rest is per-window state and the
-//              per-kind CC aux union.
+//   FlowHot  — the record a table slot word names: probe identity (key +
+//              generation), LRU links, and everything the per-packet path
+//              touches — sequence tracking, feedback counters, RWND-rewrite
+//              state, the CC scalars, the RFC 6298 RTT estimator and a
+//              packed copy of the policy fields the datapath reads per
+//              packet. Exactly four cache lines; the first two cover the
+//              universal data/ACK bookkeeping, the rest is per-window
+//              state and the per-kind CC aux union.
 //   FlowCold — lifecycle and telemetry: creation time, the authoritative
 //              FlowPolicy, the last INT stamp and timeout forensics. Only
 //              the GC, the inactivity scan and handshake packets read it.
 //
-// FlowTable stores the halves in parallel slot-indexed lanes; callers
-// address a flow through a generation-checked FlowHandle and work on it
-// through a FlowRef.
+// FlowTable stores the halves in parallel dense pools, indexed by the
+// record number its slot words carry; callers address a flow through a
+// generation-checked FlowHandle and work on it through a FlowRef.
 #pragma once
 
 #include <cstddef>
@@ -66,14 +66,17 @@ union CcState {
 };
 
 // Hot half: the only record the per-packet path dereferences in steady
-// state. Kept trivially copyable so FlowTable can relocate it on rehash
+// state. Kept trivially copyable so FlowTable can move it into a grown pool
 // with a plain copy. The table's probe identity (key + generation) and the
 // LRU links are embedded here rather than kept in side arrays: at 1M+
 // resident flows every random lane is a separate DRAM line AND a separate
-// 4 KB page, so folding identity into the record turns three random lines
-// per lookup into two — and one page walk instead of two where a lane has
-// 4 KB pages (the kernel can't grant huge ones, or a capped table reserved
-// it; table_array.h).
+// 4 KB page, so a lookup reads one 8-byte slot word (hash bits + record
+// index) and then one record line that holds the key to confirm, the
+// generation and the state — two random lines, where identity in a side
+// lane would make three, and two page walks rather than three where the
+// kernel grants no huge pages (table_array.h). Records are dense, not
+// slot-indexed: at 10M flows the pools write live × 320 B (3.2 GB) instead
+// of capacity × 320 B (16.8M slots, 5.4 GB).
 //
 // The layout is line-budgeted: every field the universal per-packet path
 // touches (identity, sequence tracking, feedback, enforcement, the CC
@@ -91,7 +94,7 @@ struct alignas(64) FlowHot {
   // ======== Line 1: identity + per-packet bookkeeping ========
   // ---- Table-owned probe identity (written only by FlowTable) ----
   FlowKey key{};
-  std::uint32_t gen = 0;  // 0 = vacant slot; never reused once issued
+  std::uint32_t gen = 0;  // never 0 in a live record; never reused
 
   // ---- Reconstructed TCP variables (Fig. 4) ----
   tcp::Seq snd_una = 0;
@@ -158,6 +161,7 @@ struct alignas(64) FlowHot {
   sim::Time rtt_sample_sent_at = 0;
 
   // ---- Table-owned eviction order (written only by FlowTable) ----
+  // Record indices; lru_next also links a freed record into the free list.
   std::uint32_t lru_prev = 0;
   std::uint32_t lru_next = 0;
 
@@ -217,6 +221,6 @@ struct FlowCold {
 };
 
 static_assert(sizeof(FlowHot) == 256,
-              "FlowHot is the table slot: exactly four cache lines");
+              "FlowHot is exactly four cache lines");
 
 }  // namespace acdc::vswitch

@@ -1,31 +1,28 @@
-// Zero-initialized raw storage for one slot-indexed FlowTable lane.
+// Zero-initialized raw storage for one FlowTable lane: the slot-word index
+// or a record pool.
 //
 // Two properties the per-packet path and the memory bound depend on
 // (DESIGN.md §14):
 //
 //  * Raw memory, not constructed objects. The table placement-news a record
-//    into a slot on occupy/rehash before its first read, so allocating a
-//    lane never sweeps a constructor over millions of slots. Zero bytes are
-//    the "vacant" encoding the probe/deref paths rely on (FlowHot::gen == 0).
+//    into the pool when it admits a flow, so allocating a lane never sweeps
+//    a constructor over millions of entries. Zero bytes are the "empty
+//    slot" encoding the probe and deref paths rely on (an all-zero slot
+//    word), so a fresh index reads as an empty table with nothing written.
 //
-//  * Pages chosen by how the lane fills (LaneFill). A dense lane is written
-//    throughout as soon as it exists: a growth rehash leaves it at least
-//    7/16 full, and the control lane is memset. From 2 MB up it comes
-//    straight from anonymous mmap with MADV_HUGEPAGE: at 1M+ slots the hot
-//    lane spans hundreds of MB, and with 4 KB pages nearly every random
-//    lookup pays a TLB miss on top of the DRAM line — worse, x86 silently
-//    drops a software prefetch whose translation misses the TLB, which
-//    defeats the burst path's prefetch pass exactly at the occupancies it
-//    exists for. 2 MB pages put the whole table back inside the STLB, and
-//    every one of them would be touched anyway. A sparse lane is reserved
-//    for a cap (FlowTable::set_limit) and fills one flow at a time, up to a
-//    cap it may never reach: a service vSwitch reserves 16,384 slots for an
-//    8,192-flow cap and holds about 2,000 flows. It is mapped with no memset
-//    (a page never written reads as zeros, i.e. vacant) and MADV_NOHUGEPAGE,
-//    so it costs only the 4 KB pages its flows write, and a host whose THP
-//    mode is `always` cannot turn each first write into a 2 MB fault.
-//    Smaller lanes (under 2 MB dense, under one page sparse) and non-Linux
-//    builds use zeroed heap memory.
+//  * Pages chosen by size alone. From 2 MB up a lane comes straight from
+//    anonymous mmap with MADV_HUGEPAGE: at 1M+ flows the record pool spans
+//    hundreds of MB, and with 4 KB pages nearly every random lookup pays a
+//    TLB miss on top of the DRAM line — worse, x86 silently drops a
+//    software prefetch whose translation misses the TLB, which defeats the
+//    burst path's prefetch pass exactly at the occupancies it exists for.
+//    2 MB pages put the whole table back inside the STLB. Between one page
+//    and 2 MB a lane is mapped with MADV_NOHUGEPAGE and never memset: a
+//    page never written reads as zeros, so it costs only the 4 KB pages
+//    the table writes (a capped table's index is sized for its cap and may
+//    never fill), and a host whose THP mode is `always` cannot turn each
+//    first write into a 2 MB fault. Lanes under one page, and every lane on
+//    non-Linux builds, come from zeroed heap memory.
 #pragma once
 
 #include <cstddef>
@@ -42,12 +39,6 @@
 
 namespace acdc::vswitch {
 
-// How a lane's slots get written, which decides the pages behind it.
-enum class LaneFill : std::uint8_t {
-  kDense,   // all at once: by a growth rehash, or a memset
-  kSparse,  // one flow at a time, up to a cap the table may never reach
-};
-
 template <typename T>
 class TableArray {
   static_assert(std::is_trivially_destructible_v<T>,
@@ -56,17 +47,12 @@ class TableArray {
  public:
   TableArray() = default;
 
-  TableArray(std::size_t count, LaneFill fill) {
+  explicit TableArray(std::size_t count) {
     if (count == 0) return;
     bytes_ = count * sizeof(T);
 #if defined(__linux__)
-    const bool sparse = fill == LaneFill::kSparse;
-    if (bytes_ >= (sparse ? kPageBytes : kHugePageBytes) && map(sparse)) {
-      return;
-    }
+    if (bytes_ >= kPageBytes && map()) return;
     // Small lanes, and any the kernel will not map, come from the heap.
-#else
-    (void)fill;
 #endif
     constexpr std::size_t kAlign =
         alignof(T) > alignof(std::max_align_t) ? alignof(T)
@@ -101,16 +87,17 @@ class TableArray {
 
 #if defined(__linux__)
   // Maps the lane from anonymous memory, which reads as zeros until it is
-  // written: in 4 KB pages when sparse, in 2 MB pages when dense. False
-  // when the kernel refuses the mapping.
-  bool map(bool sparse) {
-    const std::size_t unit = sparse ? kPageBytes : kHugePageBytes;
+  // written: in 2 MB pages from 2 MB up, in 4 KB pages below. False when
+  // the kernel refuses the mapping.
+  bool map() {
+    const bool huge = bytes_ >= kHugePageBytes;
+    const std::size_t unit = huge ? kHugePageBytes : kPageBytes;
     const std::size_t bytes = (bytes_ + unit - 1) & ~(unit - 1);
     void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (p == MAP_FAILED) return false;
 #if defined(MADV_HUGEPAGE) && defined(MADV_NOHUGEPAGE)
-    ::madvise(p, bytes, sparse ? MADV_NOHUGEPAGE : MADV_HUGEPAGE);
+    ::madvise(p, bytes, huge ? MADV_HUGEPAGE : MADV_NOHUGEPAGE);
 #endif
     data_ = static_cast<T*>(p);
     bytes_ = bytes;

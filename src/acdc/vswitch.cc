@@ -102,20 +102,20 @@ void AcdcVswitch::handle_ingress(net::PacketPtr packet) {
 }
 
 // How many packets ahead of processing each prefetch stage runs. Stage 1
-// (ctrl bytes) leads stage 2 by enough per-packet work that the ctrl line
-// has landed when stage 2 scans it; stage 2 (resolved key/gen + hot lines)
-// leads processing by enough to cover a DRAM load (~100ns) without the
-// in-flight window (~6 lines/packet) outrunning L1 or the core's
-// miss-handling capacity.
+// (slot words) leads stage 2 by enough per-packet work that the word line
+// has landed when stage 2 scans it; stage 2 (the hot lines of the record
+// the resolved word names) leads processing by enough to cover a DRAM
+// load (~100ns) without the in-flight window (~6 lines/packet) outrunning
+// L1 or the core's miss-handling capacity.
 constexpr std::size_t kStage1Depth = 16;
 constexpr std::size_t kStage2Depth = 8;
 
 void AcdcVswitch::prefetch_stage1(const net::Packet& p) const {
-  // Warm the ctrl bytes every probe of this packet starts from — the
+  // Warm the slot words every probe of this packet starts from — the
   // data-direction key for data/handshake packets, the reversed key for
   // ACK processing. For the reversed key of a piggybacked ACK this is the
   // whole warming story: it usually belongs to a unidirectional flow whose
-  // reverse entry doesn't exist, and the ctrl bytes are all an absent-key
+  // reverse entry doesn't exist, and the slot words are all an absent-key
   // probe reads; when the reverse entry does exist, its own data packets
   // keep it warm.
   const FlowKey key = FlowKey::from_packet(p);
@@ -128,8 +128,8 @@ void AcdcVswitch::prefetch_stage1(const net::Packet& p) const {
 }
 
 void AcdcVswitch::prefetch_stage2(const net::Packet& p) const {
-  // Resolve each expected-hit probe on the stage-1-warmed ctrl bytes and
-  // warm the record lines at the slot the lookup will actually land on.
+  // Resolve each expected-hit probe on the stage-1-warmed slot words and
+  // warm the lines of the record the lookup will actually land on.
   const FlowKey key = FlowKey::from_packet(p);
   const bool data = p.payload_bytes > 0 || p.tcp.flags.syn ||
                     p.tcp.flags.fin || p.tcp.flags.rst;

@@ -80,9 +80,9 @@ class AcdcVswitch : public net::DuplexFilter {
   // Two-stage prefetch pipeline of both burst paths (DESIGN.md §14),
   // direction-agnostic because both directions probe the same two keys —
   // the packet's own for data tracking, the reversed one for ACK
-  // processing. Stage 1 (issued furthest ahead) warms the ctrl bytes both
+  // processing. Stage 1 (issued furthest ahead) warms the slot words both
   // keys will probe; stage 2 scans them to the resolved slot and warms the
-  // key/gen lane and hot record there (FlowTable::prefetch).
+  // hot record its word names (FlowTable::prefetch).
   void prefetch_stage1(const net::Packet& p) const;
   void prefetch_stage2(const net::Packet& p) const;
   void run_inactivity_scan();

@@ -23,11 +23,19 @@
 namespace acdc::app {
 namespace {
 
+// A request frame of `bytes` with every other field at its default.
+RpcFrame frame_of(std::uint64_t id, std::int64_t bytes) {
+  RpcFrame f;
+  f.id = id;
+  f.bytes = bytes;
+  return f;
+}
+
 TEST(FrameStream, CompletesFramesOnlyAtByteBoundaries) {
   FrameStream s;
-  s.push({.id = 1, .bytes = 100});
-  s.push({.id = 2, .bytes = 50});
-  s.push({.id = 3, .bytes = 200});
+  s.push(frame_of(1, 100));
+  s.push(frame_of(2, 50));
+  s.push(frame_of(3, 200));
 
   // Partial delivery of the first frame completes nothing.
   EXPECT_TRUE(s.drain(99).empty());
@@ -47,7 +55,7 @@ TEST(FrameStream, CompletesFramesOnlyAtByteBoundaries) {
 TEST(FrameStream, DrainIsCumulativeAcrossManySmallDeliveries) {
   FrameStream s;
   for (std::uint64_t id = 1; id <= 8; ++id) {
-    s.push({.id = id, .bytes = 64});
+    s.push(frame_of(id, 64));
   }
   // Deliver one byte at a time; each frame must complete exactly once, at
   // exactly its boundary.

@@ -2,8 +2,9 @@
 // boundaries (fin_linger vs idle_timeout are strict), generation handles
 // never resurrecting a removed flow (erase, GC, cap-eviction, rehash), LRU
 // eviction always picking the oldest-idle entry (checked against a shadow
-// model under a randomized op mix), and the AcdcCore per-direction lookup
-// caches never serving a stale record after GC or cap-eviction.
+// model under a randomized op mix), every flow landing in the slot a
+// golden trace pins, and the AcdcCore per-direction lookup caches never
+// serving a stale record after GC or cap-eviction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -118,7 +119,7 @@ TEST(FlowTableHandles, EveryRemovalPathKillsTheHandleForever) {
   EXPECT_FALSE(t.deref(FlowHandle{}));
 }
 
-// Growth rehash relocates records across slots; every handle issued before
+// Growth rehash moves slot words across slots; every handle issued before
 // the rehash must either still deref() to its own key (same generation,
 // possibly a different slot internally) or — if the slot moved — fail
 // cleanly. With generation preservation the former holds for live flows
@@ -172,11 +173,11 @@ TEST(FlowTableHandles, RehashNeverMisdirectsAHandle) {
 // Randomized op mix against a shadow model: after every operation the
 // table's membership, size bound, eviction victims and oldest() record
 // must agree with the model. A retained handle per resident flow either
-// derefs to exactly that flow or fails cleanly — removals relocate
-// neighboring records (backward-shift deletion), which retires the moved
-// record's slot the same way a rehash does, and the holder re-acquires by
-// key like the AcdcCore direction caches do. Once the model says a flow is
-// gone, its handle must never deref again.
+// derefs to exactly that flow or fails cleanly — removals move
+// neighboring slot words (backward-shift deletion), which retires the
+// moved word's old slot the same way a rehash does, and the holder
+// re-acquires by key like the AcdcCore direction caches do. Once the
+// model says a flow is gone, its handle must never deref again.
 TEST(FlowTableProperty, RandomOpMixMatchesShadowModel) {
   constexpr std::size_t kCap = 8;
   constexpr std::uint16_t kPorts = 64;
@@ -284,7 +285,7 @@ TEST(FlowTableProperty, RandomOpMixMatchesShadowModel) {
         EXPECT_EQ(f.key->src_port, p)
             << "a live handle must deref to its own flow, never another's";
       } else {
-        // A removal back-shifted this record into a new slot; the handle
+        // A removal back-shifted this flow's word into a new slot; the handle
         // dies (like across a rehash) and the holder re-probes by key.
         FlowRef again = t.find(key_n(p));
         ASSERT_TRUE(again) << "resident flow must stay findable by key";
@@ -315,6 +316,150 @@ TEST(FlowTableProperty, RandomOpMixMatchesShadowModel) {
   EXPECT_GT(t.stats().evictions, 0);
   EXPECT_GT(t.stats().gc_removed, 0);
   EXPECT_GT(t.stats().removals, t.stats().gc_removed);
+}
+
+// Slot-level golden. The shadow model above checks membership and order,
+// not placement: it accepts any slot a flow lands in. Yet slot order is
+// observable (for_each and the GC sweep in it, and a handle derefs only
+// while its flow holds the slot it was issued for), and end to end only
+// the perfbench digests would catch a moved flow. This folds a fixed op
+// mix's every returned slot and generation, each retained handle's deref
+// outcome after every operation, the sweep order after each GC, the LRU
+// head and the final stats into one FNV-1a digest. The constant was
+// captured from the table that kept each record in its hash slot, so a
+// layout change that must not move a flow fails here first.
+class SlotTrace {
+ public:
+  void fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h_ ^= (v >> (8 * i)) & 0xFF;
+      h_ *= 1099511628211ull;
+    }
+  }
+  void fold(const FlowHandle& h) {
+    fold(h.slot);
+    fold(h.gen);
+  }
+  void fold(const FlowTable::Stats& s) {
+    for (const std::int64_t v : {s.lookups, s.hits, s.inserts, s.removals,
+                                 s.gc_removed, s.evictions, s.rehashes}) {
+      fold(static_cast<std::uint64_t>(v));
+    }
+  }
+  std::uint64_t digest() const { return h_; }
+
+ private:
+  std::uint64_t h_ = 1469598103934665603ull;
+};
+
+// A portable generator (splitmix64), so the golden holds on any standard
+// library; sim::Rng's distributions are implementation-defined.
+class SplitMix {
+ public:
+  std::uint64_t next() {
+    std::uint64_t z = (s_ += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+  }
+  std::uint64_t below(std::uint64_t n) { return next() % n; }
+
+ private:
+  std::uint64_t s_ = 0x5107'7ACEull;
+};
+
+FlowKey trace_key(std::uint32_t i) {
+  return FlowKey{net::make_ip(10, 0, static_cast<std::uint8_t>(i >> 8),
+                              static_cast<std::uint8_t>(i)),
+                 net::make_ip(10, 1, 0, 1),
+                 static_cast<std::uint16_t>(1024 + i * 7), 80};
+}
+
+// Runs `steps` operations from one op mix over `t` and folds what the
+// table shows. Shares out of 100: find_or_create up to `create`, touch up
+// to `touch`, FIN mark up to `fin`, key erase up to `erase`, GC above.
+struct OpMix {
+  std::uint32_t keys;
+  int create, touch, fin, erase;
+  sim::Time idle_lo, idle_hi;
+};
+
+void run_slot_trace(FlowTable& t, const OpMix& mix, int steps,
+                    SplitMix& rng, SlotTrace& trace) {
+  constexpr std::size_t kHeld = 32;
+  std::vector<FlowHandle> held;  // ring of the latest handles issued
+  std::size_t next_held = 0;
+  const auto hold = [&](const FlowHandle& h) {
+    if (held.size() < kHeld) {
+      held.push_back(h);
+    } else {
+      held[next_held++ % kHeld] = h;
+    }
+  };
+  sim::Time now = 0;
+  for (int step = 0; step < steps; ++step) {
+    now += 1 + static_cast<sim::Time>(rng.below(4));
+    const FlowKey key = trace_key(static_cast<std::uint32_t>(
+        rng.below(mix.keys)));
+    const auto op = static_cast<int>(rng.below(100));
+    if (op < mix.create) {
+      const FlowRef f = t.find_or_create(key, now);
+      trace.fold(f.handle);
+      trace.fold(f.created ? 1 : 0);
+      hold(f.handle);
+    } else if (op < mix.touch) {
+      const FlowRef f = t.find(key);
+      trace.fold(f.handle);
+      if (f) {
+        t.touch(f, now);
+        hold(f.handle);
+      }
+    } else if (op < mix.fin) {
+      const FlowRef f = t.find(key);
+      trace.fold(f.handle);
+      if (f) f.hot->fin_seen = true;
+    } else if (op < mix.erase) {
+      trace.fold(t.erase(key) ? 1 : 0);
+    } else {
+      const sim::Time idle =
+          mix.idle_lo +
+          static_cast<sim::Time>(rng.below(
+              static_cast<std::uint64_t>(mix.idle_hi - mix.idle_lo)));
+      const sim::Time linger = idle / 16;
+      trace.fold(t.collect_garbage(now, idle, linger));
+      t.for_each([&](const FlowRef& f) { trace.fold(f.handle); });
+    }
+    for (const FlowHandle& h : held) trace.fold(t.deref(h) ? 1 : 0);
+    trace.fold(t.oldest().handle);
+    trace.fold(t.size());
+  }
+  trace.fold(t.stats());
+  trace.fold(t.capacity());
+}
+
+TEST(FlowTableLayout, SeededOpMixMatchesParentSlotTrace) {
+  SplitMix rng;
+  SlotTrace trace;
+
+  // Capped at 100 (128 slots): inserts past the cap evict, and a 78% load
+  // makes long chains for backward shifts to walk.
+  FlowTable capped;
+  capped.set_limit(100);
+  run_slot_trace(capped, OpMix{400, 55, 75, 83, 95, 400, 1600}, 6000, rng,
+                 trace);
+  EXPECT_GT(capped.stats().evictions, 0);
+  EXPECT_GT(capped.stats().gc_removed, 0);
+  EXPECT_EQ(capped.stats().rehashes, 0);
+
+  // Unbounded, grown from 64 slots through at least three rehashes.
+  FlowTable grown;
+  run_slot_trace(grown, OpMix{1200, 70, 80, 85, 95, 3000, 6000}, 3000, rng,
+                 trace);
+  EXPECT_GE(grown.stats().rehashes, 3);
+  EXPECT_GT(grown.stats().gc_removed, 0);
+
+  EXPECT_EQ(trace.digest(), 0xb4950a8933d9d893ull)
+      << "slot trace moved: 0x" << std::hex << trace.digest();
 }
 
 class FlowCacheEvictionTest : public ::testing::Test {
