@@ -545,11 +545,11 @@ Section run_churn(const Profile& p) {
 
 // Each measured iteration drives one rx-sized burst through both directions
 // of the vSwitch: an egress data burst for a batch of LCG-randomized flows,
-// then the matching ingress ACK burst (with PACK feedback) through
-// process_burst's prefetch pass. At the large occupancies the working set
-// is far beyond any cache level, so the number is dominated by exactly what
-// the hot/cold split and the burst prefetch exist to hide: the DRAM touch
-// per lookup.
+// then the matching ingress ACK burst (with PACK feedback), each through
+// the vSwitch's burst prefetch pipeline. At the large occupancies the
+// working set is far beyond any cache level, so the number is dominated by
+// exactly what the hot/cold split and the burst prefetch exist to hide: the
+// DRAM touch per lookup.
 //
 // Every flow keeps kOutstanding segments in flight and each ACK covers only
 // the oldest one, so ACKs land mid-window the way they do on a real

@@ -125,11 +125,10 @@ struct AcdcCore {
   static constexpr int kCacheSlots = 4;
   FlowCacheSlot flow_cache[kCacheSlots];
 
-  // Looks up or creates the flow for `key`, binding its policy and
-  // initialising the virtual CC on creation. `slot` selects which direction
-  // cache fronts the table lookup.
-  FlowRef entry(const FlowKey& key, int slot) {
-    FlowCacheSlot& c = flow_cache[slot];
+  // The cache probe both lookups start with: the slot's flow when `key`
+  // repeats its key and the handle still resolves, else an empty ref.
+  // Counts the hit or the miss.
+  FlowRef cached(const FlowKey& key, const FlowCacheSlot& c) {
     if (c.handle.valid() && c.key == key) {
       FlowRef f = table.deref(c.handle);
       if (f) {
@@ -138,8 +137,20 @@ struct AcdcCore {
       }
     }
     ++stats.flow_cache_misses;
+    return {};
+  }
+
+  // Looks up or creates the flow for `key`. On creation the authoritative
+  // FlowPolicy lands in the cold record and load_policy() binds it. `slot`
+  // selects which direction cache fronts the table lookup.
+  FlowRef entry(const FlowKey& key, int slot) {
+    FlowCacheSlot& c = flow_cache[slot];
+    if (FlowRef f = cached(key, c)) return f;
     FlowRef f = table.find_or_create(key, sim->now());
-    if (f.created) bind_policy(f);
+    if (f.created) {
+      f.cold->policy = policy.lookup(*f.key);
+      load_policy(f);
+    }
     c.key = key;
     c.handle = f.handle;
     return f;
@@ -151,14 +162,7 @@ struct AcdcCore {
   // hit the handle path.
   FlowRef find(const FlowKey& key, int slot) {
     FlowCacheSlot& c = flow_cache[slot];
-    if (c.handle.valid() && c.key == key) {
-      FlowRef f = table.deref(c.handle);
-      if (f) {
-        ++stats.flow_cache_hits;
-        return f;
-      }
-    }
-    ++stats.flow_cache_misses;
+    if (FlowRef f = cached(key, c)) return f;
     FlowRef f = table.find(key);
     if (f) {
       c.key = key;
@@ -167,11 +171,9 @@ struct AcdcCore {
     return f;
   }
 
-  // Policy binding on creation: the authoritative FlowPolicy lands in the
-  // cold record, the fields the per-packet path reads are copied into the
-  // hot record, and the flow's virtual CC is initialised.
-  void bind_policy(const FlowRef& f) {
-    f.cold->policy = policy.lookup(*f.key);
+  // Copies the fields of the cold record's policy that the per-packet path
+  // reads into the hot record and initialises the flow's virtual CC.
+  void load_policy(const FlowRef& f) {
     const FlowPolicy& p = f.cold->policy;
     f.hot->cc_kind = p.kind;
     f.hot->beta = p.beta;
@@ -190,15 +192,10 @@ struct AcdcCore {
   // re-initialised.
   void reset_entry(const FlowRef& f) {
     f.hot->reset_runtime();
-    const FlowPolicy& p = f.cold->policy;
-    f.hot->cc_kind = p.kind;
-    f.hot->beta = p.beta;
-    f.hot->max_rwnd_bytes = packed_rwnd_cap(p.max_rwnd_bytes);
-    f.hot->police = p.police;
     f.cold->created_at = sim->now();
     f.cold->last_timeout_at = sim::kNoTime;
     f.cold->telem = {};
-    virtual_cc_for(p.kind).init(*f.hot);
+    load_policy(f);
   }
 };
 

@@ -5,9 +5,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "net/packet.h"
+#include "sim/hash.h"
 
 namespace acdc::vswitch {
 
@@ -26,27 +26,20 @@ struct FlowKey {
   static FlowKey from_packet(const net::Packet& p) {
     return FlowKey{p.ip.src, p.ip.dst, p.tcp.src_port, p.tcp.dst_port};
   }
-
-  std::string to_string() const;
 };
 
 struct FlowKeyHash {
   std::size_t operator()(const FlowKey& k) const {
-    // FNV-1a over the tuple fields, then a murmur3-style finalizer. The
-    // finalizer is load-bearing: FNV's multiply only carries entropy
-    // *upward*, so without it bit i of the hash never sees input bits
-    // above i — and a power-of-two table indexed by the low bits would
-    // send every flow of one host pair (same IPs, same dst_port, varying
-    // src_port mixed in at bits 16..31) to a single home slot, degenerating
-    // the probe chain into one cluster the size of the live flow count.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(k.src_ip);
-    mix(k.dst_ip);
-    mix((static_cast<std::uint64_t>(k.src_port) << 16) | k.dst_port);
+    // The shared 4-tuple hash (sim/hash.h), then a murmur3-style
+    // finalizer. The finalizer is load-bearing: FNV's multiply only
+    // carries entropy *upward*, so without it bit i of the hash never sees
+    // input bits above i — and a power-of-two table indexed by the low
+    // bits would send every flow of one host pair (same IPs, same
+    // dst_port, varying src_port mixed in at bits 16..31) to a single home
+    // slot, degenerating the probe chain into one cluster the size of the
+    // live flow count.
+    std::uint64_t h =
+        sim::tuple_hash(k.src_ip, k.dst_ip, k.src_port, k.dst_port);
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdull;
     h ^= h >> 33;

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "acdc/flow_state.h"
 #include "sim/time.h"
@@ -61,7 +60,6 @@ struct VccConfig {
 class VirtualCc {
  public:
   virtual ~VirtualCc() = default;
-  virtual std::string_view name() const = 0;
 
   // Prepares a fresh hot record (initial window, zeroed CC aux state).
   void init(FlowHot& s) const;
@@ -91,7 +89,6 @@ class VirtualCc {
 
 class VirtualDctcp : public VirtualCc {
  public:
-  std::string_view name() const override { return "vdctcp"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
   void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
@@ -102,14 +99,12 @@ class VirtualDctcp : public VirtualCc {
 
 class VirtualReno : public VirtualCc {
  public:
-  std::string_view name() const override { return "vreno"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
 };
 
 class VirtualCubic : public VirtualCc {
  public:
-  std::string_view name() const override { return "vcubic"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
   void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
@@ -130,7 +125,6 @@ class VirtualCubic : public VirtualCc {
 // works (degraded) on paths without INT.
 class VirtualPowerTcp : public VirtualCc {
  public:
-  std::string_view name() const override { return "vpowertcp"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
   void on_timeout(FlowHot& s, const VccConfig& cfg) const override;
@@ -148,7 +142,6 @@ class VirtualPowerTcp : public VirtualCc {
 // and the vSwitch drains it through the RWND rewrite: w = fair·τ·margin.
 class VirtualFairRate : public VirtualCc {
  public:
-  std::string_view name() const override { return "vfairrate"; }
   void on_ack(FlowHot& s, const VccConfig& cfg,
               const VccEvent& ev) const override;
 

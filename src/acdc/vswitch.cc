@@ -11,6 +11,15 @@ constexpr sim::Time kInactivityScanInterval = sim::milliseconds(10);
 // The GC removes any entry idle this long, FIN-marked or not (§4).
 constexpr sim::Time kIdleTimeout = sim::seconds(60);
 
+// Data-direction traffic, which the sender module tracks on egress and the
+// receiver module counts on ingress. RSTs count so the sender module sees
+// them and can mark the entry for fast GC (an aborted flow never sends a
+// FIN).
+bool carries_data(const net::Packet& p) {
+  return p.payload_bytes > 0 || p.tcp.flags.syn || p.tcp.flags.fin ||
+         p.tcp.flags.rst;
+}
+
 }  // namespace
 
 AcdcVswitch::AcdcVswitch(sim::Simulator* sim, AcdcConfig config)
@@ -64,12 +73,7 @@ void AcdcVswitch::run_gc() {
 
 void AcdcVswitch::handle_egress(net::PacketPtr packet) {
   ensure_timers();
-  // RSTs count as data-direction traffic so the sender module sees them and
-  // can mark the entry for fast GC (an aborted flow never sends a FIN).
-  const bool data_direction = packet->payload_bytes > 0 ||
-                              packet->tcp.flags.syn ||
-                              packet->tcp.flags.fin || packet->tcp.flags.rst;
-  if (data_direction && !sender_.process_egress(*packet)) {
+  if (carries_data(*packet) && !sender_.process_egress(*packet)) {
     return;  // policed
   }
   if (packet->tcp.flags.ack) {
@@ -87,12 +91,7 @@ void AcdcVswitch::handle_egress(net::PacketPtr packet) {
 
 void AcdcVswitch::handle_ingress(net::PacketPtr packet) {
   ensure_timers();
-  const bool data_direction = packet->payload_bytes > 0 ||
-                              packet->tcp.flags.syn ||
-                              packet->tcp.flags.fin || packet->tcp.flags.rst;
-  if (data_direction) {
-    receiver_.process_ingress_data(*packet);
-  }
+  if (carries_data(*packet)) receiver_.process_ingress_data(*packet);
   if (packet->tcp.flags.ack || packet->acdc_fack) {
     if (!sender_.process_ingress_ack(*packet)) {
       return;  // FACK consumed
@@ -119,9 +118,7 @@ void AcdcVswitch::prefetch_stage1(const net::Packet& p) const {
   // probe reads; when the reverse entry does exist, its own data packets
   // keep it warm.
   const FlowKey key = FlowKey::from_packet(p);
-  const bool data = p.payload_bytes > 0 || p.tcp.flags.syn ||
-                    p.tcp.flags.fin || p.tcp.flags.rst;
-  if (data) core_.table.prefetch_probe(key);
+  if (carries_data(p)) core_.table.prefetch_probe(key);
   if (p.tcp.flags.ack || p.acdc_fack) {
     core_.table.prefetch_probe(key.reversed());
   }
@@ -131,9 +128,7 @@ void AcdcVswitch::prefetch_stage2(const net::Packet& p) const {
   // Resolve each expected-hit probe on the stage-1-warmed slot words and
   // warm the lines of the record the lookup will actually land on.
   const FlowKey key = FlowKey::from_packet(p);
-  const bool data = p.payload_bytes > 0 || p.tcp.flags.syn ||
-                    p.tcp.flags.fin || p.tcp.flags.rst;
-  if (data) {
+  if (carries_data(p)) {
     core_.table.prefetch(key);
   } else if (p.tcp.flags.ack || p.acdc_fack) {
     // A pure ACK's whole purpose is the reversed-key entry — warm it fully.
@@ -141,12 +136,14 @@ void AcdcVswitch::prefetch_stage2(const net::Packet& p) const {
   }
 }
 
-void AcdcVswitch::process_burst(net::PacketPtr* packets, std::size_t count) {
-  // Software-pipelined: each iteration issues stage-1 prefetches
-  // kStage1Depth packets ahead and stage-2 prefetches kStage2Depth ahead,
-  // then runs the exact per-packet pipeline on the current one, in arrival
-  // order. Prefetching mutates nothing, so this is provably equivalent to
-  // `count` single-packet deliveries.
+template <typename Handle>
+void AcdcVswitch::pipeline_burst(net::PacketPtr* packets, std::size_t count,
+                                 Handle handle) {
+  // Each iteration issues stage-1 prefetches kStage1Depth packets ahead and
+  // stage-2 prefetches kStage2Depth ahead, then runs the exact per-packet
+  // pipeline on the current one, in arrival order. Prefetching mutates
+  // nothing, so this is provably equivalent to `count` single-packet
+  // deliveries.
   for (std::size_t i = 0; i < std::min(kStage1Depth, count); ++i) {
     prefetch_stage1(*packets[i]);
   }
@@ -156,28 +153,20 @@ void AcdcVswitch::process_burst(net::PacketPtr* packets, std::size_t count) {
   for (std::size_t i = 0; i < count; ++i) {
     if (i + kStage1Depth < count) prefetch_stage1(*packets[i + kStage1Depth]);
     if (i + kStage2Depth < count) prefetch_stage2(*packets[i + kStage2Depth]);
-    handle_ingress(std::move(packets[i]));
+    handle(std::move(packets[i]));
   }
 }
 
 void AcdcVswitch::handle_egress_burst(net::PacketPtr* packets,
                                       std::size_t count) {
-  for (std::size_t i = 0; i < std::min(kStage1Depth, count); ++i) {
-    prefetch_stage1(*packets[i]);
-  }
-  for (std::size_t i = 0; i < std::min(kStage2Depth, count); ++i) {
-    prefetch_stage2(*packets[i]);
-  }
-  for (std::size_t i = 0; i < count; ++i) {
-    if (i + kStage1Depth < count) prefetch_stage1(*packets[i + kStage1Depth]);
-    if (i + kStage2Depth < count) prefetch_stage2(*packets[i + kStage2Depth]);
-    handle_egress(std::move(packets[i]));
-  }
+  pipeline_burst(packets, count,
+                 [this](net::PacketPtr p) { handle_egress(std::move(p)); });
 }
 
 void AcdcVswitch::handle_ingress_burst(net::PacketPtr* packets,
                                        std::size_t count) {
-  process_burst(packets, count);
+  pipeline_burst(packets, count,
+                 [this](net::PacketPtr p) { handle_ingress(std::move(p)); });
 }
 
 net::PacketPtr AcdcVswitch::craft_ack_toward_vm(const FlowRef& f) const {

@@ -8,7 +8,7 @@
 //            [sender] feedback, virtual CC, RWND enforcement -> VM
 //
 // Both directions also take bursts (receive_burst() on ingress_in() or
-// egress_in()): a software-pipelined prefetch warms the flow-table lines
+// egress_in()): one software-pipelined loop warms the flow-table lines
 // ahead of per-packet processing — same semantics, fewer stalls
 // (DESIGN.md §14).
 //
@@ -38,14 +38,6 @@ class AcdcVswitch : public net::DuplexFilter {
   PolicyEngine& policy() { return core_.policy; }
   FlowTable& flows() { return core_.table; }
   const AcdcStats& stats() const { return core_.stats; }
-
-  // Ingress burst entry point: processes `count` packets in arrival order
-  // after one table-prefetch pass over the whole burst. Byte-for-byte
-  // equivalent to `count` single-packet deliveries — the prefetches are the
-  // only difference. Reached through ingress_in().receive_burst(); the
-  // simulated NIC hands packets up one at a time, so the callers are the
-  // datapath benches and the perf probes.
-  void process_burst(net::PacketPtr* packets, std::size_t count);
 
   // Bundled observability wiring, so a vSwitch is instrumented atomically:
   // trace events and metrics share `name`. The computed enforcement window
@@ -77,12 +69,22 @@ class AcdcVswitch : public net::DuplexFilter {
 
  private:
   void ensure_timers();
-  // Two-stage prefetch pipeline of both burst paths (DESIGN.md §14),
-  // direction-agnostic because both directions probe the same two keys —
-  // the packet's own for data tracking, the reversed one for ACK
-  // processing. Stage 1 (issued furthest ahead) warms the slot words both
-  // keys will probe; stage 2 scans them to the resolved slot and warms the
-  // hot record its word names (FlowTable::prefetch).
+  // The burst loop of both directions: runs `handle` (handle_egress or
+  // handle_ingress) on `count` packets in arrival order, software-pipelined
+  // behind the two prefetch stages (DESIGN.md §14). Byte-for-byte
+  // equivalent to `count` single-packet deliveries — the prefetches are the
+  // only difference. The simulated NIC hands packets up one at a time, so
+  // only receive_burst() callers (the datapath bench, the perf probes and
+  // tests) reach it.
+  template <typename Handle>
+  void pipeline_burst(net::PacketPtr* packets, std::size_t count,
+                      Handle handle);
+  // The two prefetch stages, direction-agnostic because both directions
+  // probe the same two keys — the packet's own for data tracking, the
+  // reversed one for ACK processing. Stage 1 (issued furthest ahead) warms
+  // the slot words both keys will probe; stage 2 scans them to the
+  // resolved slot and warms the hot record its word names
+  // (FlowTable::prefetch).
   void prefetch_stage1(const net::Packet& p) const;
   void prefetch_stage2(const net::Packet& p) const;
   void run_inactivity_scan();

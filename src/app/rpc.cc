@@ -36,12 +36,10 @@ std::size_t ConduitRegistry::size() const {
 
 // ---- RpcServer ----
 
-RpcServer::RpcServer(sim::Simulator* sim, host::Host* host,
-                     ConduitRegistry* registry,
+RpcServer::RpcServer(host::Host* host, ConduitRegistry* registry,
                      const tcp::TcpConfig& tcp_config,
                      const RpcServerConfig& config, sim::Rng rng)
-    : sim_(sim),
-      host_(host),
+    : host_(host),
       registry_(registry),
       config_(config),
       rng_(rng) {
@@ -83,7 +81,7 @@ void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
   assert(cs != nullptr);
   ++cs->outstanding;
   Pending p;
-  p.req = Request{frame.id, frame.bytes, frame.deadline, sim_->now()};
+  p.req = Request{frame.id, frame.bytes, frame.deadline, host_->sim()->now()};
   p.conn_serial = serial;
   if (busy_ >= config_.workers) {
     if (static_cast<int>(backlog_.size()) >= config_.backlog_limit) {
@@ -103,12 +101,13 @@ void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
 void RpcServer::start_service(Pending p) {
   ++busy_;
   stats_.busy_peak = std::max<std::int64_t>(stats_.busy_peak, busy_);
-  const sim::Time queue_ns = sim_->now() - p.req.arrival;
+  const sim::Time queue_ns = host_->sim()->now() - p.req.arrival;
   sim::Time service_ns = config_.service_time;
   if (config_.service_jitter_mean > 0) {
     service_ns += rng_.exponential_gap(config_.service_jitter_mean);
   }
-  sim_->schedule(service_ns, [this, p = std::move(p), queue_ns, service_ns] {
+  host_->sim()->schedule(service_ns, [this, p = std::move(p), queue_ns,
+                                      service_ns] {
     // Async server model: the worker slot covers the modeled CPU time;
     // downstream I/O (fan-out, nested RPCs) does not hold it.
     --busy_;
@@ -187,11 +186,10 @@ void RpcServer::teardown(std::uint64_t serial) {
 
 // ---- RpcClient ----
 
-RpcClient::RpcClient(sim::Simulator* sim, host::Host* host,
-                     ConduitRegistry* registry, net::IpAddr server_ip,
-                     net::TcpPort server_port,
+RpcClient::RpcClient(host::Host* host, ConduitRegistry* registry,
+                     net::IpAddr server_ip, net::TcpPort server_port,
                      const tcp::TcpConfig& tcp_config)
-    : sim_(sim), host_(host), registry_(registry) {
+    : host_(host), registry_(registry) {
   conn_ = host_->connect(server_ip, server_port, tcp_config);
   local_ = conn_->local();
   remote_ = conn_->remote();
@@ -224,14 +222,15 @@ std::uint64_t RpcClient::call(std::int64_t request_bytes, sim::Time deadline,
   RpcFrame f;
   f.id = id;
   f.bytes = kRpcHeaderBytes + request_bytes;
+  const sim::Time now = host_->sim()->now();
   const sim::Time abs_deadline =
-      deadline == sim::kNoTime ? sim::kNoTime : sim_->now() + deadline;
+      deadline == sim::kNoTime ? sim::kNoTime : now + deadline;
   f.deadline = abs_deadline;
-  pending_.emplace(id, Pending{std::move(done), sim_->now(), abs_deadline});
+  pending_.emplace(id, Pending{std::move(done), now, abs_deadline});
   conduit_->to_server.push(f);
   conn_->send(f.bytes);
   if (abs_deadline != sim::kNoTime) {
-    sim_->schedule_at(abs_deadline, [this, id] { on_deadline(id); });
+    host_->sim()->schedule_at(abs_deadline, [this, id] { on_deadline(id); });
   }
   return id;
 }
@@ -250,7 +249,7 @@ void RpcClient::on_response(const RpcFrame& frame) {
   RpcResult r;
   r.id = frame.id;
   r.ok = frame.ok;
-  r.latency = sim_->now() - p.issued;
+  r.latency = host_->sim()->now() - p.issued;
   r.response_bytes = frame.bytes - kRpcHeaderBytes;
   r.server_cost = frame.server_cost;
   if (p.done) p.done(r);
@@ -266,7 +265,7 @@ void RpcClient::on_deadline(std::uint64_t id) {
   RpcResult r;
   r.id = id;
   r.timed_out = true;
-  r.latency = sim_->now() - p.issued;
+  r.latency = host_->sim()->now() - p.issued;
   if (p.done) p.done(r);
   maybe_fin();
 }
@@ -289,7 +288,7 @@ void RpcClient::close() {
     RpcResult r;
     r.id = id;
     r.timed_out = true;
-    r.latency = sim_->now() - p.issued;
+    r.latency = host_->sim()->now() - p.issued;
     if (p.done) p.done(r);
   }
   maybe_fin();

@@ -176,7 +176,8 @@ class RpcServer {
   using Respond = std::function<void(bool ok, sim::Time downstream_ns)>;
   using Handler = std::function<void(const Request&, Respond)>;
 
-  RpcServer(sim::Simulator* sim, host::Host* host, ConduitRegistry* registry,
+  // Service timers run on `host`'s simulator.
+  RpcServer(host::Host* host, ConduitRegistry* registry,
             const tcp::TcpConfig& tcp_config, const RpcServerConfig& config,
             sim::Rng rng);
 
@@ -210,7 +211,6 @@ class RpcServer {
   void maybe_close(std::uint64_t serial);
   void teardown(std::uint64_t serial);
 
-  sim::Simulator* sim_;
   host::Host* host_;
   ConduitRegistry* registry_;
   RpcServerConfig config_;
@@ -253,7 +253,8 @@ class RpcClient {
  public:
   using Callback = std::function<void(const RpcResult&)>;
 
-  RpcClient(sim::Simulator* sim, host::Host* host, ConduitRegistry* registry,
+  // Deadline timers run on `host`'s simulator.
+  RpcClient(host::Host* host, ConduitRegistry* registry,
             net::IpAddr server_ip, net::TcpPort server_port,
             const tcp::TcpConfig& tcp_config);
 
@@ -284,7 +285,6 @@ class RpcClient {
   void on_deadline(std::uint64_t id);
   void maybe_fin();
 
-  sim::Simulator* sim_;
   host::Host* host_;
   ConduitRegistry* registry_;
   tcp::TcpConnection* conn_ = nullptr;

@@ -41,8 +41,7 @@ void merge_fanout(const FanoutStats& from, FanoutStats& into) {
 
 }  // namespace
 
-ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
-                         const ServiceConfig& config,
+ServiceTier::ServiceTier(const ServiceRoles& roles, const ServiceConfig& config,
                          const tcp::TcpConfig& tcp_config, sim::Rng rng)
     : config_(config) {
   ACDC_CHECK(!roles.clients.empty() && !roles.frontends.empty() &&
@@ -55,39 +54,34 @@ ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
   // ---- Storage tier (innermost first, so listeners exist before any SYN
   // can arrive) ----
   for (std::size_t i = 0; i < roles.storage.size(); ++i) {
-    host::Host* h = roles.storage[i];
-    storage_sims_.push_back(sim_of(h));
     storage_servers_.push_back(std::make_unique<RpcServer>(
-        storage_sims_.back(), h, &registry_, tcp_config, config_.storage,
+        roles.storage[i], &registry_, tcp_config, config_.storage,
         rng.split(kStorageStream + i)));
   }
 
   // ---- Worker tier ----
   for (std::size_t i = 0; i < roles.workers.size(); ++i) {
     host::Host* h = roles.workers[i];
-    sim::Simulator* wsim = sim_of(h);
-    worker_sims_.push_back(wsim);
     worker_servers_.push_back(std::make_unique<RpcServer>(
-        wsim, h, &registry_, tcp_config, config_.worker,
+        h, &registry_, tcp_config, config_.worker,
         rng.split(kWorkerStream + i)));
     if (!roles.storage.empty()) {
       host::Host* sh = roles.storage[i % roles.storage.size()];
       storage_clients_.push_back(std::make_unique<RpcClient>(
-          wsim, h, &registry_, sh->ip(), config_.storage.port, tcp_config));
+          h, &registry_, sh->ip(), config_.storage.port, tcp_config));
       RpcClient* sc = storage_clients_.back().get();
       worker_servers_.back()->set_handler(
-          [wsim, sc](const RpcServer::Request& req,
-                     RpcServer::Respond respond) {
-            const sim::Time t0 = wsim->now();
+          [h, sc](const RpcServer::Request& req, RpcServer::Respond respond) {
+            const sim::Time t0 = h->sim()->now();
             sim::Time deadline = kStorageDeadline;
             if (req.deadline != sim::kNoTime) {
               deadline = std::min(
                   deadline, std::max<sim::Time>(req.deadline - t0, 1));
             }
             sc->call(kStorageRequestBytes, deadline,
-                     [wsim, t0, respond = std::move(respond)](
+                     [h, t0, respond = std::move(respond)](
                          const RpcResult& r) {
-                       respond(!r.timed_out && r.ok, wsim->now() - t0);
+                       respond(!r.timed_out && r.ok, h->sim()->now() - t0);
                      });
           });
     }
@@ -97,20 +91,18 @@ ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
   // worker and fans out over them ----
   for (std::size_t i = 0; i < roles.frontends.size(); ++i) {
     host::Host* h = roles.frontends[i];
-    sim::Simulator* fsim = sim_of(h);
-    frontend_sims_.push_back(fsim);
     std::vector<RpcClient*> leaves;
     for (host::Host* w : roles.workers) {
       leaf_clients_.push_back(std::make_unique<RpcClient>(
-          fsim, h, &registry_, w->ip(), config_.worker.port, tcp_config));
+          h, &registry_, w->ip(), config_.worker.port, tcp_config));
       leaves.push_back(leaf_clients_.back().get());
     }
     coordinators_.push_back(std::make_unique<FanoutCoordinator>(
-        fsim, std::move(leaves), config_.fanout,
+        h->sim(), std::move(leaves), config_.fanout,
         rng.split(kCoordStream + i)));
     FanoutCoordinator* coord = coordinators_.back().get();
     frontend_servers_.push_back(std::make_unique<RpcServer>(
-        fsim, h, &registry_, tcp_config, config_.frontend,
+        h, &registry_, tcp_config, config_.frontend,
         rng.split(kFrontendStream + i)));
     frontend_servers_.back()->set_handler(
         [coord](const RpcServer::Request& req, RpcServer::Respond respond) {
@@ -134,9 +126,8 @@ ServiceTier::ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
     host::Host* ch = roles.clients[g % roles.clients.size()];
     host::Host* fh = roles.frontends[g % roles.frontends.size()];
     groups_.push_back(std::make_unique<UserGroup>(
-        sim_of(ch), ch, &registry_, fh->ip(), config_.frontend.port,
-        tcp_config, config_.users, sessions, rng.split(kGroupStream + g),
-        config_.start));
+        ch, &registry_, fh->ip(), config_.frontend.port, tcp_config,
+        config_.users, sessions, rng.split(kGroupStream + g), config_.start));
     ++g;
   }
 }
@@ -231,13 +222,12 @@ void ServiceTier::register_metrics(sim::Simulator* shard_sim,
     });
   }
 
+  using Servers = std::vector<std::unique_ptr<RpcServer>>;
   const auto register_tier =
-      [&registry, shard_sim](const char* name,
-                             const std::vector<std::unique_ptr<RpcServer>>& servers,
-                             const std::vector<sim::Simulator*>& sims) {
+      [&registry, shard_sim](const char* name, const Servers& servers) {
         std::vector<const RpcServer*> local;
-        for (std::size_t i = 0; i < servers.size(); ++i) {
-          if (sims[i] == shard_sim) local.push_back(servers[i].get());
+        for (const auto& s : servers) {
+          if (s->host()->sim() == shard_sim) local.push_back(s.get());
         }
         if (local.empty()) return;
         const std::string prefix = std::string("svc.") + name;
@@ -257,9 +247,9 @@ void ServiceTier::register_metrics(sim::Simulator* shard_sim,
           return static_cast<double>(v);
         });
       };
-  register_tier("frontend", frontend_servers_, frontend_sims_);
-  register_tier("worker", worker_servers_, worker_sims_);
-  register_tier("storage", storage_servers_, storage_sims_);
+  register_tier("frontend", frontend_servers_);
+  register_tier("worker", worker_servers_);
+  register_tier("storage", storage_servers_);
 }
 
 ServiceStats ServiceEngine::stats() const {

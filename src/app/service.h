@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -77,12 +76,9 @@ struct ServiceStats {
 
 class ServiceTier {
  public:
-  // Maps a host to the simulator owning its events (Scenario::sim_for).
-  using SimOf = std::function<sim::Simulator*(host::Host*)>;
-
-  ServiceTier(const SimOf& sim_of, const ServiceRoles& roles,
-              const ServiceConfig& config, const tcp::TcpConfig& tcp_config,
-              sim::Rng rng);
+  // Each component runs on the simulator of the host it is built on.
+  ServiceTier(const ServiceRoles& roles, const ServiceConfig& config,
+              const tcp::TcpConfig& tcp_config, sim::Rng rng);
 
   ServiceStats stats() const;
   // True once every session ended, every connection FINed and every
@@ -98,7 +94,7 @@ class ServiceTier {
 
   // Registers `svc.*` gauges (request-latency percentiles incl. p999,
   // requests / misses / SLO-violation counters, sustained rps, per-tier
-  // rejects) covering the components whose events `shard_sim` owns — call
+  // rejects) covering the components whose host runs on `shard_sim` — call
   // once per shard registry; gauges never read another shard's state.
   void register_metrics(sim::Simulator* shard_sim,
                         obs::MetricsRegistry& registry);
@@ -113,19 +109,15 @@ class ServiceTier {
   std::vector<std::unique_ptr<RpcClient>> storage_clients_;  // worker->storage
   std::vector<std::unique_ptr<FanoutCoordinator>> coordinators_;
   std::vector<std::unique_ptr<UserGroup>> groups_;
-  std::vector<sim::Simulator*> frontend_sims_;
-  std::vector<sim::Simulator*> worker_sims_;
-  std::vector<sim::Simulator*> storage_sims_;
 };
 
 // Scenario-owned collection of service tiers (mirrors ChurnEngine).
 class ServiceEngine {
  public:
-  ServiceTier* add_tier(const ServiceTier::SimOf& sim_of,
-                        const ServiceRoles& roles, const ServiceConfig& config,
+  ServiceTier* add_tier(const ServiceRoles& roles, const ServiceConfig& config,
                         const tcp::TcpConfig& tcp_config, sim::Rng rng) {
-    tiers_.push_back(std::make_unique<ServiceTier>(sim_of, roles, config,
-                                                   tcp_config, rng));
+    tiers_.push_back(
+        std::make_unique<ServiceTier>(roles, config, tcp_config, rng));
     return tiers_.back().get();
   }
 
@@ -140,10 +132,6 @@ class ServiceEngine {
     return true;
   }
   ServiceStats stats() const;
-  void register_metrics(sim::Simulator* shard_sim,
-                        obs::MetricsRegistry& registry) {
-    for (auto& t : tiers_) t->register_metrics(shard_sim, registry);
-  }
 
  private:
   std::vector<std::unique_ptr<ServiceTier>> tiers_;

@@ -32,23 +32,22 @@ void UserGroupStats::merge_into(UserGroupStats& into) const {
   into.server_cost_sum.downstream_ns += server_cost_sum.downstream_ns;
 }
 
-UserGroup::UserGroup(sim::Simulator* sim, host::Host* host,
-                     ConduitRegistry* registry, net::IpAddr server_ip,
-                     net::TcpPort server_port,
+UserGroup::UserGroup(host::Host* host, ConduitRegistry* registry,
+                     net::IpAddr server_ip, net::TcpPort server_port,
                      const tcp::TcpConfig& tcp_config,
                      const UserPopulationConfig& config, std::int64_t sessions,
                      sim::Rng rng, sim::Time start)
-    : sim_(sim),
+    : host_(host),
       config_(config),
       rng_(rng),
       start_(start),
-      client_(sim, host, registry, server_ip, server_port, tcp_config),
+      client_(host, registry, server_ip, server_port, tcp_config),
       sessions_(static_cast<std::size_t>(sessions), SessionState::kThinking) {
   ACDC_CHECK(sessions > 0,
              "user group: sessions must be positive (sessions=%lld)",
              static_cast<long long>(sessions));
   stats_.sessions = sessions;
-  sim_->schedule_at(start_, [this] {
+  sim()->schedule_at(start_, [this] {
     if (config_.curve == LoadCurve::kBurst) {
       burst_on_ = true;
       flip_burst();
@@ -56,7 +55,7 @@ UserGroup::UserGroup(sim::Simulator* sim, host::Host* host,
     for (std::size_t s = 0; s < sessions_.size(); ++s) arm_think(s);
   });
   if (config_.stop_after != sim::kNoTime) {
-    sim_->schedule_at(start_ + config_.stop_after, [this] { stop_all(); });
+    sim()->schedule_at(start_ + config_.stop_after, [this] { stop_all(); });
   }
 }
 
@@ -66,7 +65,7 @@ double UserGroup::rate_multiplier() const {
       return 1.0;
     case LoadCurve::kDiurnal: {
       const double phase = 2.0 * 3.14159265358979323846 *
-                           sim::to_seconds(sim_->now()) /
+                           sim::to_seconds(sim()->now()) /
                            sim::to_seconds(config_.diurnal_period);
       return 1.0 + kDiurnalDepth * std::sin(phase);
     }
@@ -78,12 +77,12 @@ double UserGroup::rate_multiplier() const {
 
 void UserGroup::flip_burst() {
   if (stopped_) return;
-  sim_->schedule(rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
-                                                : config_.burst_off_mean),
-                 [this] {
-                   burst_on_ = !burst_on_;
-                   flip_burst();
-                 });
+  sim()->schedule(rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
+                                                 : config_.burst_off_mean),
+                  [this] {
+                    burst_on_ = !burst_on_;
+                    flip_burst();
+                  });
 }
 
 void UserGroup::arm_think(std::size_t session) {
@@ -91,8 +90,8 @@ void UserGroup::arm_think(std::size_t session) {
   const sim::Time mean = std::max<sim::Time>(
       1, static_cast<sim::Time>(static_cast<double>(config_.think_time_mean) /
                                 rate_multiplier()));
-  sim_->schedule(rng_.exponential_gap(mean),
-                 [this, session] { on_think(session); });
+  sim()->schedule(rng_.exponential_gap(mean),
+                  [this, session] { on_think(session); });
 }
 
 void UserGroup::on_think(std::size_t session) {

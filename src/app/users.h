@@ -73,7 +73,8 @@ struct UserGroupStats {
 
 class UserGroup {
  public:
-  UserGroup(sim::Simulator* sim, host::Host* host, ConduitRegistry* registry,
+  // Think and stop timers run on `host`'s simulator.
+  UserGroup(host::Host* host, ConduitRegistry* registry,
             net::IpAddr server_ip, net::TcpPort server_port,
             const tcp::TcpConfig& tcp_config,
             const UserPopulationConfig& config, std::int64_t sessions,
@@ -85,7 +86,7 @@ class UserGroup {
   }
 
   const UserGroupStats& stats() const { return stats_; }
-  sim::Simulator* sim() { return sim_; }
+  sim::Simulator* sim() const { return host_->sim(); }
   RpcClient& client() { return client_; }
   const RpcClient& client() const { return client_; }
   // All sessions ended and the connection close has been handed to TCP.
@@ -105,7 +106,7 @@ class UserGroup {
   double rate_multiplier() const;
   void flip_burst();
 
-  sim::Simulator* sim_;
+  host::Host* host_;
   UserPopulationConfig config_;
   sim::Rng rng_;
   sim::Time start_;

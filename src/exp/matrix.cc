@@ -9,6 +9,7 @@
 #include "app/service.h"
 #include "exp/leaf_spine.h"
 #include "exp/star.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "stats/fct_collector.h"
 #include "stats/percentile.h"
@@ -29,16 +30,6 @@ constexpr double kSloMs = 10.0;  // mice FCT deadline (RTOmin-scale)
 // Think time (2 s) and fan-out (4 workers) are the app-tier defaults.
 constexpr int kServiceUsersPerConn = 50;
 constexpr sim::Time kServiceDeadline = sim::milliseconds(40);
-
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
 // Fixed-precision, locale-independent double formatting so report bytes
 // (and therefore digests) are stable across runs and machines.
@@ -489,7 +480,7 @@ std::string MatrixReport::to_table() const {
 
 std::uint64_t MatrixReport::digest() const {
   const std::string j = to_json();
-  return fnv1a(kFnvOffset, j.data(), j.size());
+  return sim::fnv1a(sim::kFnvOffsetBasis, j.data(), j.size());
 }
 
 const CellResult* MatrixReport::cell(vswitch::VccKind cc,
@@ -507,7 +498,7 @@ MatrixReport run_matrix(const MatrixConfig& config) {
     for (MatrixScenario scenario : config.scenarios) {
       CellResult cell = run_cell(config, cc, scenario);
       const std::string row = csv_row(cell, false);
-      cell.digest = fnv1a(kFnvOffset, row.data(), row.size());
+      cell.digest = sim::fnv1a(sim::kFnvOffsetBasis, row.data(), row.size());
       report.cells.push_back(cell);
     }
   }

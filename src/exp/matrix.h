@@ -110,6 +110,9 @@ struct MatrixReport {
   std::string to_table() const;
   std::uint64_t digest() const;
 
+  // The cell at (cc, scenario), or nullptr when the grid skipped it. Tests
+  // address cells this way: MatrixTest.ReportIsStructurallySound and
+  // MatrixTest.SubGridReproducesFullGridCells.
   const CellResult* cell(vswitch::VccKind cc, MatrixScenario scenario) const;
 };
 

@@ -1,5 +1,6 @@
 #include "exp/scenario.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "exp/partition.h"
@@ -35,7 +36,7 @@ const char* to_string(Mode mode) {
 }
 
 Scenario::Scenario(const ScenarioConfig& config)
-    : config_(config), rng_(config.seed) {}
+    : config_(config), rng_(config.seed), sims_{&sim_} {}
 
 host::Host* Scenario::add_host(const std::string& name) {
   ACDC_CHECK(shard_sims_.empty(),
@@ -48,10 +49,7 @@ host::Host* Scenario::add_host(const std::string& name) {
   hosts_.push_back(std::make_unique<host::Host>(&sim_, name, ip, hc));
   host::Host* raw = hosts_.back().get();
   host_index_.emplace(raw, static_cast<int>(hosts_.size()) - 1);
-  if (!shard_recorders_.empty()) {
-    raw->set_trace(shard_recorders_[0].get());
-    raw->register_metrics(*shard_metrics_[0]);
-  }
+  if (!shard_recorders_.empty()) trace_host(raw);
   return raw;
 }
 
@@ -77,10 +75,7 @@ net::Switch* Scenario::add_switch(const std::string& name) {
       &sim_, name, sc, switch_rngs_.back().get()));
   net::Switch* raw = switches_.back().get();
   switch_index_.emplace(raw, static_cast<int>(switches_.size()) - 1);
-  if (!shard_recorders_.empty()) {
-    raw->set_trace(shard_recorders_[0].get());
-    raw->register_metrics(*shard_metrics_[0]);
-  }
+  if (!shard_recorders_.empty()) trace_switch(raw, 0);
   return raw;
 }
 
@@ -248,16 +243,18 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
 
   // Commit: per-shard simulators, component re-homing, mailbox rewiring.
   shard_sims_.reserve(static_cast<std::size_t>(pr.shards));
+  sims_.clear();
   for (int s = 0; s < pr.shards; ++s) {
     shard_sims_.push_back(std::make_unique<sim::Simulator>());
+    sims_.push_back(shard_sims_.back().get());
   }
   for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    hosts_[i]->rebind_simulator(shard_sims_[static_cast<std::size_t>(
-        report_.host_shard[i])].get());
+    hosts_[i]->rebind_simulator(
+        sims_[static_cast<std::size_t>(report_.host_shard[i])]);
   }
   for (std::size_t j = 0; j < switches_.size(); ++j) {
-    switches_[j]->rebind_simulator(shard_sims_[static_cast<std::size_t>(
-        report_.switch_shard[j])].get());
+    switches_[j]->rebind_simulator(
+        sims_[static_cast<std::size_t>(report_.switch_shard[j])]);
   }
   for (const LinkRec& l : links_) {
     const int sa = link_shard(l, true);
@@ -265,12 +262,10 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
     // A FaultInjector is the delivery head of its direction, so it runs —
     // and schedules its reorder timers — on the destination shard.
     if (l.inj_a_to_b != nullptr) {
-      l.inj_a_to_b->rebind_simulator(
-          shard_sims_[static_cast<std::size_t>(sb)].get());
+      l.inj_a_to_b->rebind_simulator(sims_[static_cast<std::size_t>(sb)]);
     }
     if (l.inj_b_to_a != nullptr) {
-      l.inj_b_to_a->rebind_simulator(
-          shard_sims_[static_cast<std::size_t>(sa)].get());
+      l.inj_b_to_a->rebind_simulator(sims_[static_cast<std::size_t>(sa)]);
     }
     if (sa == sb) continue;
     mailbox_peers_.push_back(std::make_unique<net::MailboxPeer>(
@@ -282,7 +277,7 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   }
 
   sim::par::ParallelExecutor::Config cfg;
-  for (const auto& s : shard_sims_) cfg.shards.push_back(s.get());
+  cfg.shards = sims_;
   for (const auto& mb : mailboxes_) cfg.mailboxes.push_back(mb.get());
   cfg.lookahead = lookahead;
   for (const PairLookahead& pl : report_.pair_lookaheads) {
@@ -299,24 +294,16 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   return report_;
 }
 
-sim::Simulator* Scenario::sim_for(host::Host* h) {
-  if (shard_sims_.empty()) return &sim_;
-  return shard_sims_[static_cast<std::size_t>(shard_of(h))].get();
-}
-
 int Scenario::shard_of(host::Host* h) const {
-  if (shard_sims_.empty()) return 0;
-  return report_.host_shard[static_cast<std::size_t>(host_index_.at(h))];
+  return static_cast<int>(std::find(sims_.begin(), sims_.end(), h->sim()) -
+                          sims_.begin());
 }
 
-sim::Time Scenario::now() const {
-  return shard_sims_.empty() ? sim_.now() : shard_sims_[0]->now();
-}
+sim::Time Scenario::now() const { return sims_.front()->now(); }
 
 std::uint64_t Scenario::executed_events() const {
-  if (shard_sims_.empty()) return sim_.executed_events();
   std::uint64_t total = 0;
-  for (const auto& s : shard_sims_) total += s->executed_events();
+  for (const sim::Simulator* s : sims_) total += s->executed_events();
   return total;
 }
 
@@ -332,20 +319,12 @@ vswitch::AcdcVswitch* Scenario::attach_acdc(
     host::Host* h, const vswitch::AcdcConfig& config) {
   vswitch::AcdcConfig cfg = config;
   if (cfg.mtu_bytes == 9000) cfg.mtu_bytes = config_.mtu_bytes;
-  auto vs = std::make_unique<vswitch::AcdcVswitch>(sim_for(h), cfg);
+  auto vs = std::make_unique<vswitch::AcdcVswitch>(h->sim(), cfg);
   vswitch::AcdcVswitch* raw = vs.get();
   filters_.push_back(std::move(vs));
   h->add_filter(raw);
-  const std::string name = "acdc." + h->name();
-  acdc_filters_.emplace_back(raw, name);
-  if (!shard_recorders_.empty()) {
-    const std::size_t s = static_cast<std::size_t>(shard_of(h));
-    vswitch::AcdcVswitch::ObsHooks hooks;
-    hooks.recorder = shard_recorders_[s].get();
-    hooks.metrics = shard_metrics_[s].get();
-    hooks.name = name;
-    raw->attach_observability(hooks);
-  }
+  acdc_filters_.emplace_back(raw, h);
+  if (!shard_recorders_.empty()) trace_acdc(raw, h);
   return raw;
 }
 
@@ -353,7 +332,7 @@ net::TokenBucketShaper* Scenario::attach_shaper(
     host::Host* h, sim::Rate rate, std::int64_t burst_bytes,
     std::int64_t backlog_limit_bytes) {
   auto shaper = std::make_unique<net::TokenBucketShaper>(
-      sim_for(h), rate, burst_bytes, backlog_limit_bytes);
+      h->sim(), rate, burst_bytes, backlog_limit_bytes);
   net::TokenBucketShaper* raw = shaper.get();
   filters_.push_back(std::move(shaper));
   h->add_filter(raw);
@@ -380,8 +359,7 @@ host::BulkApp* Scenario::add_bulk_flow(host::Host* sender,
                                        std::int64_t total_bytes) {
   tcp::TcpConfig receiver_cfg = cfg;
   bulk_apps_.push_back(std::make_unique<host::BulkApp>(
-      sim_for(sender), sender, receiver, next_port_++, cfg, receiver_cfg,
-      start, total_bytes, sim_for(receiver)));
+      sender, receiver, next_port_++, cfg, receiver_cfg, start, total_bytes));
   return bulk_apps_.back().get();
 }
 
@@ -391,8 +369,7 @@ host::EchoApp* Scenario::add_rtt_probe(host::Host* client, host::Host* server,
   // The app's timers and RTT bookkeeping all run client-side; the echo
   // logic lives in the server host's own connection callbacks.
   echo_apps_.push_back(std::make_unique<host::EchoApp>(
-      sim_for(client), client, server, next_port_++, cfg, cfg, start,
-      interval));
+      client, server, next_port_++, cfg, cfg, start, interval));
   return echo_apps_.back().get();
 }
 
@@ -404,8 +381,8 @@ host::MessageApp* Scenario::add_message_app(host::Host* sender,
                                             std::int64_t bytes,
                                             stats::FctCollector* collector) {
   message_apps_.push_back(std::make_unique<host::MessageApp>(
-      sim_for(sender), sender, receiver, next_port_++, cfg, cfg, start,
-      interval, bytes, collector));
+      sender, receiver, next_port_++, cfg, cfg, start, interval, bytes,
+      collector));
   return message_apps_.back().get();
 }
 
@@ -415,8 +392,7 @@ workload::ChurnSource* Scenario::add_churn_workload(
   const std::uint64_t stream =
       kChurnRngStreamBase +
       static_cast<std::uint64_t>(churn_engine_.sources().size());
-  return churn_engine_.add_source(sim_for(sender), sender, receiver,
-                                  next_port_++, cfg, config,
+  return churn_engine_.add_source(sender, receiver, next_port_++, cfg, config,
                                   rng_.split(stream), start);
 }
 
@@ -426,15 +402,9 @@ app::ServiceTier* Scenario::add_service_workload(
   const std::uint64_t stream =
       kServiceRngStreamBase +
       static_cast<std::uint64_t>(service_engine_.tiers().size());
-  app::ServiceTier* tier = service_engine_.add_tier(
-      [this](host::Host* h) { return sim_for(h); }, roles, config, cfg,
-      rng_.split(stream));
-  // Tracing already on: wire this tier's svc.* gauges into the shard
-  // registries now (enable_tracing does it for tiers added before).
-  for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
-    sim::Simulator* sim = shard_sims_.empty() ? &sim_ : shard_sims_[s].get();
-    tier->register_metrics(sim, *shard_metrics_[s]);
-  }
+  app::ServiceTier* tier =
+      service_engine_.add_tier(roles, config, cfg, rng_.split(stream));
+  if (!shard_recorders_.empty()) trace_tier(tier);
   return tier;
 }
 
@@ -446,24 +416,14 @@ net::FaultStats Scenario::fault_stats() const {
 
 net::QueueStats Scenario::fabric_stats() const {
   net::QueueStats total;
-  for (const auto& sw : switches_) {
-    const net::QueueStats s = sw->total_stats();
-    total.enqueued_packets += s.enqueued_packets;
-    total.enqueued_bytes += s.enqueued_bytes;
-    total.dropped_packets += s.dropped_packets;
-    total.dropped_bytes += s.dropped_bytes;
-    total.marked_packets += s.marked_packets;
-    if (s.peak_bytes > total.peak_bytes) total.peak_bytes = s.peak_bytes;
-  }
+  for (const auto& sw : switches_) total.fold(sw->total_stats());
   return total;
 }
 
 obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
                                               sim::Time metrics_interval) {
   if (shard_recorders_.empty()) {
-    const std::size_t shard_count =
-        shard_sims_.empty() ? 1 : shard_sims_.size();
-    for (std::size_t s = 0; s < shard_count; ++s) {
+    for (std::size_t s = 0; s < sims_.size(); ++s) {
       shard_recorders_.push_back(
           std::make_unique<obs::FlightRecorder>(ring_capacity));
       shard_metrics_.push_back(std::make_unique<obs::MetricsRegistry>());
@@ -471,32 +431,14 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
       // thread's (= that shard's) packet pool.
       net::PacketPool::register_metrics(*shard_metrics_.back());
     }
-    for (std::size_t i = 0; i < hosts_.size(); ++i) {
-      const std::size_t s = shard_sims_.empty()
-                                ? 0
-                                : static_cast<std::size_t>(
-                                      report_.host_shard[i]);
-      hosts_[i]->set_trace(shard_recorders_[s].get());
-      hosts_[i]->register_metrics(*shard_metrics_[s]);
-    }
+    for (const auto& h : hosts_) trace_host(h.get());
     for (std::size_t j = 0; j < switches_.size(); ++j) {
-      const std::size_t s = shard_sims_.empty()
-                                ? 0
-                                : static_cast<std::size_t>(
-                                      report_.switch_shard[j]);
-      switches_[j]->set_trace(shard_recorders_[s].get());
-      switches_[j]->register_metrics(*shard_metrics_[s]);
+      trace_switch(switches_[j].get(),
+                   report_.parallel ? static_cast<std::size_t>(
+                                          report_.switch_shard[j])
+                                    : 0);
     }
-    // Service tiers added before tracing was enabled: register their
-    // svc.* gauges on each shard's registry (add_service_workload handles
-    // tiers added after).
-    if (!service_engine_.empty()) {
-      for (std::size_t s = 0; s < shard_metrics_.size(); ++s) {
-        sim::Simulator* sim =
-            shard_sims_.empty() ? &sim_ : shard_sims_[s].get();
-        service_engine_.register_metrics(sim, *shard_metrics_[s]);
-      }
-    }
+    for (const auto& tier : service_engine_.tiers()) trace_tier(tier.get());
     // Executor diagnostics ride the shard-0 registry (sampled on the
     // shard-0 worker thread, which is the run_until caller). stats() is
     // safe mid-run: every field is a relaxed atomic, so samples taken
@@ -523,26 +465,42 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
         return static_cast<double>(ex->stats().idle_wait_ns);
       });
     }
-    // vSwitches only exist before enable_parallel in serial scenarios
-    // (enable_parallel checks there are no filters), so shard 0 is always
-    // right.
-    for (const auto& [vs, name] : acdc_filters_) {
-      vswitch::AcdcVswitch::ObsHooks hooks;
-      hooks.recorder = shard_recorders_[0].get();
-      hooks.metrics = shard_metrics_[0].get();
-      hooks.name = name;
-      vs->attach_observability(hooks);
-    }
+    for (const auto& [vs, h] : acdc_filters_) trace_acdc(vs, h);
     if (metrics_interval > 0) {
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        sim::Simulator* sim =
-            shard_sims_.empty() ? &sim_ : shard_sims_[s].get();
-        shard_metrics_[s]->schedule_sampling(sim, metrics_interval);
+      for (std::size_t s = 0; s < sims_.size(); ++s) {
+        shard_metrics_[s]->schedule_sampling(sims_[s], metrics_interval);
       }
     }
   }
   for (const auto& rec : shard_recorders_) rec->set_enabled(true);
   return *shard_recorders_[0];
+}
+
+void Scenario::trace_host(host::Host* h) {
+  const std::size_t s = static_cast<std::size_t>(shard_of(h));
+  h->set_trace(shard_recorders_[s].get());
+  h->register_metrics(*shard_metrics_[s]);
+}
+
+void Scenario::trace_switch(net::Switch* sw, std::size_t shard) {
+  sw->set_trace(shard_recorders_[shard].get());
+  sw->register_metrics(*shard_metrics_[shard]);
+}
+
+void Scenario::trace_acdc(vswitch::AcdcVswitch* vs, host::Host* h) {
+  const std::size_t s = static_cast<std::size_t>(shard_of(h));
+  vswitch::AcdcVswitch::ObsHooks hooks;
+  hooks.recorder = shard_recorders_[s].get();
+  hooks.metrics = shard_metrics_[s].get();
+  hooks.name = "acdc." + h->name();
+  vs->attach_observability(hooks);
+}
+
+void Scenario::trace_tier(app::ServiceTier* tier) {
+  // Every shard's registry gets the gauges of the components it runs.
+  for (std::size_t s = 0; s < sims_.size(); ++s) {
+    tier->register_metrics(sims_[s], *shard_metrics_[s]);
+  }
 }
 
 net::PcapWriter* Scenario::attach_pcap(net::Port& port,

@@ -134,9 +134,8 @@ class Scenario {
   const PartitionReport& partition() const { return report_; }
   sim::par::ParallelExecutor* executor() { return executor_.get(); }
 
-  // The simulator that owns `h`'s events: a shard simulator when
-  // partitioned, the scenario-wide one otherwise.
-  sim::Simulator* sim_for(host::Host* h);
+  // The shard whose simulator runs `h` (host::Host::sim); 0 on the serial
+  // engine.
   int shard_of(host::Host* h) const;
   // Current simulation time (shard clocks agree at run_until boundaries).
   sim::Time now() const;
@@ -266,6 +265,15 @@ class Scenario {
   sim::par::Mailbox* mailbox_for(int src_shard, int dst_shard);
   int link_shard(const LinkRec& link, bool a_side) const;
 
+  // Tracing hooks, one per component kind. enable_tracing runs each over
+  // the components that already exist; add_host, add_switch, attach_acdc
+  // and add_service_workload run it on a new one once tracing is on. The
+  // registration order is the metrics CSV's column order.
+  void trace_host(host::Host* h);
+  void trace_switch(net::Switch* sw, std::size_t shard);
+  void trace_acdc(vswitch::AcdcVswitch* vs, host::Host* h);
+  void trace_tier(app::ServiceTier* tier);
+
   ScenarioConfig config_;
   sim::Simulator sim_;
   sim::Rng rng_;
@@ -280,6 +288,9 @@ class Scenario {
   std::unordered_map<const net::Switch*, int> switch_index_;
   PartitionReport report_;
   std::vector<std::unique_ptr<sim::Simulator>> shard_sims_;
+  // The simulators that run the scenario, by shard: sim_ alone, or the
+  // shard simulators once enable_parallel commits a partition.
+  std::vector<sim::Simulator*> sims_;
   std::vector<std::unique_ptr<sim::par::Mailbox>> mailboxes_;
   std::vector<std::unique_ptr<net::MailboxPeer>> mailbox_peers_;
 
@@ -288,7 +299,7 @@ class Scenario {
   std::vector<std::unique_ptr<net::Switch>> switches_;
   std::vector<std::unique_ptr<net::DuplexFilter>> filters_;
   std::vector<std::unique_ptr<net::FaultInjector>> injectors_;
-  std::vector<std::pair<vswitch::AcdcVswitch*, std::string>> acdc_filters_;
+  std::vector<std::pair<vswitch::AcdcVswitch*, host::Host*>> acdc_filters_;
   std::vector<std::unique_ptr<obs::FlightRecorder>> shard_recorders_;
   std::vector<std::unique_ptr<obs::MetricsRegistry>> shard_metrics_;
   std::vector<std::unique_ptr<net::PcapWriter>> pcap_writers_;

@@ -4,13 +4,10 @@
 
 namespace acdc::host {
 
-BulkApp::BulkApp(sim::Simulator* sim, Host* sender, Host* receiver,
-                 net::TcpPort port, tcp::TcpConfig sender_config,
-                 tcp::TcpConfig receiver_config, sim::Time start_time,
-                 std::int64_t total_bytes, sim::Simulator* receiver_sim)
-    : sim_(sim),
-      receiver_sim_(receiver_sim != nullptr ? receiver_sim : sim),
-      sender_(sender),
+BulkApp::BulkApp(Host* sender, Host* receiver, net::TcpPort port,
+                 tcp::TcpConfig sender_config, tcp::TcpConfig receiver_config,
+                 sim::Time start_time, std::int64_t total_bytes)
+    : sender_(sender),
       receiver_(receiver),
       port_(port),
       sender_config_(std::move(sender_config)),
@@ -22,13 +19,13 @@ BulkApp::BulkApp(sim::Simulator* sim, Host* sender, Host* receiver,
                     [this](tcp::TcpConnection* conn) {
                       server_conn_ = conn;
                       conn->on_deliver = [this](std::int64_t total) {
-                        deliveries_.add(receiver_sim_->now(),
+                        deliveries_.add(receiver_->sim()->now(),
                                         static_cast<double>(
                                             total - last_delivered_));
                         last_delivered_ = total;
                       };
                     });
-  sim_->schedule_at(start_time, [this] { start(); });
+  sender_->sim()->schedule_at(start_time, [this] { start(); });
 }
 
 void BulkApp::start() {
@@ -44,7 +41,7 @@ void BulkApp::start() {
     if (total_bytes_ > 0) {
       if (!completed_ && acked_total >= total_bytes_) {
         completed_ = true;
-        completion_time_ = sim_->now();
+        completion_time_ = sender_->sim()->now();
       }
     } else {
       refill();
@@ -60,7 +57,7 @@ void BulkApp::refill() {
 }
 
 void BulkApp::stop_at(sim::Time t) {
-  sim_->schedule_at(t, [this] { stopped_ = true; });
+  sender_->sim()->schedule_at(t, [this] { stopped_ = true; });
 }
 
 std::int64_t BulkApp::delivered_bytes() const {

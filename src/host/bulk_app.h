@@ -14,15 +14,13 @@ namespace acdc::host {
 class BulkApp {
  public:
   // total_bytes == 0 -> unlimited (long-lived flow). The app installs a
-  // listener for `port` on `receiver`; use a distinct port per app.
-  // `receiver_sim` is the simulator the receiver host runs on — it differs
-  // from `sim` when sender and receiver live on different shards of a
-  // partitioned scenario (delivery accounting must read the receiver
-  // shard's clock). nullptr means same simulator.
-  BulkApp(sim::Simulator* sim, Host* sender, Host* receiver, net::TcpPort port,
+  // listener for `port` on `receiver`; use a distinct port per app. Sender
+  // and receiver sides each run on their own host's simulator, which
+  // differ when the two live on different shards of a partitioned
+  // scenario.
+  BulkApp(Host* sender, Host* receiver, net::TcpPort port,
           tcp::TcpConfig sender_config, tcp::TcpConfig receiver_config,
-          sim::Time start_time, std::int64_t total_bytes = 0,
-          sim::Simulator* receiver_sim = nullptr);
+          sim::Time start_time, std::int64_t total_bytes = 0);
 
   // Stops refilling an unlimited flow at time t (the flow drains and idles).
   void stop_at(sim::Time t);
@@ -51,8 +49,6 @@ class BulkApp {
   static constexpr std::int64_t kChunkBytes = 1 << 20;
   static constexpr std::int64_t kLowWater = 2 * kChunkBytes;
 
-  sim::Simulator* sim_;           // sender-side shard
-  sim::Simulator* receiver_sim_;  // receiver-side shard
   Host* sender_;
   Host* receiver_;
   net::TcpPort port_;

@@ -2,12 +2,11 @@
 
 namespace acdc::host {
 
-EchoApp::EchoApp(sim::Simulator* sim, Host* client, Host* server,
-                 net::TcpPort port, const tcp::TcpConfig& client_config,
+EchoApp::EchoApp(Host* client, Host* server, net::TcpPort port,
+                 const tcp::TcpConfig& client_config,
                  const tcp::TcpConfig& server_config, sim::Time start_time,
                  sim::Time interval, std::int64_t probe_bytes)
-    : sim_(sim),
-      client_(client),
+    : client_(client),
       server_(server),
       port_(port),
       client_config_(client_config),
@@ -21,7 +20,7 @@ EchoApp::EchoApp(sim::Simulator* sim, Host* client, Host* server,
       echoed = total;
     };
   });
-  sim_->schedule_at(start_time, [this] { start(); });
+  client_->sim()->schedule_at(start_time, [this] { start(); });
 }
 
 void EchoApp::start() {
@@ -32,7 +31,8 @@ void EchoApp::start() {
   };
   conn_->on_deliver = [this](std::int64_t total) {
     while (!in_flight_.empty() && total >= in_flight_.front().first) {
-      rtt_ms_.add(sim::to_milliseconds(sim_->now() - in_flight_.front().second));
+      rtt_ms_.add(sim::to_milliseconds(client_->sim()->now() -
+                                       in_flight_.front().second));
       in_flight_.pop_front();
     }
   };
@@ -47,13 +47,13 @@ void EchoApp::tick() {
   if (in_flight_.size() < 32) {
     echoed_target_ += probe_bytes_;
     conn_->send(probe_bytes_);
-    in_flight_.emplace_back(echoed_target_, sim_->now());
+    in_flight_.emplace_back(echoed_target_, client_->sim()->now());
   }
-  sim_->schedule(interval_, [this] { tick(); });
+  client_->sim()->schedule(interval_, [this] { tick(); });
 }
 
 void EchoApp::stop_at(sim::Time t) {
-  sim_->schedule_at(t, [this] { stopped_ = true; });
+  client_->sim()->schedule_at(t, [this] { stopped_ = true; });
 }
 
 }  // namespace acdc::host

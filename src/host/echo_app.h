@@ -13,7 +13,8 @@ namespace acdc::host {
 
 class EchoApp {
  public:
-  EchoApp(sim::Simulator* sim, Host* client, Host* server, net::TcpPort port,
+  // Timers and RTT bookkeeping run on the client host's simulator.
+  EchoApp(Host* client, Host* server, net::TcpPort port,
           const tcp::TcpConfig& client_config,
           const tcp::TcpConfig& server_config, sim::Time start_time,
           sim::Time interval, std::int64_t probe_bytes = 64);
@@ -27,7 +28,6 @@ class EchoApp {
   void start();
   void tick();
 
-  sim::Simulator* sim_;
   Host* client_;
   Host* server_;
   net::TcpPort port_;

@@ -42,6 +42,10 @@ class Host : public net::PacketSink {
   const std::string& name() const { return name_; }
   net::IpAddr ip() const { return ip_; }
   net::Nic& nic() { return nic_; }
+  // The simulator that owns this host's events: its shard's once the
+  // scenario is partitioned. Apps, churn sources and service tiers bound
+  // to the host schedule their timers here.
+  sim::Simulator* sim() const { return sim_; }
 
   // Adds a datapath filter (non-owning). Filters see egress packets in
   // insertion order and ingress packets in reverse order. Install filters
@@ -75,8 +79,8 @@ class Host : public net::PacketSink {
   std::int64_t connections_opened() const { return conns_opened_; }
   std::int64_t connections_released() const { return conns_released_; }
 
-  // Re-homes the host (NIC, future connections and app timers) onto a
-  // shard's simulator. Partitioning happens before any connection exists.
+  // Re-homes the host (NIC, future connections and apps) onto a shard's
+  // simulator. Partitioning happens before any connection or app exists.
   void rebind_simulator(sim::Simulator* sim);
 
   // Wires the flight recorder into the NIC and into every connection —

@@ -6,14 +6,13 @@
 
 namespace acdc::host {
 
-MessageApp::MessageApp(sim::Simulator* sim, Host* sender, Host* receiver,
-                       net::TcpPort port, const tcp::TcpConfig& sender_config,
+MessageApp::MessageApp(Host* sender, Host* receiver, net::TcpPort port,
+                       const tcp::TcpConfig& sender_config,
                        const tcp::TcpConfig& receiver_config,
                        sim::Time start_time, sim::Time interval,
                        std::int64_t message_bytes,
                        stats::FctCollector* collector)
-    : sim_(sim),
-      sender_(sender),
+    : sender_(sender),
       receiver_(receiver),
       port_(port),
       sender_config_(sender_config),
@@ -22,7 +21,7 @@ MessageApp::MessageApp(sim::Simulator* sim, Host* sender, Host* receiver,
       collector_(collector),
       periodic_(interval > 0) {
   receiver_->listen(port_, receiver_config);
-  sim_->schedule_at(start_time, [this] { start(); });
+  sender_->sim()->schedule_at(start_time, [this] { start(); });
 }
 
 void MessageApp::start() {
@@ -37,7 +36,7 @@ void MessageApp::start() {
 
 void MessageApp::tick() {
   send_message(message_bytes_);
-  sim_->schedule(interval_, [this] { tick(); });
+  sender_->sim()->schedule(interval_, [this] { tick(); });
 }
 
 void MessageApp::send_message(std::int64_t bytes,
@@ -52,8 +51,9 @@ void MessageApp::send_message(std::int64_t bytes,
   conn_->send(bytes);
   written_total_ += bytes;
   ++messages_sent_;
-  outstanding_.push_back(
-      Outstanding{written_total_, bytes, sim_->now(), std::move(on_complete)});
+  outstanding_.push_back(Outstanding{written_total_, bytes,
+                                     sender_->sim()->now(),
+                                     std::move(on_complete)});
 }
 
 void MessageApp::handle_acked(std::int64_t acked_total) {
@@ -62,7 +62,7 @@ void MessageApp::handle_acked(std::int64_t acked_total) {
          acked_total >= outstanding_.front().target_acked_bytes) {
     Outstanding done = std::move(outstanding_.front());
     outstanding_.pop_front();
-    const sim::Time fct = sim_->now() - done.started;
+    const sim::Time fct = sender_->sim()->now() - done.started;
     ++messages_completed_;
     if (collector_ != nullptr) collector_->record(done.size, fct);
     if (done.on_complete) done.on_complete(fct);

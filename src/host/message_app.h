@@ -18,9 +18,10 @@ class MessageApp {
  public:
   // Periodic mode: sends `message_bytes` every `interval` starting at
   // `start_time` (messages queue even if earlier ones are unfinished, as in
-  // the paper's 16KB-every-100ms mice).
-  MessageApp(sim::Simulator* sim, Host* sender, Host* receiver,
-             net::TcpPort port, const tcp::TcpConfig& sender_config,
+  // the paper's 16KB-every-100ms mice). Timers run on the sender host's
+  // simulator.
+  MessageApp(Host* sender, Host* receiver, net::TcpPort port,
+             const tcp::TcpConfig& sender_config,
              const tcp::TcpConfig& receiver_config, sim::Time start_time,
              sim::Time interval, std::int64_t message_bytes,
              stats::FctCollector* collector);
@@ -53,7 +54,6 @@ class MessageApp {
   void tick();
   void handle_acked(std::int64_t acked_total);
 
-  sim::Simulator* sim_;
   Host* sender_;
   Host* receiver_;
   net::TcpPort port_;

@@ -4,27 +4,25 @@
 
 #include "net/pcap.h"
 #include "sim/check.h"
+#include "sim/hash.h"
 
 namespace acdc::net {
 
 std::uint64_t Port::delivery_tie_key(const Packet& packet) {
   // FNV-1a over the packet's invariant identity. uid alone is not enough:
   // vSwitch-crafted packets (FACKs, injected dupACKs) keep uid 0.
-  std::uint64_t h = 14695981039346656037ULL;
-  const auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (8 * i)) & 0xff;
-      h *= 1099511628211ULL;
-    }
-  };
-  mix(packet.uid);
-  mix((static_cast<std::uint64_t>(packet.ip.src) << 32) | packet.ip.dst);
-  mix((static_cast<std::uint64_t>(packet.tcp.src_port) << 48) |
-      (static_cast<std::uint64_t>(packet.tcp.dst_port) << 32) |
-      packet.tcp.seq);
-  mix((static_cast<std::uint64_t>(packet.tcp.ack_seq) << 32) |
-      static_cast<std::uint64_t>(packet.payload_bytes));
-  return h;
+  const std::uint64_t addrs =
+      (std::uint64_t{packet.ip.src} << 32) | packet.ip.dst;
+  const std::uint64_t ports_seq = (std::uint64_t{packet.tcp.src_port} << 48) |
+                                  (std::uint64_t{packet.tcp.dst_port} << 32) |
+                                  packet.tcp.seq;
+  const std::uint64_t ack_len =
+      (std::uint64_t{packet.tcp.ack_seq} << 32) |
+      static_cast<std::uint64_t>(packet.payload_bytes);
+  std::uint64_t h = sim::fnv1a_word(sim::kFnvOffsetBasis, packet.uid);
+  h = sim::fnv1a_word(h, addrs);
+  h = sim::fnv1a_word(h, ports_seq);
+  return sim::fnv1a_word(h, ack_len);
 }
 
 namespace {

@@ -22,6 +22,18 @@ struct QueueStats {
   std::int64_t marked_packets = 0;  // CE marks applied by AQM
   std::int64_t peak_bytes = 0;      // occupancy high-watermark
 
+  // Folds one queue's stats into a switch or fabric total: the enqueue,
+  // drop and mark counters add and peak_bytes takes the maximum. The
+  // dequeue counters stay out; no total reads them.
+  void fold(const QueueStats& s) {
+    enqueued_packets += s.enqueued_packets;
+    enqueued_bytes += s.enqueued_bytes;
+    dropped_packets += s.dropped_packets;
+    dropped_bytes += s.dropped_bytes;
+    marked_packets += s.marked_packets;
+    if (s.peak_bytes > peak_bytes) peak_bytes = s.peak_bytes;
+  }
+
   double drop_rate() const {
     const std::int64_t offered = enqueued_packets + dropped_packets;
     return offered == 0 ? 0.0

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/hash.h"
+
 namespace acdc::net {
 
 Switch::Switch(sim::Simulator* sim, std::string name, SwitchConfig config,
@@ -57,28 +59,16 @@ void Switch::register_metrics(obs::MetricsRegistry& registry) const {
 
 void Switch::add_route(IpAddr dst, Port* port) { routes_[dst] = port; }
 
-namespace {
-// Symmetric 5-tuple hash, so both directions of a connection pick
-// consistent (but independent per switch tier) uplinks.
-std::size_t flow_hash(const Packet& p) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(p.ip.src);
-  mix(p.ip.dst);
-  mix((static_cast<std::uint64_t>(p.tcp.src_port) << 16) | p.tcp.dst_port);
-  return static_cast<std::size_t>(h);
-}
-}  // namespace
-
 void Switch::receive(PacketPtr packet) {
   Port* out = nullptr;
   if (Port* const* route = routes_.find(packet->ip.dst)) {
     out = *route;
   } else if (!default_ecmp_.empty()) {
-    out = default_ecmp_[flow_hash(*packet) % default_ecmp_.size()];
+    // ECMP on the directional 4-tuple (sim/hash.h says what that implies).
+    const std::size_t h = static_cast<std::size_t>(
+        sim::tuple_hash(packet->ip.src, packet->ip.dst, packet->tcp.src_port,
+                        packet->tcp.dst_port));
+    out = default_ecmp_[h % default_ecmp_.size()];
   } else {
     out = default_route_;
   }
@@ -91,15 +81,7 @@ void Switch::receive(PacketPtr packet) {
 
 QueueStats Switch::total_stats() const {
   QueueStats total;
-  for (const auto& port : ports_) {
-    const QueueStats& s = port->queue().stats();
-    total.enqueued_packets += s.enqueued_packets;
-    total.enqueued_bytes += s.enqueued_bytes;
-    total.dropped_packets += s.dropped_packets;
-    total.dropped_bytes += s.dropped_bytes;
-    total.marked_packets += s.marked_packets;
-    if (s.peak_bytes > total.peak_bytes) total.peak_bytes = s.peak_bytes;
-  }
+  for (const auto& port : ports_) total.fold(port->queue().stats());
   return total;
 }
 

@@ -2,22 +2,10 @@
 
 #include <algorithm>
 
+#include "sim/hash.h"
+
 namespace acdc::net {
 namespace {
-
-// FNV-1a over the directional 4-tuple; matches the spirit of the vSwitch's
-// FlowKeyHash without pulling acdc headers into net.
-std::uint64_t flow_hash(const Packet& p) {
-  std::uint64_t h = 1469598103934665603ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 1099511628211ull;
-  };
-  mix(p.ip.src);
-  mix(p.ip.dst);
-  mix((static_cast<std::uint64_t>(p.tcp.src_port) << 16) | p.tcp.dst_port);
-  return h;
-}
 
 // Distinct-flow counting epoch. The published active-flow count is the
 // running maximum of the current epoch's set size and the previous epoch's
@@ -58,7 +46,10 @@ void TelemetrySampler::stamp(Packet& p, std::int64_t queue_bytes,
                              sim::Time now) {
   if (p.payload_bytes <= 0) return;
   roll_epoch(now);
-  if (seen_.size() < kMaxTrackedFlows) seen_.insert(flow_hash(p));
+  if (seen_.size() < kMaxTrackedFlows) {
+    seen_.insert(sim::tuple_hash(p.ip.src, p.ip.dst, p.tcp.src_port,
+                                 p.tcp.dst_port));
+  }
 
   TelemetryStamp here;
   here.qlen_bytes = static_cast<std::uint32_t>(std::min<std::int64_t>(

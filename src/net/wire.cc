@@ -331,12 +331,4 @@ void set_ecn_in_place(std::span<std::uint8_t> buffer, Ecn ecn) {
   set_u16(buffer, 10, new_csum);
 }
 
-std::uint16_t read_window_raw(std::span<const std::uint8_t> buffer) {
-  return get_u16(buffer, 20 + 14);
-}
-
-Ecn read_ecn(std::span<const std::uint8_t> buffer) {
-  return static_cast<Ecn>(buffer[1] & 0x3);
-}
-
 }  // namespace acdc::net::wire

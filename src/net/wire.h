@@ -66,8 +66,4 @@ void rewrite_window_in_place(std::span<std::uint8_t> buffer,
 // Sets the IP ECN codepoint and incrementally fixes the IP checksum.
 void set_ecn_in_place(std::span<std::uint8_t> buffer, Ecn ecn);
 
-// Reads fields without a full parse (datapath fast-path helpers).
-std::uint16_t read_window_raw(std::span<const std::uint8_t> buffer);
-Ecn read_ecn(std::span<const std::uint8_t> buffer);
-
 }  // namespace acdc::net::wire

@@ -50,7 +50,12 @@ class Simulator {
   void cancel(EventId id) { queue_.cancel(id); }
 
   // Runs events until the queue drains; the clock stays at the last event
-  // run, and the position at the end of its tick.
+  // run, and the position at the end of its tick. Drivers run to a
+  // deadline; this is the drain loop of the engine and port tests
+  // (SimulatorTest, DeadlineTimerTest including its cancel-and-schedule
+  // reference, ReservedEventTest, PortDeathTest, FaultInjectorDeathTest,
+  // SwitchTest, PacketPoolTest.PeerlessPortReturnsPacketsToThePool and
+  // ObsIntegrationTest.PerHopEventsConservePackets).
   void run();
 
   // Runs events with timestamp <= deadline; the clock ends at

@@ -15,7 +15,6 @@ namespace acdc::tcp {
 // connection).
 class NewReno : public CongestionControl {
  public:
-  std::string_view name() const override { return "reno"; }
   double ssthresh_after_loss(const CcState& s) override {
     return std::max(kMinCwnd, s.cwnd / 2.0);
   }
@@ -25,7 +24,6 @@ class NewReno : public CongestionControl {
 // since the last reduction, a TCP-friendly region, and fast convergence.
 class Cubic : public CongestionControl {
  public:
-  std::string_view name() const override { return "cubic"; }
   void init(CcState& s) override;
   void on_ack(CcState& s, const AckSample& ack) override;
   double ssthresh_after_loss(const CcState& s) override;
@@ -54,7 +52,6 @@ class Dctcp : public CongestionControl {
  public:
   static constexpr double kG = 1.0 / 16.0;  // EWMA gain (Linux default)
 
-  std::string_view name() const override { return "dctcp"; }
   void init(CcState& s) override;
   void on_ack(CcState& s, const AckSample& ack) override;
   double ssthresh_after_loss(const CcState& s) override {
@@ -76,7 +73,6 @@ class Dctcp : public CongestionControl {
 // packets.
 class Vegas : public CongestionControl {
  public:
-  std::string_view name() const override { return "vegas"; }
   void init(CcState& s) override;
   void on_ack(CcState& s, const AckSample& ack) override;
   double ssthresh_after_loss(const CcState& s) override {
@@ -99,7 +95,6 @@ class Vegas : public CongestionControl {
 // parameters alpha(d) and beta(d).
 class Illinois : public CongestionControl {
  public:
-  std::string_view name() const override { return "illinois"; }
   void init(CcState& s) override;
   void on_ack(CcState& s, const AckSample& ack) override;
   double ssthresh_after_loss(const CcState& s) override;
@@ -127,7 +122,6 @@ class Illinois : public CongestionControl {
 // HighSpeed TCP (RFC 3649): a(w)/b(w) response table for large windows.
 class HighSpeed : public CongestionControl {
  public:
-  std::string_view name() const override { return "highspeed"; }
   void on_ack(CcState& s, const AckSample& ack) override;
   double ssthresh_after_loss(const CcState& s) override;
 
@@ -141,7 +135,6 @@ class HighSpeed : public CongestionControl {
 // peer's receive window it models the tenant AC/DC must police (§3.3).
 class AggressiveCc : public CongestionControl {
  public:
-  std::string_view name() const override { return "aggressive"; }
   void on_ack(CcState& s, const AckSample& ack) override {
     s.cwnd += ack.acked_packets;  // exponential growth forever
   }

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <ostream>
+#include <string>
 #include <utility>
 
 namespace acdc::tcp {
@@ -35,7 +36,15 @@ std::optional<CcId> parse_cc_id(std::string_view name) {
 }
 
 std::string_view valid_cc_names() {
-  return "reno, cubic, dctcp, vegas, illinois, highspeed, aggressive";
+  static const std::string names = [] {
+    std::string joined;
+    for (const auto& [cc, name] : kNames) {
+      if (!joined.empty()) joined += ", ";
+      joined += name;
+    }
+    return joined;
+  }();
+  return names;
 }
 
 std::ostream& operator<<(std::ostream& os, CcId id) {

@@ -21,13 +21,15 @@ enum class CcId {
   kAggressive,
 };
 
-// The canonical lowercase name, matching CongestionControl::name().
+// The canonical lowercase name: the one table in cc_id.cc that parsing and
+// valid_cc_names() read too.
 std::string_view to_string(CcId id);
 
 // CLI-edge parsing; nullopt for unknown names.
 std::optional<CcId> parse_cc_id(std::string_view name);
 
-// "reno, cubic, dctcp, ..." — for error messages at the parse edge.
+// "reno, cubic, dctcp, ..." — every name in enum order, for error messages
+// at the parse edge.
 std::string_view valid_cc_names();
 
 // Prints the canonical name (test failure messages, tables).

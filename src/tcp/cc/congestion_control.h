@@ -15,8 +15,6 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <string>
-#include <string_view>
 
 #include "sim/time.h"
 #include "tcp/cc/cc_id.h"
@@ -49,8 +47,6 @@ struct AckSample {
 class CongestionControl {
  public:
   virtual ~CongestionControl() = default;
-
-  virtual std::string_view name() const = 0;
 
   virtual void init(CcState& s) { (void)s; }
 

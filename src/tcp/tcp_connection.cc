@@ -133,10 +133,14 @@ void TcpConnection::abort() {
   rst->tcp.ack_seq = rcv_nxt_;
   ++stats_.segments_sent;
   transmit(std::move(rst));
-  enter_state(State::kDone);
-  rto_timer_.disarm();
   delack_timer_.disarm();
   segments_.clear();
+  finish();
+}
+
+void TcpConnection::finish() {
+  enter_state(State::kDone);
+  rto_timer_.disarm();
   if (on_closed) on_closed();
 }
 
@@ -366,9 +370,7 @@ void TcpConnection::receive(net::PacketPtr packet) {
   }
   const net::Packet& p = *packet;
   if (p.tcp.flags.rst) {
-    enter_state(State::kDone);
-    rto_timer_.disarm();
-    if (on_closed) on_closed();
+    finish();
     return;
   }
   if (p.tcp.flags.ack) process_ack(p);
@@ -567,16 +569,9 @@ void TcpConnection::process_ack(const net::Packet& p) {
     }
     if (on_acked && acked_payload > 0) on_acked(acked_payload_bytes_);
 
-    if (fin_acked_ && state_ == State::kLastAck) {
-      enter_state(State::kDone);
-      rto_timer_.disarm();
-      if (on_closed) on_closed();
-      return;
-    }
-    if (fin_acked_ && fin_received_ && state_ == State::kFinWait) {
-      enter_state(State::kDone);
-      rto_timer_.disarm();
-      if (on_closed) on_closed();
+    if (fin_acked_ && (state_ == State::kLastAck ||
+                       (fin_received_ && state_ == State::kFinWait))) {
+      finish();
       return;
     }
     try_send();
@@ -723,11 +718,7 @@ void TcpConnection::process_payload(const net::Packet& p) {
   maybe_send_ack(/*forced=*/!advanced || !out_of_order_.empty() ||
                  last_segment_ce_ || fin_received_);
 
-  if (fin_received_ && fin_acked_ && state_ == State::kFinWait) {
-    enter_state(State::kDone);
-    rto_timer_.disarm();
-    if (on_closed) on_closed();
-  }
+  if (fin_received_ && fin_acked_ && state_ == State::kFinWait) finish();
 }
 
 std::uint16_t TcpConnection::advertised_window_raw() const {

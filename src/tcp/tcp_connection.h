@@ -208,6 +208,10 @@ class TcpConnection {
   // ---- ECN ----
   void react_to_ece();
 
+  // The one way into kDone (peer RST, the close handshake's last ACK,
+  // abort): records the state change, stops the RTO and runs on_closed.
+  void finish();
+
   // ---- Tracing ----
   void enter_state(State next);  // state_ writes funnel through here
   void trace_cwnd();

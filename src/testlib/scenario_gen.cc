@@ -12,6 +12,7 @@
 #include "forensics/report.h"
 #include "obs/export.h"
 #include "obs/merge.h"
+#include "sim/hash.h"
 #include "testlib/invariants.h"
 
 namespace acdc::testlib {
@@ -40,14 +41,9 @@ constexpr std::uint64_t kServicePlanStream = 0xACDC5EC7;
 
 // FNV-1a 64-bit, mixed 8 bytes at a time.
 struct Digest {
-  std::uint64_t h = 14695981039346656037ull;
+  std::uint64_t h = sim::kFnvOffsetBasis;
 
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
+  void mix(std::uint64_t v) { h = sim::fnv1a_word(h, v); }
   void mix_double(double x) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &x, sizeof(bits));

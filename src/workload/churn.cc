@@ -6,12 +6,10 @@
 
 namespace acdc::workload {
 
-ChurnSource::ChurnSource(sim::Simulator* sim, host::Host* sender,
-                         host::Host* receiver, net::TcpPort port,
-                         tcp::TcpConfig tcp_config, ChurnConfig config,
-                         sim::Rng rng, sim::Time start)
-    : sim_(sim),
-      sender_(sender),
+ChurnSource::ChurnSource(host::Host* sender, host::Host* receiver,
+                         net::TcpPort port, tcp::TcpConfig tcp_config,
+                         ChurnConfig config, sim::Rng rng, sim::Time start)
+    : sender_(sender),
       receiver_(receiver),
       port_(port),
       tcp_config_(tcp_config),
@@ -35,14 +33,14 @@ ChurnSource::ChurnSource(sim::Simulator* sim, host::Host* sender,
     conn->on_peer_fin = [conn] { conn->close(); };
     conn->on_closed = [rcv, conn] { rcv->release_connection(conn); };
   });
-  sim_->schedule_at(start_, [this] { this->start(); });
+  sender_->sim()->schedule_at(start_, [this] { this->start(); });
 }
 
 ChurnSource::~ChurnSource() = default;
 
 bool ChurnSource::stopped() const {
   return config_.stop_after != sim::kNoTime &&
-         sim_->now() - start_ >= config_.stop_after;
+         sender_->sim()->now() - start_ >= config_.stop_after;
 }
 
 void ChurnSource::start() {
@@ -53,8 +51,8 @@ void ChurnSource::start() {
     case ArrivalKind::kBurstyOnOff:
       burst_on_ = true;
       arm_arrival();
-      sim_->schedule(rng_.exponential_gap(config_.burst_on_mean),
-                     [this] { flip_phase(); });
+      sender_->sim()->schedule(rng_.exponential_gap(config_.burst_on_mean),
+                               [this] { flip_phase(); });
       break;
   }
 }
@@ -62,7 +60,8 @@ void ChurnSource::start() {
 void ChurnSource::arm_arrival() {
   if (arrival_armed_ || stopped()) return;
   arrival_armed_ = true;
-  sim_->schedule(rng_.exponential_gap(mean_gap_), [this] { on_arrival(); });
+  sender_->sim()->schedule(rng_.exponential_gap(mean_gap_),
+                           [this] { on_arrival(); });
 }
 
 void ChurnSource::on_arrival() {
@@ -79,9 +78,10 @@ void ChurnSource::on_arrival() {
 void ChurnSource::flip_phase() {
   if (stopped()) return;
   burst_on_ = !burst_on_;
-  sim_->schedule(rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
-                                                : config_.burst_off_mean),
-                 [this] { flip_phase(); });
+  sender_->sim()->schedule(
+      rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
+                                     : config_.burst_off_mean),
+      [this] { flip_phase(); });
   if (burst_on_) arm_arrival();
 }
 
@@ -126,7 +126,7 @@ void ChurnSource::launch(std::int64_t bytes, bool abort_flow) {
     if (cum >= flow.bytes) {
       flow.data_done = true;
       if (config_.linger > 0) {
-        sim_->schedule(config_.linger, [this, conn] {
+        sender_->sim()->schedule(config_.linger, [this, conn] {
           if (flows_.find(conn) != nullptr) conn->close();
         });
       } else {
@@ -151,13 +151,13 @@ void ChurnSource::finish(tcp::TcpConnection* conn) {
   sender_->release_connection(conn);
 }
 
-ChurnSource* ChurnEngine::add_source(sim::Simulator* sim, host::Host* sender,
-                                     host::Host* receiver, net::TcpPort port,
+ChurnSource* ChurnEngine::add_source(host::Host* sender, host::Host* receiver,
+                                     net::TcpPort port,
                                      const tcp::TcpConfig& tcp_config,
                                      const ChurnConfig& config, sim::Rng rng,
                                      sim::Time start) {
   sources_.push_back(std::make_unique<ChurnSource>(
-      sim, sender, receiver, port, tcp_config, config, rng, start));
+      sender, receiver, port, tcp_config, config, rng, start));
   return sources_.back().get();
 }
 

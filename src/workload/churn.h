@@ -80,12 +80,12 @@ struct ChurnStats {
 
 class ChurnSource {
  public:
-  // `sim` must be the simulator that owns `sender`'s events (the sender's
-  // shard). The receiver's listener for `port` is installed here, before
-  // any run, so no cross-shard mutation happens at run time.
-  ChurnSource(sim::Simulator* sim, host::Host* sender, host::Host* receiver,
-              net::TcpPort port, tcp::TcpConfig tcp_config, ChurnConfig config,
-              sim::Rng rng, sim::Time start);
+  // Timers run on the sender host's simulator (the sender's shard). The
+  // receiver's listener for `port` is installed here, before any run, so
+  // no cross-shard mutation happens at run time.
+  ChurnSource(host::Host* sender, host::Host* receiver, net::TcpPort port,
+              tcp::TcpConfig tcp_config, ChurnConfig config, sim::Rng rng,
+              sim::Time start);
 
   ChurnSource(const ChurnSource&) = delete;
   ChurnSource& operator=(const ChurnSource&) = delete;
@@ -110,7 +110,6 @@ class ChurnSource {
   void finish(tcp::TcpConnection* conn);
   bool stopped() const;
 
-  sim::Simulator* sim_;
   host::Host* sender_;
   host::Host* receiver_;
   net::TcpPort port_;
@@ -129,9 +128,8 @@ class ChurnSource {
 // (add_churn_workload) or constructed directly in benches.
 class ChurnEngine {
  public:
-  ChurnSource* add_source(sim::Simulator* sim, host::Host* sender,
-                          host::Host* receiver, net::TcpPort port,
-                          const tcp::TcpConfig& tcp_config,
+  ChurnSource* add_source(host::Host* sender, host::Host* receiver,
+                          net::TcpPort port, const tcp::TcpConfig& tcp_config,
                           const ChurnConfig& config, sim::Rng rng,
                           sim::Time start);
 

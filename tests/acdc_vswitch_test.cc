@@ -444,11 +444,12 @@ struct Twin {
   }
 };
 
-// process_burst warms flow-table lines up to 16 packets ahead of the one it
-// processes; the datapath benches and the perf probes are its only callers,
-// so it is checked here against packet-at-a-time delivery. Bursts of 48
-// mixed packets over 48 flows run against a 24-entry table: inserts evict
-// entries a later packet's prefetch already targeted.
+// The burst loop warms flow-table lines up to 16 packets ahead of the one it
+// processes; only receive_burst() callers (the datapath bench and the perf
+// probes) reach it, so both directions are checked here against
+// packet-at-a-time delivery. Bursts of 48 mixed packets over 48 flows run
+// against a 24-entry table: inserts evict entries a later packet's
+// prefetch already targeted.
 TEST(AcdcVswitchTest, BurstPipelineMatchesPacketAtATime) {
   constexpr int kFlows = 48;
   constexpr std::size_t kBurst = 48;

@@ -113,11 +113,10 @@ TEST(RpcTest, ResponsesMatchRequestIdsAcrossConcurrentCalls) {
   RpcPair net;
   RpcServerConfig scfg;
   scfg.service_time = sim::microseconds(10);
-  RpcServer server(&net.sim, &net.server_host, &net.registry,
-                   tcp::TcpConfig{}, scfg,
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(101)));
-  RpcClient client(&net.sim, &net.client_host, &net.registry,
-                   net.server_host.ip(), scfg.port, tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   scfg.port, tcp::TcpConfig{});
 
   std::vector<std::uint64_t> issued;
   std::vector<std::uint64_t> answered;
@@ -150,11 +149,10 @@ TEST(RpcTest, BacklogOverflowDropsAndClientDeadlineSurfacesIt) {
   scfg.workers = 1;
   scfg.backlog_limit = 2;
   scfg.service_time = sim::milliseconds(1);  // all 5 arrive before any finish
-  RpcServer server(&net.sim, &net.server_host, &net.registry,
-                   tcp::TcpConfig{}, scfg,
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(102)));
-  RpcClient client(&net.sim, &net.client_host, &net.registry,
-                   net.server_host.ip(), scfg.port, tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   scfg.port, tcp::TcpConfig{});
 
   int completed = 0;
   int timed_out = 0;
@@ -183,11 +181,10 @@ TEST(RpcTest, ResponseAfterItsDeadlineCountsLateOnce) {
   RpcPair net;
   RpcServerConfig scfg;
   scfg.service_time = sim::milliseconds(5);  // well past the 2 ms deadline
-  RpcServer server(&net.sim, &net.server_host, &net.registry,
-                   tcp::TcpConfig{}, scfg,
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(105)));
-  RpcClient client(&net.sim, &net.client_host, &net.registry,
-                   net.server_host.ip(), scfg.port, tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   scfg.port, tcp::TcpConfig{});
 
   int results = 0;
   client.call(128, sim::milliseconds(2), [&results](const RpcResult& r) {
@@ -211,11 +208,10 @@ TEST(RpcTest, HandComputedLatencyIsTwoRttPlusServiceTime) {
   scfg.service_jitter_mean = 0;
   scfg.response_bytes = 2000;
   scfg.response_jitter_bytes = 0;
-  RpcServer server(&net.sim, &net.server_host, &net.registry,
-                   tcp::TcpConfig{}, scfg,
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(103)));
-  RpcClient client(&net.sim, &net.client_host, &net.registry,
-                   net.server_host.ip(), scfg.port, tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   scfg.port, tcp::TcpConfig{});
 
   // Issued before the handshake: SYN (0.5 RTT) -> SYN-ACK (1 RTT) ->
   // request (1.5 RTT) -> 1ms service -> response (2 RTT + service). With
@@ -244,12 +240,11 @@ TEST(RpcTest, CloseCancelsDeadlinelessCallsAndReleasesConnections) {
   scfg.workers = 1;
   scfg.backlog_limit = 0;                    // second call is dropped
   scfg.service_time = sim::milliseconds(5);  // still in service at close()
-  RpcServer server(&net.sim, &net.server_host, &net.registry,
-                   tcp::TcpConfig{}, scfg,
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(104)));
   auto client = std::make_unique<RpcClient>(
-      &net.sim, &net.client_host, &net.registry, net.server_host.ip(),
-      scfg.port, tcp::TcpConfig{});
+      &net.client_host, &net.registry, net.server_host.ip(), scfg.port,
+      tcp::TcpConfig{});
 
   int served = 0;
   int cancelled = 0;
@@ -287,8 +282,8 @@ TEST(AppTierDeathTest, RpcServerNeedsWorkers) {
   RpcPair net;
   RpcServerConfig scfg;
   scfg.workers = 0;
-  EXPECT_DEATH(RpcServer(&net.sim, &net.server_host, &net.registry,
-                         tcp::TcpConfig{}, scfg, sim::Rng(1)),
+  EXPECT_DEATH(RpcServer(&net.server_host, &net.registry, tcp::TcpConfig{},
+                         scfg, sim::Rng(1)),
                "rpc server on port 7000: workers must be positive "
                "\\(workers=0\\)");
 }
@@ -296,8 +291,8 @@ TEST(AppTierDeathTest, RpcServerNeedsWorkers) {
 TEST(AppTierDeathTest, RpcClientCallPreconditions) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RpcPair net;
-  RpcClient client(&net.sim, &net.client_host, &net.registry,
-                   net.server_host.ip(), 7000, tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   7000, tcp::TcpConfig{});
   EXPECT_DEATH(client.call(-1, sim::kNoTime, {}),
                "rpc client 10.0.0.1: request_bytes must not be negative "
                "\\(-1\\)");
@@ -311,8 +306,8 @@ TEST(AppTierDeathTest, FanoutNeedsLeavesAndAPositiveFanout) {
   RpcPair net;
   EXPECT_DEATH(FanoutCoordinator(&net.sim, {}, FanoutConfig{}, sim::Rng(1)),
                "fanout: no leaf clients \\(leaves=0\\)");
-  RpcClient leaf(&net.sim, &net.client_host, &net.registry,
-                 net.server_host.ip(), 7000, tcp::TcpConfig{});
+  RpcClient leaf(&net.client_host, &net.registry, net.server_host.ip(), 7000,
+                 tcp::TcpConfig{});
   FanoutConfig zero;
   zero.fanout = 0;
   EXPECT_DEATH(FanoutCoordinator(&net.sim, {&leaf}, zero, sim::Rng(1)),
@@ -322,10 +317,9 @@ TEST(AppTierDeathTest, FanoutNeedsLeavesAndAPositiveFanout) {
 TEST(AppTierDeathTest, UserGroupNeedsSessions) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RpcPair net;
-  EXPECT_DEATH(UserGroup(&net.sim, &net.client_host, &net.registry,
-                         net.server_host.ip(), 7000, tcp::TcpConfig{},
-                         UserPopulationConfig{}, /*sessions=*/0, sim::Rng(1),
-                         0),
+  EXPECT_DEATH(UserGroup(&net.client_host, &net.registry, net.server_host.ip(),
+                         7000, tcp::TcpConfig{}, UserPopulationConfig{},
+                         /*sessions=*/0, sim::Rng(1), 0),
                "user group: sessions must be positive \\(sessions=0\\)");
 }
 
@@ -335,8 +329,7 @@ TEST(AppTierDeathTest, ServiceTierNeedsEveryRole) {
   ServiceRoles roles;
   roles.clients = {&net.client_host};
   roles.frontends = {&net.server_host};
-  const ServiceTier::SimOf sim_of = [&net](host::Host*) { return &net.sim; };
-  EXPECT_DEATH(ServiceTier(sim_of, roles, ServiceConfig{}, tcp::TcpConfig{},
+  EXPECT_DEATH(ServiceTier(roles, ServiceConfig{}, tcp::TcpConfig{},
                            sim::Rng(1)),
                "service tier: every role needs a host \\(clients=1, "
                "frontends=1, workers=0\\)");

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <memory>
 #include <random>
+#include <string>
 
 #include "tcp/cc/algorithms.h"
 #include "testlib/seed.h"
@@ -31,14 +32,17 @@ AckSample ack_of(int packets, sim::Time rtt = sim::microseconds(100)) {
 }
 
 TEST(CcRegistryTest, EveryIdResolvesAndRoundTrips) {
+  std::string listed;
   for (CcId id : {CcId::kReno, CcId::kCubic, CcId::kDctcp, CcId::kVegas,
                   CcId::kIllinois, CcId::kHighspeed, CcId::kAggressive}) {
-    auto cc = make_congestion_control(id);
-    ASSERT_NE(cc, nullptr) << to_string(id);
-    // The algorithm's self-reported name is the canonical CLI spelling.
-    EXPECT_EQ(cc->name(), to_string(id));
-    EXPECT_EQ(parse_cc_id(cc->name()), id);
+    ASSERT_NE(make_congestion_control(id), nullptr) << to_string(id);
+    // The canonical name is the CLI spelling: it parses back to its id.
+    EXPECT_EQ(parse_cc_id(to_string(id)), id);
+    if (!listed.empty()) listed += ", ";
+    listed += to_string(id);
   }
+  // The bad-flag message lists the same names, in the same order.
+  EXPECT_EQ(valid_cc_names(), listed);
 }
 
 TEST(CcRegistryTest, ParseRejectsUnknownNames) {

@@ -126,8 +126,8 @@ TEST(ChurnSourceDeathTest, ZeroArrivalRateDies) {
   Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
   workload::ChurnConfig config;
   config.flows_per_sec = 0.0;
-  EXPECT_DEATH(workload::ChurnSource(&sim, &a, &b, 80, tcp::TcpConfig{},
-                                     config, sim::Rng(1), 0),
+  EXPECT_DEATH(workload::ChurnSource(&a, &b, 80, tcp::TcpConfig{}, config,
+                                     sim::Rng(1), 0),
                "churn: the arrival rate must be positive "
                "\\(flows_per_sec=0, burst_factor=4\\)");
 }
@@ -261,7 +261,7 @@ TEST(AppDeathTest, MessageAppSendPreconditions) {
   Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
   a.nic().tx_port().set_peer(&b.nic());
   b.nic().tx_port().set_peer(&a.nic());
-  host::MessageApp app(&sim, &a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
+  host::MessageApp app(&a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
                        /*start_time=*/0, /*interval=*/0, 1'000, nullptr);
   sim.run_until(sim::microseconds(1));  // SYN sent, not yet answered
   ASSERT_NE(app.connection(), nullptr);
@@ -279,7 +279,7 @@ TEST(AppDeathTest, BulkAppGoodputNeedsAWindow) {
   sim::Simulator sim;
   Host a(&sim, "A", net::make_ip(10, 0, 0, 1), HostConfig{});
   Host b(&sim, "B", net::make_ip(10, 0, 0, 2), HostConfig{});
-  host::BulkApp app(&sim, &a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
+  host::BulkApp app(&a, &b, 80, tcp::TcpConfig{}, tcp::TcpConfig{},
                     /*start_time=*/0);
   EXPECT_DEATH(app.goodput_bps(sim::milliseconds(5), sim::milliseconds(5)),
                "bulk app on port 80: goodput window must be non-empty "
