@@ -133,9 +133,7 @@ CellResult run_service_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   LeafSpine fabric(lc);
   Scenario& s = fabric.scenario();
 
-  if (mc.shards > 1) {
-    s.enable_parallel(mc.shards, mc.threads > 0 ? mc.threads : mc.shards);
-  }
+  if (mc.shards > 1) s.enable_parallel(mc.shards, mc.threads);
 
   std::vector<net::Switch*> switches;
   for (int l = 0; l < fabric.leaves(); ++l) switches.push_back(fabric.leaf(l));
@@ -230,11 +228,7 @@ CellResult run_cell(const MatrixConfig& mc, vswitch::VccKind cc,
   Star star(sc);
   Scenario& s = star.scenario();
 
-  // threads == 0 means one per shard; enable_parallel treats a
-  // non-positive thread count as a serial fallback, so resolve it here.
-  if (mc.shards > 1) {
-    s.enable_parallel(mc.shards, mc.threads > 0 ? mc.threads : mc.shards);
-  }
+  if (mc.shards > 1) s.enable_parallel(mc.shards, mc.threads);
 
   // INT telemetry on every hub egress port — on for every cell (not just
   // the telemetry-consuming CCs) so all columns run the same datapath and
@@ -374,6 +368,18 @@ std::string csv_row(const CellResult& c, bool with_digest) {
   return row;
 }
 
+// The enumerator of E named `s`: walks E from 0 through its to_string,
+// which answers "?" past the last enumerator, so each enum's names live in
+// its to_string alone.
+template <typename E>
+std::optional<E> enum_from_string(std::string_view s) {
+  for (int i = 0;; ++i) {
+    const std::string_view name = to_string(static_cast<E>(i));
+    if (name == "?") return std::nullopt;
+    if (name == s) return static_cast<E>(i);
+  }
+}
+
 }  // namespace
 
 const char* to_string(MatrixScenario scenario) {
@@ -393,21 +399,12 @@ const char* to_string(MatrixScenario scenario) {
 }
 
 std::optional<MatrixScenario> matrix_scenario_from_string(std::string_view s) {
-  if (s == "incast") return MatrixScenario::kIncast;
-  if (s == "shuffle") return MatrixScenario::kShuffle;
-  if (s == "churn") return MatrixScenario::kChurn;
-  if (s == "mixed-tenant" || s == "mixed") return MatrixScenario::kMixedTenant;
-  if (s == "service") return MatrixScenario::kService;
-  return std::nullopt;
+  if (s == "mixed") return MatrixScenario::kMixedTenant;
+  return enum_from_string<MatrixScenario>(s);
 }
 
 std::optional<vswitch::VccKind> vcc_from_string(std::string_view s) {
-  if (s == "dctcp") return vswitch::VccKind::kDctcp;
-  if (s == "reno") return vswitch::VccKind::kReno;
-  if (s == "cubic") return vswitch::VccKind::kCubic;
-  if (s == "powertcp") return vswitch::VccKind::kPowerTcp;
-  if (s == "fairrate") return vswitch::VccKind::kFairRate;
-  return std::nullopt;
+  return enum_from_string<vswitch::VccKind>(s);
 }
 
 MatrixConfig MatrixConfig::quick() const {

@@ -75,7 +75,7 @@ net::Switch* Scenario::add_switch(const std::string& name) {
       &sim_, name, sc, switch_rngs_.back().get()));
   net::Switch* raw = switches_.back().get();
   switch_index_.emplace(raw, static_cast<int>(switches_.size()) - 1);
-  if (!shard_recorders_.empty()) trace_switch(raw, 0);
+  if (!shard_recorders_.empty()) trace_switch(raw);
   return raw;
 }
 
@@ -193,7 +193,7 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   report_ = PartitionReport{};
   report_.host_shard.assign(hosts_.size(), 0);
   report_.switch_shard.assign(switches_.size(), 0);
-  if (shards <= 1 || threads <= 0) {
+  if (shards <= 1) {
     report_.fallback_reason = "fewer than two shards requested";
     return report_;
   }
@@ -294,8 +294,10 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   return report_;
 }
 
-int Scenario::shard_of(host::Host* h) const {
-  return static_cast<int>(std::find(sims_.begin(), sims_.end(), h->sim()) -
+int Scenario::shard_of(host::Host* h) const { return shard_of(h->sim()); }
+
+int Scenario::shard_of(const sim::Simulator* sim) const {
+  return static_cast<int>(std::find(sims_.begin(), sims_.end(), sim) -
                           sims_.begin());
 }
 
@@ -432,12 +434,7 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
       net::PacketPool::register_metrics(*shard_metrics_.back());
     }
     for (const auto& h : hosts_) trace_host(h.get());
-    for (std::size_t j = 0; j < switches_.size(); ++j) {
-      trace_switch(switches_[j].get(),
-                   report_.parallel ? static_cast<std::size_t>(
-                                          report_.switch_shard[j])
-                                    : 0);
-    }
+    for (const auto& sw : switches_) trace_switch(sw.get());
     for (const auto& tier : service_engine_.tiers()) trace_tier(tier.get());
     // Executor diagnostics ride the shard-0 registry (sampled on the
     // shard-0 worker thread, which is the run_until caller). stats() is
@@ -482,9 +479,10 @@ void Scenario::trace_host(host::Host* h) {
   h->register_metrics(*shard_metrics_[s]);
 }
 
-void Scenario::trace_switch(net::Switch* sw, std::size_t shard) {
-  sw->set_trace(shard_recorders_[shard].get());
-  sw->register_metrics(*shard_metrics_[shard]);
+void Scenario::trace_switch(net::Switch* sw) {
+  const std::size_t s = static_cast<std::size_t>(shard_of(sw->sim()));
+  sw->set_trace(shard_recorders_[s].get());
+  sw->register_metrics(*shard_metrics_[s]);
 }
 
 void Scenario::trace_acdc(vswitch::AcdcVswitch* vs, host::Host* h) {

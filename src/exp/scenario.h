@@ -123,12 +123,12 @@ class Scenario {
 
   // ---- Parallel execution ----
   // Partitions the topology into `shards` shards (exp/partition.h) and runs
-  // subsequent run_until() calls on up to `threads` worker threads. Must be
-  // called once, after the topology is built (add_host/attach/trunk) and
-  // before tracing, vSwitches, shapers or apps exist — those bind to shard
-  // simulators; every build checks the order. Falls back to the serial
-  // engine (report.parallel == false) when the partition yields no cut
-  // links or zero lookahead.
+  // subsequent run_until() calls on up to `threads` worker threads (<= 0:
+  // one per shard). Must be called once, after the topology is built
+  // (add_host/attach/trunk) and before tracing, vSwitches, shapers or apps
+  // exist — those bind to shard simulators; every build checks the order.
+  // Falls back to the serial engine (report.parallel == false) when the
+  // partition yields no cut links or zero lookahead.
   PartitionReport enable_parallel(int shards, int threads);
   PartitionReport enable_parallel(const ParallelOptions& options);
   const PartitionReport& partition() const { return report_; }
@@ -264,13 +264,14 @@ class Scenario {
 
   sim::par::Mailbox* mailbox_for(int src_shard, int dst_shard);
   int link_shard(const LinkRec& link, bool a_side) const;
+  int shard_of(const sim::Simulator* sim) const;  // its index in sims_
 
   // Tracing hooks, one per component kind. enable_tracing runs each over
   // the components that already exist; add_host, add_switch, attach_acdc
   // and add_service_workload run it on a new one once tracing is on. The
   // registration order is the metrics CSV's column order.
   void trace_host(host::Host* h);
-  void trace_switch(net::Switch* sw, std::size_t shard);
+  void trace_switch(net::Switch* sw);
   void trace_acdc(vswitch::AcdcVswitch* vs, host::Host* h);
   void trace_tier(app::ServiceTier* tier);
 

@@ -60,6 +60,8 @@ class Switch : public PacketSink {
   std::int64_t routing_failures() const { return routing_failures_; }
   const std::vector<std::unique_ptr<Port>>& ports() const { return ports_; }
 
+  // The simulator that runs this switch: its shard's once partitioned.
+  sim::Simulator* sim() const { return sim_; }
   // Re-homes the switch and all of its ports onto a shard's simulator
   // (partitioning happens before traffic, so every port is idle).
   void rebind_simulator(sim::Simulator* sim);

@@ -1,7 +1,7 @@
 // The hashes the simulator shares across layers, both FNV-1a (64-bit
 // prime) in two shapes:
 //
-//  - fnv1a / fnv1a_word: textbook byte-wise FNV-1a. The fuzz harness's
+//  - fnv1a / fnv1a_word: textbook byte-wise FNV-1a. The checked-run
 //    digests, the CC matrix report digests and Port's same-tick delivery
 //    tie key (net/port.cc) fold with it, from the standard offset basis.
 //  - tuple_hash: a word-wise variant over a directional TCP 4-tuple. It is

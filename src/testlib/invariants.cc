@@ -64,9 +64,6 @@ class InvariantTap : public net::DuplexFilter {
   bool vm_side_;
 };
 
-InvariantChecker::InvariantChecker(InvariantConfig config)
-    : config_(config) {}
-
 InvariantChecker::~InvariantChecker() = default;
 
 void InvariantChecker::subscribe(obs::FlightRecorder& recorder) {
@@ -344,7 +341,7 @@ void InvariantChecker::on_wire_egress(const std::string& host,
   }
   // §3.2: everything the vSwitch sends is ECN-capable so WRED marks instead
   // of dropping. FACKs are emitted below the marking point and stay NotEct.
-  if (config_.enforce && !p.acdc_fack && !net::ecn_capable(p.ip.ecn)) {
+  if (!p.acdc_fack && !net::ecn_capable(p.ip.ecn)) {
     msg << host << ": egress packet left vSwitch " << ecn_name(p.ip.ecn)
         << " (expected ECN-capable)";
     fail(msg.str());
@@ -356,8 +353,7 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
   ++packets_checked_;
   std::ostringstream msg;
 
-  // §3.2/§3.3: the feedback machinery is invisible to the tenant, in
-  // observer mode too.
+  // §3.2/§3.3: the feedback machinery is invisible to the tenant.
   if (p.tcp.options.acdc) {
     msg << host << ": PACK option reached the VM";
     fail(msg.str());
@@ -375,8 +371,7 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
     fail(msg.str());
     msg.str("");
   }
-  if (config_.enforce && p.tcp.flags.ack && !p.tcp.flags.syn &&
-      p.tcp.flags.ece) {
+  if (p.tcp.flags.ack && !p.tcp.flags.syn && p.tcp.flags.ece) {
     msg << host << ": ECN-Echo reached the VM";
     fail(msg.str());
     msg.str("");
@@ -385,8 +380,7 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
   // §3.2: with ECN stripped at the receiver, a non-ECN tenant must see
   // unmarked data. (Pure ACKs are not stripped by design; a non-ECN stack
   // ignores their codepoint.)
-  if (config_.enforce && p.payload_bytes > 0 &&
-      p.ip.ecn != net::Ecn::kNotEct) {
+  if (p.payload_bytes > 0 && p.ip.ecn != net::Ecn::kNotEct) {
     msg << host << ": data reached the VM carrying " << ecn_name(p.ip.ecn);
     fail(msg.str());
     msg.str("");
@@ -407,15 +401,9 @@ void InvariantChecker::on_vm_ingress(const std::string& host,
     fail(msg.str());
     msg.str("");
   }
-  if (config_.enforce) {
-    if (p.tcp.window_raw > pre.window_raw) {
-      msg << host << ": vSwitch RAISED advertised window " << pre.window_raw
-          << " -> " << p.tcp.window_raw;
-      fail(msg.str());
-    }
-  } else if (p.tcp.window_raw != pre.window_raw) {
-    msg << host << ": observer-mode vSwitch rewrote window "
-        << pre.window_raw << " -> " << p.tcp.window_raw;
+  if (p.tcp.window_raw > pre.window_raw) {
+    msg << host << ": vSwitch RAISED advertised window " << pre.window_raw
+        << " -> " << p.tcp.window_raw;
     fail(msg.str());
   }
   state.pending.erase(it);

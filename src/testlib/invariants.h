@@ -15,6 +15,7 @@
 //     (snd_una <= snd_nxt mod 2^32, bounded wscale, alpha bounds), and
 //     vSwitch counter cross-checks.
 //
+// The laws are an enforcing vSwitch's (AcdcConfig::enforce, the default).
 // Violations are collected, not thrown, so a fuzz driver can report every
 // broken law of a failing seed at once.
 #pragma once
@@ -35,19 +36,12 @@
 
 namespace acdc::testlib {
 
-struct InvariantConfig {
-  // Mirror of AcdcConfig::enforce. true: egress leaves ECN-capable, ECE and
-  // CE are hidden from the VM (non-ECN tenants see no ECN codepoint at all)
-  // and RWND is only ever lowered; false: observer mode, RWND untouched.
-  bool enforce = true;
-};
-
 // First violations kept verbatim; the rest only counted.
 inline constexpr std::size_t kMaxReportedViolations = 16;
 
 class InvariantChecker {
  public:
-  explicit InvariantChecker(InvariantConfig config = {});
+  InvariantChecker() = default;
   ~InvariantChecker();
 
   InvariantChecker(const InvariantChecker&) = delete;
@@ -57,17 +51,12 @@ class InvariantChecker {
   void subscribe(obs::FlightRecorder& recorder);
 
   // ---- Vantage 2: per-host packet taps ----
-  // Install around the vSwitch so the wire tap sees fabric-side packets and
-  // the VM tap sees what the tenant stack sees (ingress runs filters in
-  // reverse insertion order):
-  //
-  //   host->add_filter(checker.vm_tap(host->name()));
-  //   scenario.attach_acdc(host, acdc_config);
-  //   host->add_filter(checker.wire_tap(host->name()));
-  //
-  // The pair shares pending-ACK state keyed on Packet::uid (assigned by the
-  // wire tap) to pair each ingress ACK's pre-rewrite window with its
-  // post-rewrite value.
+  // Installed around the vSwitch (CheckedRun::attach_acdc: VM tap, vSwitch,
+  // wire tap) so the wire tap sees fabric-side packets and the VM tap sees
+  // what the tenant stack sees (ingress runs filters in reverse insertion
+  // order). The pair shares pending-ACK state keyed on Packet::uid
+  // (assigned by the wire tap) to pair each ingress ACK's pre-rewrite
+  // window with its post-rewrite value.
   net::DuplexFilter* vm_tap(const std::string& host);
   net::DuplexFilter* wire_tap(const std::string& host);
 
@@ -113,7 +102,6 @@ class InvariantChecker {
   void on_vm_ingress(const std::string& host, HostState& state,
                      const net::Packet& p);
 
-  InvariantConfig config_;
   std::vector<std::unique_ptr<net::DuplexFilter>> taps_;
   std::map<std::string, std::unique_ptr<HostState>> hosts_;
   std::uint64_t next_uid_ = 1;

@@ -1,19 +1,12 @@
 #include "testlib/scenario_gen.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <sstream>
 
 #include "exp/dumbbell.h"
 #include "exp/leaf_spine.h"
 #include "exp/star.h"
-#include "forensics/delay_analyzer.h"
-#include "forensics/report.h"
-#include "obs/export.h"
-#include "obs/merge.h"
-#include "sim/hash.h"
-#include "testlib/invariants.h"
 
 namespace acdc::testlib {
 
@@ -38,18 +31,6 @@ constexpr std::uint64_t kArsenalPlanStream = 0xACDCA12E;
 // deadlines) on their own substream, so masking the service leaves every
 // other draw bit-identical.
 constexpr std::uint64_t kServicePlanStream = 0xACDC5EC7;
-
-// FNV-1a 64-bit, mixed 8 bytes at a time.
-struct Digest {
-  std::uint64_t h = sim::kFnvOffsetBasis;
-
-  void mix(std::uint64_t v) { h = sim::fnv1a_word(h, v); }
-  void mix_double(double x) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &x, sizeof(bits));
-    mix(bits);
-  }
-};
 
 constexpr tcp::CcId tenant_cc_pool[] = {
     tcp::CcId::kCubic, tcp::CcId::kReno, tcp::CcId::kVegas,
@@ -379,7 +360,7 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
   if (options.shards > 1) {
     exp::ParallelOptions popts;
     popts.shards = options.shards;
-    popts.threads = options.threads > 0 ? options.threads : options.shards;
+    popts.threads = options.threads;
     if (options.handoff_batch > 0) popts.handoff_batch = options.handoff_batch;
     scenario.enable_parallel(popts);
   }
@@ -390,39 +371,7 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
       for (const auto& port : sw->ports()) port->enable_telemetry();
     }
   }
-  scenario.enable_tracing(options.ring_capacity, /*metrics_interval=*/0);
-  const std::vector<obs::FlightRecorder*> recorders = scenario.recorders();
-  const std::size_t shard_count = recorders.size();
-
-  // One digest per shard, mixed on that shard's thread; combined in shard
-  // order after the run so the result is independent of the thread count.
-  std::vector<Digest> shard_digests(shard_count);
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    Digest* digest = &shard_digests[s];
-    recorders[s]->add_listener([digest](const obs::TraceEvent& ev) {
-      digest->mix(static_cast<std::uint64_t>(ev.t));
-      digest->mix(static_cast<std::uint64_t>(ev.type));
-      digest->mix(ev.source);
-      digest->mix((static_cast<std::uint64_t>(ev.src_ip) << 32) |
-                  ev.dst_ip);
-      digest->mix((static_cast<std::uint64_t>(ev.src_port) << 16) |
-                  ev.dst_port);
-      digest->mix(static_cast<std::uint64_t>(ev.a));
-      digest->mix(static_cast<std::uint64_t>(ev.b));
-      digest->mix_double(ev.x);
-    });
-  }
-
-  // Checkers are stateful and not thread-safe: one per shard, fed only by
-  // that shard's recorder and hosts.
-  InvariantConfig ic;
-  ic.enforce = true;
-  std::vector<std::unique_ptr<InvariantChecker>> checkers;
-  for (std::size_t s = 0; s < shard_count; ++s) {
-    checkers.push_back(std::make_unique<InvariantChecker>(ic));
-    if (options.check_invariants) checkers[s]->subscribe(*recorders[s]);
-  }
-  InvariantChecker& checker = *checkers[0];
+  CheckedRun checked(scenario, std::size_t{1} << 12);
 
   std::vector<vswitch::AcdcVswitch*> vswitches;
   if (options.acdc) {
@@ -435,14 +384,8 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
     policy.max_rwnd_bytes = plan.max_rwnd_bytes;
     policy.police = plan.police;
     for (host::Host* h : topo.hosts) {
-      InvariantChecker& hc =
-          *checkers[static_cast<std::size_t>(scenario.shard_of(h))];
-      if (options.check_invariants) h->add_filter(hc.vm_tap(h->name()));
-      vswitch::AcdcVswitch* vs = scenario.attach_acdc(h, acfg);
+      vswitch::AcdcVswitch* vs = checked.attach_acdc(h, acfg);
       vs->policy().set_default(policy);
-      if (options.check_invariants) {
-        h->add_filter(hc.wire_tap(h->name()));
-      }
       vswitches.push_back(vs);
     }
   }
@@ -596,75 +539,40 @@ RunOutcome run_plan(const ScenarioPlan& plan, const RunOptions& options) {
   out.app_digest = app_digest.h;
   out.faults = scenario.fault_stats();
 
-  if (options.check_invariants) {
-    for (std::size_t i = 0; i < vswitches.size(); ++i) {
-      checker.check_flow_table("acdc." + topo.hosts[i]->name(),
-                               *vswitches[i]);
+  checked.audit(topo.switches, topo.hosts);
+  if (out.faults.codec_failures > 0) {
+    checked.fail("wire codec round-trip failed on " +
+                 std::to_string(out.faults.codec_failures) + " of " +
+                 std::to_string(out.faults.codec_checked) +
+                 " sampled packets");
+  }
+  // Closed-loop accounting closure only holds once the service drained;
+  // a run that hit the horizon is already flagged via `completed`.
+  if (service_on && out.completed) {
+    const app::UserGroupStats& u = out.service.user;
+    if (u.issued != u.completed + u.deadline_misses) {
+      checked.fail("service accounting leak: issued " +
+                   std::to_string(u.issued) + " != completed " +
+                   std::to_string(u.completed) + " + misses " +
+                   std::to_string(u.deadline_misses));
     }
-    for (net::Switch* sw : topo.switches) checker.check_switch(*sw);
-    for (host::Host* h : topo.hosts) {
-      checker.check_queue(h->name() + ".nic", h->nic().tx_port().queue());
+    if (u.sessions_ended != u.sessions) {
+      checked.fail("service sessions leaked: " +
+                   std::to_string(u.sessions - u.sessions_ended) + " of " +
+                   std::to_string(u.sessions) + " never ended");
     }
-    if (options.acdc && plan.faults.dup_p == 0.0) {
-      checker.check_fack_balance(vswitches);
-    }
-    if (out.faults.codec_failures > 0) {
-      checker.fail("wire codec round-trip failed on " +
-                   std::to_string(out.faults.codec_failures) + " of " +
-                   std::to_string(out.faults.codec_checked) +
-                   " sampled packets");
-    }
-    // Closed-loop accounting closure only holds once the service drained;
-    // a run that hit the horizon is already flagged via `completed`.
-    if (service_on && out.completed) {
-      const app::UserGroupStats& u = out.service.user;
-      if (u.issued != u.completed + u.deadline_misses) {
-        checker.fail("service accounting leak: issued " +
-                     std::to_string(u.issued) + " != completed " +
-                     std::to_string(u.completed) + " + misses " +
-                     std::to_string(u.deadline_misses));
-      }
-      if (u.sessions_ended != u.sessions) {
-        checker.fail("service sessions leaked: " +
-                     std::to_string(u.sessions - u.sessions_ended) + " of " +
-                     std::to_string(u.sessions) + " never ended");
-      }
-      // Quiescence waited for the registry to reach the persistent set;
-      // anything above it here is a genuine both-ends-done leak.
-      if (out.service.conduits_live != service_persistent) {
-        checker.fail("service conduit leak: " +
-                     std::to_string(out.service.conduits_live) +
-                     " live after drain, want " +
-                     std::to_string(service_persistent));
-      }
-    }
-    for (const auto& c : checkers) {
-      for (const std::string& v : c->violations()) {
-        if (out.violations.size() < kMaxReportedViolations) {
-          out.violations.push_back(v);
-        }
-      }
-      out.violation_count += c->violation_count();
-      out.packets_checked += c->packets_checked();
+    // Quiescence waited for the registry to reach the persistent set;
+    // anything above it here is a genuine both-ends-done leak.
+    if (out.service.conduits_live != service_persistent) {
+      checked.fail("service conduit leak: " +
+                   std::to_string(out.service.conduits_live) +
+                   " live after drain, want " +
+                   std::to_string(service_persistent));
     }
   }
-
-  for (const obs::FlightRecorder* rec : recorders) {
-    out.events += rec->recorded_events();
-  }
-  Digest event_digest;
-  for (const Digest& d : shard_digests) event_digest.mix(d.h);
-  out.event_digest = event_digest.h;
-  if (!options.trace_path.empty() || !options.forensics_path.empty()) {
-    const obs::MergedTrace merged = obs::merge_recorders(recorders);
-    if (!options.trace_path.empty()) {
-      obs::write_chrome_trace_file(merged, scenario.metrics(),
-                                   options.trace_path);
-    }
-    if (!options.forensics_path.empty()) {
-      forensics::write_text_file(forensics::DelayAnalyzer::analyze(merged),
-                                 options.forensics_path);
-    }
+  static_cast<CheckSummary&>(out) = checked.summary();
+  if (!options.artifact_base.empty()) {
+    checked.write_artifacts(options.artifact_base);
   }
   return out;
 }

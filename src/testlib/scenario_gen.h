@@ -4,8 +4,9 @@
 // plan twice produces bit-identical event streams (checked by digest).
 //
 // Two oracles ride on top:
-//   * run_plan() executes a plan with the InvariantChecker wired into the
-//     flight recorder and around every vSwitch;
+//   * run_plan() executes a plan as a CheckedRun (testlib/checked_run.h):
+//     the InvariantChecker wired into the flight recorder and around every
+//     vSwitch, plus the end-of-run audits;
 //   * run_differential() replays the identical plan with the AC/DC
 //     datapath removed and asserts transparency — the tenant applications
 //     deliver exactly the same byte counts either way, and (via the taps)
@@ -27,6 +28,7 @@
 #include "net/fault.h"
 #include "sim/time.h"
 #include "tcp/cc/cc_id.h"
+#include "testlib/checked_run.h"
 #include "workload/churn.h"
 
 namespace acdc::testlib {
@@ -153,9 +155,7 @@ void mask_faults(ScenarioPlan& plan, const FaultToggles& keep);
 
 struct RunOptions {
   bool acdc = true;             // false: tenant-only baseline (no vSwitch)
-  bool check_invariants = true;
   sim::Time horizon = sim::seconds(60);  // hard cap; ends at quiescence
-  std::size_t ring_capacity = std::size_t{1} << 12;
   // shards > 1 partitions the topology and runs on the parallel engine
   // (exp::Scenario::enable_parallel). The shard count — not the thread
   // count — determines the event streams, so runs with equal `shards` and
@@ -165,29 +165,23 @@ struct RunOptions {
   // Cross-shard handoff batch depth (exp::ParallelOptions; 0 inherits the
   // engine default). Digests must be identical at every depth.
   int handoff_batch = 0;
-  // When set, the retained tail of the event rings — merged across shards
-  // into one globally time-ordered stream — is written there as a Chrome
-  // trace (chrome://tracing / Perfetto) after the run; the fuzz driver
-  // uses this to attach an artifact to a failing seed.
-  std::string trace_path;
-  // When set, a latency-forensics text report (per-flow delay attribution
-  // from the same merged stream) is written there after the run.
-  std::string forensics_path;
+  // When set, the run's failure artifacts are written there after it
+  // (CheckedRun::write_artifacts: `<base>.trace.json`, the shards' rings
+  // merged into one Chrome trace, and `<base>.forensics.txt`); the fuzz
+  // driver uses this to attach artifacts to a failing seed.
+  std::string artifact_base;
 };
 
-struct RunOutcome {
+// The checked run's summary (event digest, events, packets checked,
+// violations) plus the plan's application-level outcome.
+struct RunOutcome : CheckSummary {
   bool completed = false;  // every transfer delivered all its bytes
   sim::Time end_time = 0;
   std::vector<std::int64_t> delivered;  // per transfer, app-level bytes
-  std::uint64_t event_digest = 0;  // FNV-1a over the whole event stream
   std::uint64_t app_digest = 0;    // digest over per-transfer deliveries
-  std::uint64_t events = 0;
-  std::uint64_t packets_checked = 0;
   net::FaultStats faults;
   workload::ChurnStats churn;  // zero when the plan carries no churn
   app::ServiceStats service;   // zero when the plan carries no service
-  std::vector<std::string> violations;  // first few, verbatim
-  std::uint64_t violation_count = 0;
 
   bool ok() const { return completed && violation_count == 0; }
 };

@@ -13,6 +13,7 @@
 
 #include "acdc/core.h"
 #include "acdc/flow_table.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "testlib/seed.h"
@@ -330,12 +331,7 @@ TEST(FlowTableProperty, RandomOpMixMatchesShadowModel) {
 // layout change that must not move a flow fails here first.
 class SlotTrace {
  public:
-  void fold(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h_ ^= (v >> (8 * i)) & 0xFF;
-      h_ *= 1099511628211ull;
-    }
-  }
+  void fold(std::uint64_t v) { h_ = sim::fnv1a_word(h_, v); }
   void fold(const FlowHandle& h) {
     fold(h.slot);
     fold(h.gen);
@@ -349,7 +345,7 @@ class SlotTrace {
   std::uint64_t digest() const { return h_; }
 
  private:
-  std::uint64_t h_ = 1469598103934665603ull;
+  std::uint64_t h_ = sim::kTupleHashSeed;  // the golden's start
 };
 
 // A portable generator (splitmix64), so the golden holds on any standard

@@ -21,8 +21,8 @@
 // classes — and the churn and closed-loop service workloads — off (each
 // draws from independent RNG substreams, so masking one leaves the others
 // bit-identical), prints a single-line repro command,
-// and — when --artifact-dir is given — writes the failure report plus a
-// Chrome trace of the failing run.
+// and — when --artifact-dir is given — writes the failure report plus the
+// failing run's Chrome trace and latency-forensics report.
 //
 // Exit code: 0 = all seeds passed, 1 = a failing seed was found,
 // 2 = bad usage.
@@ -227,8 +227,7 @@ void write_artifacts(std::uint64_t seed, const DriverOptions& opt,
   ScenarioPlan plan = acdc::testlib::make_plan(seed);
   acdc::testlib::mask_faults(plan, toggles);
   RunOptions ro = run_options(opt);
-  ro.trace_path = base + ".trace.json";
-  ro.forensics_path = base + ".forensics.txt";
+  ro.artifact_base = base;
   acdc::testlib::run_plan(plan, ro);
   std::printf("artifacts: %s.txt, %s.trace.json, %s.forensics.txt\n",
               base.c_str(), base.c_str(), base.c_str());

@@ -227,20 +227,61 @@ TEST(FuzzDifferential, AcdcIsTransparentToTenantApplications) {
 }
 
 TEST(FuzzArtifacts, TracePathWritesAChromeTrace) {
-  // The driver replays failing seeds with trace_path set; make sure that
-  // path produces a readable, non-empty JSON file.
-  const std::string path = ::testing::TempDir() + "fuzz_trace_check.json";
+  // The driver replays failing seeds with an artifact base set; make sure
+  // it produces a readable Chrome trace and a non-empty forensics report.
+  const std::string base = ::testing::TempDir() + "fuzz_artifact_check";
   RunOptions options;
-  options.trace_path = path;
+  options.artifact_base = base;
   const RunOutcome out = run_plan(make_plan(test_seed(9)), options);
   EXPECT_TRUE(out.ok());
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good()) << path;
+  std::ifstream in(base + ".trace.json");
+  ASSERT_TRUE(in.good()) << base << ".trace.json";
   std::string head(16, '\0');
   in.read(head.data(), static_cast<std::streamsize>(head.size()));
   EXPECT_GT(in.gcount(), 0);
   EXPECT_EQ(head.front(), '{') << "expected Chrome trace JSON";
-  std::remove(path.c_str());
+  std::ifstream forensics(base + ".forensics.txt");
+  ASSERT_TRUE(forensics.good()) << base << ".forensics.txt";
+  EXPECT_NE(forensics.peek(), std::ifstream::traits_type::eof())
+      << "empty forensics report";
+  std::remove((base + ".trace.json").c_str());
+  std::remove((base + ".forensics.txt").c_str());
+}
+
+TEST(CheckedRun, EventFoldMatchesTheSoaksAndFuzzHarness) {
+  // The fold every checked run digests its event stream with. Neither the
+  // fuzz tests nor the soaks compare digests with anything but themselves,
+  // so a changed fold would otherwise pass unnoticed. The constant was
+  // computed with the fold the fuzz harness and both soaks used before
+  // they shared Digest::mix_event.
+  obs::TraceEvent flow;  // flow-scoped, fractional x
+  flow.t = 1'234'567;
+  flow.type = obs::EventType::kAlphaUpdate;
+  flow.source = 7;
+  flow.src_ip = 0x0A000001;
+  flow.dst_ip = 0x0A000002;
+  flow.src_port = 5001;
+  flow.dst_port = 80;
+  flow.a = 1500;
+  flow.b = 9000;
+  flow.x = 0.3;
+  obs::TraceEvent unattributed;  // source 0, all-zero flow
+  unattributed.t = 2'000'000;
+  unattributed.type = obs::EventType::kQueueOccupancy;
+  unattributed.a = 3000;
+  unattributed.b = 2;
+  obs::TraceEvent negative;
+  negative.t = 2'000'001;
+  negative.type = obs::EventType::kCwndUpdate;
+  negative.source = 3;
+  negative.a = -42;
+  negative.b = 7;
+  negative.x = 1.0;
+  Digest d;
+  for (const obs::TraceEvent& ev : {flow, unattributed, negative}) {
+    d.mix_event(ev);
+  }
+  EXPECT_EQ(d.h, 0x5fe98c959967cdfbull) << "fold moved: 0x" << std::hex << d.h;
 }
 
 TEST(TestSeed, EnvOverrideWinsAndParses) {

@@ -117,5 +117,19 @@ TEST(MatrixTest, ServiceScenarioIsSoundAndShardInvariant) {
   EXPECT_EQ(serial.digest(), par.digest());
 }
 
+TEST(MatrixTest, ScenarioNamesRoundTrip) {
+  // Every scenario's name parses back to it at the CLI edge (acdc_matrix
+  // --scenarios), as does the `mixed` alias; anything else is rejected.
+  for (MatrixScenario sc :
+       {MatrixScenario::kIncast, MatrixScenario::kShuffle,
+        MatrixScenario::kChurn, MatrixScenario::kMixedTenant,
+        MatrixScenario::kService}) {
+    EXPECT_EQ(matrix_scenario_from_string(to_string(sc)), sc) << to_string(sc);
+  }
+  EXPECT_EQ(matrix_scenario_from_string("mixed"), MatrixScenario::kMixedTenant);
+  EXPECT_EQ(matrix_scenario_from_string("bogus"), std::nullopt);
+  EXPECT_EQ(matrix_scenario_from_string("?"), std::nullopt);
+}
+
 }  // namespace
 }  // namespace acdc::exp

@@ -17,18 +17,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "exp/leaf_spine.h"
-#include "exp/scenario.h"
-#include "forensics/delay_analyzer.h"
-#include "forensics/report.h"
-#include "obs/export.h"
-#include "obs/merge.h"
-#include "testlib/invariants.h"
+#include "soak_env.h"
+#include "testlib/checked_run.h"
 #include "testlib/seed.h"
 #include "workload/churn.h"
 
@@ -60,31 +54,13 @@ SoakParams full_params() {
   return p;
 }
 
-// FNV-1a over the recorded event stream, same mixing as the fuzz harness.
-struct Digest {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
-};
-
 struct SoakResult {
-  std::uint64_t event_digest = 0;
+  CheckSummary checks;              // event digest and violations
   workload::ChurnStats churn;       // aggregate at end of run
   std::int64_t peak_concurrent = 0;  // global, sampled
   std::size_t table_peak = 0;        // max sampled size over all vSwitches
   std::int64_t gc_removed = 0;
   std::int64_t evictions = 0;
-  std::uint64_t violations = 0;
-  std::string first_violation;
   double pool_hwm_mid = 0.0;  // serial runs only (pool gauges are
   double pool_hwm_end = 0.0;  // per-thread); 0 on parallel runs
   bool parallel = false;      // the sharded engine actually engaged
@@ -115,36 +91,9 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
     all.push_back(s);
     all.push_back(r);
   }
-  bool parallel = false;
-  if (p.shards > 1) {
-    const exp::PartitionReport report =
-        scn.enable_parallel(p.shards, p.threads > 0 ? p.threads : p.shards);
-    parallel = report.parallel;
-  }
-  scn.enable_tracing(std::size_t{1} << 14, /*metrics_interval=*/0);
-
-  const std::vector<obs::FlightRecorder*> recorders = scn.recorders();
-  std::vector<Digest> shard_digests(recorders.size());
-  for (std::size_t s = 0; s < recorders.size(); ++s) {
-    Digest* digest = &shard_digests[s];
-    recorders[s]->add_listener([digest](const obs::TraceEvent& ev) {
-      digest->mix(static_cast<std::uint64_t>(ev.t));
-      digest->mix(static_cast<std::uint64_t>(ev.type));
-      digest->mix(ev.source);
-      digest->mix((static_cast<std::uint64_t>(ev.src_ip) << 32) | ev.dst_ip);
-      digest->mix((static_cast<std::uint64_t>(ev.src_port) << 16) |
-                  ev.dst_port);
-      digest->mix(static_cast<std::uint64_t>(ev.a));
-      digest->mix(static_cast<std::uint64_t>(ev.b));
-      digest->mix_double(ev.x);
-    });
-  }
-
-  std::vector<std::unique_ptr<InvariantChecker>> checkers;
-  for (std::size_t s = 0; s < recorders.size(); ++s) {
-    checkers.push_back(std::make_unique<InvariantChecker>());
-    checkers[s]->subscribe(*recorders[s]);
-  }
+  const bool parallel =
+      p.shards > 1 && scn.enable_parallel(p.shards, p.threads).parallel;
+  CheckedRun checked(scn, std::size_t{1} << 14);
 
   vswitch::AcdcConfig acfg;
   acfg.flow_table_max_entries = p.table_cap;
@@ -155,13 +104,7 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   acfg.fin_linger = sim::milliseconds(100);
 
   std::vector<vswitch::AcdcVswitch*> vswitches;
-  for (host::Host* h : all) {
-    InvariantChecker& hc =
-        *checkers[static_cast<std::size_t>(scn.shard_of(h))];
-    h->add_filter(hc.vm_tap(h->name()));
-    vswitches.push_back(scn.attach_acdc(h, acfg));
-    h->add_filter(hc.wire_tap(h->name()));
-  }
+  for (host::Host* h : all) vswitches.push_back(checked.attach_acdc(h, acfg));
 
   workload::ChurnConfig ccfg;
   ccfg.arrival = workload::ArrivalKind::kPoisson;
@@ -193,13 +136,10 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   }
   if (serial) out.pool_hwm_end = scn.metrics()->value("net.pool_hwm");
 
-  InvariantChecker& checker = *checkers[0];
-  for (std::size_t i = 0; i < vswitches.size(); ++i) {
-    checker.check_flow_table("acdc." + all[i]->name(), *vswitches[i]);
-  }
-  for (int l = 0; l < fabric.leaves(); ++l) checker.check_switch(*fabric.leaf(l));
-  for (int s = 0; s < fabric.spines(); ++s) checker.check_switch(*fabric.spine(s));
-  checker.check_fack_balance(vswitches);
+  std::vector<net::Switch*> switches;
+  for (int l = 0; l < fabric.leaves(); ++l) switches.push_back(fabric.leaf(l));
+  for (int s = 0; s < fabric.spines(); ++s) switches.push_back(fabric.spine(s));
+  checked.audit(switches, fabric.hosts());
 
   out.churn = scn.churn_stats();
   for (vswitch::AcdcVswitch* vs : vswitches) {
@@ -208,30 +148,13 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
     out.evictions += fs.evictions;
     out.table_peak = std::max(out.table_peak, vs->flows().size());
   }
-  for (const auto& c : checkers) {
-    out.violations += c->violation_count();
-    if (out.first_violation.empty() && !c->violations().empty()) {
-      out.first_violation = c->violations()[0];
-    }
+  out.checks = checked.summary();
+  // With ACDC_SOAK_TRACE_DIR set (CI sets it), a failing run leaves the
+  // tail of its event stream and its latency forensics as artifacts.
+  const std::string base = soak_artifact_base("soak", seed, p.shards > 1);
+  if (out.checks.violation_count > 0 && !base.empty()) {
+    checked.write_artifacts(base);
   }
-  // CI sets ACDC_SOAK_TRACE_DIR to capture the tail of the event stream
-  // (all shards' rings, merged into one time-ordered trace) plus the
-  // latency-forensics report as artifacts of a failing run.
-  if (out.violations > 0) {
-    if (const char* dir = std::getenv("ACDC_SOAK_TRACE_DIR")) {
-      const std::string base = std::string(dir) + "/soak_seed_" +
-                               std::to_string(seed) +
-                               (p.shards > 1 ? "_sharded" : "_serial");
-      const obs::MergedTrace merged = obs::merge_recorders(recorders);
-      obs::write_chrome_trace_file(merged, scn.metrics(),
-                                   base + ".trace.json");
-      forensics::write_text_file(forensics::DelayAnalyzer::analyze(merged),
-                                 base + ".forensics.txt");
-    }
-  }
-  Digest combined;
-  for (const Digest& d : shard_digests) combined.mix(d.h);
-  out.event_digest = combined.h;
   out.parallel = parallel;
   return out;
 }
@@ -247,17 +170,8 @@ void check_soak(const SoakResult& r, const SoakParams& p,
   EXPECT_GT(r.table_peak, 0u);
   EXPECT_GT(r.gc_removed + r.evictions, 0)
       << "neither GC nor eviction removed any state";
-  EXPECT_EQ(r.violations, 0u) << r.first_violation;
-}
-
-bool full_soak_enabled() {
-  const char* v = std::getenv("ACDC_SOAK_FULL");
-  return v != nullptr && std::strcmp(v, "1") == 0;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  EXPECT_EQ(r.checks.violation_count, 0u)
+      << ::testing::PrintToString(r.checks.violations);
 }
 
 TEST(ChurnSoak, SmokeBoundedDeterministicSerialAndSharded) {
@@ -273,7 +187,7 @@ TEST(ChurnSoak, SmokeBoundedDeterministicSerialAndSharded) {
       << "pool high-water mark kept climbing after steady state";
 
   const SoakResult serial_b = run_soak(seed, p);
-  EXPECT_EQ(serial_a.event_digest, serial_b.event_digest)
+  EXPECT_EQ(serial_a.checks.event_digest, serial_b.checks.event_digest)
       << "serial rerun of the same seed diverged";
 
   SoakParams sharded = p;
@@ -283,7 +197,7 @@ TEST(ChurnSoak, SmokeBoundedDeterministicSerialAndSharded) {
   ASSERT_TRUE(par_a.parallel) << "partition fell back to the serial engine";
   check_soak(par_a, sharded, 10'000, 2000);
   const SoakResult par_b = run_soak(seed, sharded);
-  EXPECT_EQ(par_a.event_digest, par_b.event_digest)
+  EXPECT_EQ(par_a.checks.event_digest, par_b.checks.event_digest)
       << "2-shard rerun of the same seed diverged";
 
   // The parallel engine must reproduce the serial lifecycle exactly.
@@ -308,7 +222,7 @@ TEST(ChurnSoak, FullMillionFlowSoak) {
   EXPECT_LE(serial_a.pool_hwm_end, serial_a.pool_hwm_mid * 1.5);
 
   const SoakResult serial_b = run_soak(seed, p);
-  EXPECT_EQ(serial_a.event_digest, serial_b.event_digest);
+  EXPECT_EQ(serial_a.checks.event_digest, serial_b.checks.event_digest);
 
   // Nightly CI sets ACDC_SOAK_SHARDS=4 ACDC_SOAK_THREADS=4 (under TSan);
   // the default matches the smoke test's 2-shard configuration.
@@ -319,7 +233,7 @@ TEST(ChurnSoak, FullMillionFlowSoak) {
   ASSERT_TRUE(par_a.parallel) << "partition fell back to the serial engine";
   check_soak(par_a, sharded, 1'000'000, 100'000);
   const SoakResult par_b = run_soak(seed, sharded);
-  EXPECT_EQ(par_a.event_digest, par_b.event_digest);
+  EXPECT_EQ(par_a.checks.event_digest, par_b.checks.event_digest);
 
   EXPECT_EQ(par_a.churn.started, serial_a.churn.started);
   EXPECT_EQ(par_a.churn.completed, serial_a.churn.completed);

@@ -20,21 +20,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "acdc/vswitch.h"
 #include "app/service.h"
 #include "exp/leaf_spine.h"
-#include "exp/scenario.h"
-#include "forensics/delay_analyzer.h"
-#include "forensics/report.h"
-#include "obs/export.h"
-#include "obs/merge.h"
-#include "testlib/invariants.h"
+#include "soak_env.h"
+#include "testlib/checked_run.h"
 #include "testlib/seed.h"
 
 namespace acdc::testlib {
@@ -68,35 +60,18 @@ SoakParams full_params() {
   return p;
 }
 
-// FNV-1a, same mixing as the churn soak and the fuzz harness.
-struct Digest {
-  std::uint64_t h = 14695981039346656037ull;
-  void mix(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  void mix_double(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    mix(bits);
-  }
-};
-
 struct SoakResult {
   // Engine-independent: per-group lifecycle counters + exact per-request
   // latency sequences. Must match bit-for-bit serial vs sharded.
   std::uint64_t outcome_digest = 0;
-  // Engine-shaped (per-shard recorder streams): must match across reruns
-  // of the same seed on the same engine.
-  std::uint64_t event_digest = 0;
+  // Violations and the engine-shaped event digest (per-shard recorder
+  // streams), which must match across reruns of the same seed on the same
+  // engine.
+  CheckSummary checks;
   app::ServiceStats stats;
   bool drained = false;
   std::size_t table_peak = 0;
   std::size_t client_tables_end = 0;  // user-facing hosts, post-GC
-  std::uint64_t violations = 0;
-  std::string first_violation;
   double pool_hwm_mid = 0.0;  // serial runs only (pool gauges are
   double pool_hwm_end = 0.0;  // per-thread); 0 on parallel runs
   bool parallel = false;
@@ -122,36 +97,9 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   }
   roles.storage = {fabric.host(3, 0), fabric.host(3, 1)};
 
-  bool parallel = false;
-  if (p.shards > 1) {
-    const exp::PartitionReport report =
-        scn.enable_parallel(p.shards, p.threads > 0 ? p.threads : p.shards);
-    parallel = report.parallel;
-  }
-  scn.enable_tracing(std::size_t{1} << 14, /*metrics_interval=*/0);
-
-  const std::vector<obs::FlightRecorder*> recorders = scn.recorders();
-  std::vector<Digest> shard_digests(recorders.size());
-  for (std::size_t s = 0; s < recorders.size(); ++s) {
-    Digest* digest = &shard_digests[s];
-    recorders[s]->add_listener([digest](const obs::TraceEvent& ev) {
-      digest->mix(static_cast<std::uint64_t>(ev.t));
-      digest->mix(static_cast<std::uint64_t>(ev.type));
-      digest->mix(ev.source);
-      digest->mix((static_cast<std::uint64_t>(ev.src_ip) << 32) | ev.dst_ip);
-      digest->mix((static_cast<std::uint64_t>(ev.src_port) << 16) |
-                  ev.dst_port);
-      digest->mix(static_cast<std::uint64_t>(ev.a));
-      digest->mix(static_cast<std::uint64_t>(ev.b));
-      digest->mix_double(ev.x);
-    });
-  }
-
-  std::vector<std::unique_ptr<InvariantChecker>> checkers;
-  for (std::size_t s = 0; s < recorders.size(); ++s) {
-    checkers.push_back(std::make_unique<InvariantChecker>());
-    checkers[s]->subscribe(*recorders[s]);
-  }
+  const bool parallel =
+      p.shards > 1 && scn.enable_parallel(p.shards, p.threads).parallel;
+  CheckedRun checked(scn, std::size_t{1} << 14);
 
   vswitch::AcdcConfig acfg;
   acfg.flow_table_max_entries = p.table_cap;
@@ -159,18 +107,12 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   acfg.gc_interval = sim::milliseconds(250);
   acfg.fin_linger = sim::milliseconds(100);
 
-  std::vector<host::Host*> all;
-  for (host::Host* h : roles.clients) all.push_back(h);
-  for (host::Host* h : roles.frontends) all.push_back(h);
-  for (host::Host* h : roles.workers) all.push_back(h);
-  for (host::Host* h : roles.storage) all.push_back(h);
   std::vector<vswitch::AcdcVswitch*> vswitches;
-  for (host::Host* h : all) {
-    InvariantChecker& hc =
-        *checkers[static_cast<std::size_t>(scn.shard_of(h))];
-    h->add_filter(hc.vm_tap(h->name()));
-    vswitches.push_back(scn.attach_acdc(h, acfg));
-    h->add_filter(hc.wire_tap(h->name()));
+  for (const auto* role :
+       {&roles.clients, &roles.frontends, &roles.workers, &roles.storage}) {
+    for (host::Host* h : *role) {
+      vswitches.push_back(checked.attach_acdc(h, acfg));
+    }
   }
 
   app::ServiceConfig svc;
@@ -204,25 +146,17 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   }
   if (serial) out.pool_hwm_end = scn.metrics()->value("net.pool_hwm");
 
-  InvariantChecker& checker = *checkers[0];
-  for (std::size_t i = 0; i < vswitches.size(); ++i) {
-    checker.check_flow_table("acdc." + all[i]->name(), *vswitches[i]);
-  }
-  for (int l = 0; l < fabric.leaves(); ++l) checker.check_switch(*fabric.leaf(l));
-  for (int s = 0; s < fabric.spines(); ++s) checker.check_switch(*fabric.spine(s));
-  checker.check_fack_balance(vswitches);
+  std::vector<net::Switch*> switches;
+  for (int l = 0; l < fabric.leaves(); ++l) switches.push_back(fabric.leaf(l));
+  for (int s = 0; s < fabric.spines(); ++s) switches.push_back(fabric.spine(s));
+  checked.audit(switches, fabric.hosts());
 
   out.stats = tier->stats();
   out.drained = tier->drained();
   for (std::size_t i = 0; i < roles.clients.size(); ++i) {
     out.client_tables_end += vswitches[i]->flows().size();
   }
-  for (const auto& c : checkers) {
-    out.violations += c->violation_count();
-    if (out.first_violation.empty() && !c->violations().empty()) {
-      out.first_violation = c->violations()[0];
-    }
-  }
+  out.checks = checked.summary();
 
   // Engine-independent outcome digest: group construction order is fixed,
   // and within a group the per-request termination sequence is exact on
@@ -244,21 +178,10 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
   }
   out.outcome_digest = outcome.h;
 
-  if (out.violations > 0) {
-    if (const char* dir = std::getenv("ACDC_SOAK_TRACE_DIR")) {
-      const std::string base = std::string(dir) + "/service_seed_" +
-                               std::to_string(seed) +
-                               (p.shards > 1 ? "_sharded" : "_serial");
-      const obs::MergedTrace merged = obs::merge_recorders(recorders);
-      obs::write_chrome_trace_file(merged, scn.metrics(),
-                                   base + ".trace.json");
-      forensics::write_text_file(forensics::DelayAnalyzer::analyze(merged),
-                                 base + ".forensics.txt");
-    }
+  const std::string base = soak_artifact_base("service", seed, p.shards > 1);
+  if (out.checks.violation_count > 0 && !base.empty()) {
+    checked.write_artifacts(base);
   }
-  Digest combined;
-  for (const Digest& d : shard_digests) combined.mix(d.h);
-  out.event_digest = combined.h;
   out.parallel = parallel;
   return out;
 }
@@ -278,17 +201,8 @@ void check_soak(const SoakResult& r, const SoakParams& p,
   EXPECT_GT(r.table_peak, 0u);
   EXPECT_EQ(r.client_tables_end, 0u)
       << "flow-table entries leaked after the sessions ended";
-  EXPECT_EQ(r.violations, 0u) << r.first_violation;
-}
-
-bool full_soak_enabled() {
-  const char* v = std::getenv("ACDC_SOAK_FULL");
-  return v != nullptr && std::strcmp(v, "1") == 0;
-}
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::atoi(v) : fallback;
+  EXPECT_EQ(r.checks.violation_count, 0u)
+      << ::testing::PrintToString(r.checks.violations);
 }
 
 TEST(ServiceSoak, SmokeBoundedDeterministicSerialAndSharded) {
@@ -305,7 +219,7 @@ TEST(ServiceSoak, SmokeBoundedDeterministicSerialAndSharded) {
       << "pool high-water mark kept climbing after steady state";
 
   const SoakResult serial_b = run_soak(seed, p);
-  EXPECT_EQ(serial_a.event_digest, serial_b.event_digest)
+  EXPECT_EQ(serial_a.checks.event_digest, serial_b.checks.event_digest)
       << "serial rerun of the same seed diverged";
   EXPECT_EQ(serial_a.outcome_digest, serial_b.outcome_digest);
 
@@ -316,7 +230,7 @@ TEST(ServiceSoak, SmokeBoundedDeterministicSerialAndSharded) {
   ASSERT_TRUE(par_a.parallel) << "partition fell back to the serial engine";
   check_soak(par_a, sharded, 2'500);
   const SoakResult par_b = run_soak(seed, sharded);
-  EXPECT_EQ(par_a.event_digest, par_b.event_digest)
+  EXPECT_EQ(par_a.checks.event_digest, par_b.checks.event_digest)
       << "2-shard rerun of the same seed diverged";
 
   // The parallel engine must reproduce the serial outcome bit-for-bit:
