@@ -46,6 +46,8 @@ RpcServer::RpcServer(host::Host* host, ConduitRegistry* registry,
   ACDC_CHECK(config_.workers > 0,
              "rpc server on port %u: workers must be positive (workers=%d)",
              static_cast<unsigned>(config_.port), config_.workers);
+  serving_.resize(static_cast<std::size_t>(config_.workers));
+  for (int w = config_.workers; w-- > 0;) idle_workers_.push_back(w);
   host_->listen(config_.port, tcp_config,
                 [this](tcp::TcpConnection* conn) { on_accept(conn); });
 }
@@ -83,7 +85,7 @@ void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
   Pending p;
   p.req = Request{frame.id, frame.bytes, frame.deadline, host_->sim()->now()};
   p.conn_serial = serial;
-  if (busy_ >= config_.workers) {
+  if (idle_workers_.empty()) {
     if (static_cast<int>(backlog_.size()) >= config_.backlog_limit) {
       // Overload drop: no response is ever sent; the client's deadline
       // timer surfaces the loss.
@@ -99,36 +101,44 @@ void RpcServer::on_request(std::uint64_t serial, const RpcFrame& frame) {
 }
 
 void RpcServer::start_service(Pending p) {
-  ++busy_;
-  stats_.busy_peak = std::max<std::int64_t>(stats_.busy_peak, busy_);
+  const int worker = idle_workers_.back();
+  idle_workers_.pop_back();
+  stats_.busy_peak = std::max<std::int64_t>(stats_.busy_peak, busy());
   const sim::Time queue_ns = host_->sim()->now() - p.req.arrival;
   sim::Time service_ns = config_.service_time;
   if (config_.service_jitter_mean > 0) {
     service_ns += rng_.exponential_gap(config_.service_jitter_mean);
   }
-  host_->sim()->schedule(service_ns, [this, p = std::move(p), queue_ns,
-                                      service_ns] {
-    // Async server model: the worker slot covers the modeled CPU time;
-    // downstream I/O (fan-out, nested RPCs) does not hold it.
-    --busy_;
-    if (!backlog_.empty() && busy_ < config_.workers) {
-      Pending next = std::move(backlog_.front());
-      backlog_.pop_front();
-      start_service(std::move(next));
-    }
-    auto responded = std::make_shared<bool>(false);
-    Respond respond = [this, p, queue_ns, service_ns, responded](
-                          bool ok, sim::Time downstream_ns) {
-      if (*responded) return;
-      *responded = true;
-      finish(p, queue_ns, service_ns, ok, downstream_ns);
-    };
-    if (handler_) {
-      handler_(p.req, std::move(respond));
-    } else {
-      respond(true, 0);
-    }
-  });
+  serving_[static_cast<std::size_t>(worker)] =
+      InService{std::move(p), queue_ns, service_ns};
+  const auto on_done = [this, worker] { end_service(worker); };
+  static_assert(sim::EventAction::stores_inline<decltype(on_done)>());
+  host_->sim()->schedule(service_ns, on_done);
+}
+
+void RpcServer::end_service(int worker) {
+  // Copied out: the worker may take the next request below.
+  const InService done = serving_[static_cast<std::size_t>(worker)];
+  // Async server model: the worker slot covers the modeled CPU time;
+  // downstream I/O (fan-out, nested RPCs) does not hold it.
+  idle_workers_.push_back(worker);
+  if (!backlog_.empty()) {
+    Pending next = std::move(backlog_.front());
+    backlog_.pop_front();
+    start_service(std::move(next));
+  }
+  auto responded = std::make_shared<bool>(false);
+  Respond respond = [this, done, responded](bool ok,
+                                            sim::Time downstream_ns) {
+    if (*responded) return;
+    *responded = true;
+    finish(done.p, done.queue_ns, done.service_ns, ok, downstream_ns);
+  };
+  if (handler_) {
+    handler_(done.p.req, std::move(respond));
+  } else {
+    respond(true, 0);
+  }
 }
 
 void RpcServer::finish(const Pending& p, sim::Time queue_ns,

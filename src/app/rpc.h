@@ -188,13 +188,20 @@ class RpcServer {
   host::Host* host() { return host_; }
   // Queued + in-service requests (0 at quiescence).
   std::int64_t in_flight() const {
-    return static_cast<std::int64_t>(backlog_.size()) + busy_;
+    return static_cast<std::int64_t>(backlog_.size()) + busy();
   }
 
  private:
   struct Pending {
     Request req;
     std::uint64_t conn_serial = 0;
+  };
+  // A request a worker is serving, with its measured queue wait and
+  // modeled service time.
+  struct InService {
+    Pending p;
+    sim::Time queue_ns = 0;
+    sim::Time service_ns = 0;
   };
   struct ConnState {
     tcp::TcpConnection* conn = nullptr;
@@ -205,7 +212,11 @@ class RpcServer {
 
   void on_accept(tcp::TcpConnection* conn);
   void on_request(std::uint64_t serial, const RpcFrame& frame);
+  int busy() const {
+    return config_.workers - static_cast<int>(idle_workers_.size());
+  }
   void start_service(Pending p);
+  void end_service(int worker);
   void finish(const Pending& p, sim::Time queue_ns, sim::Time service_ns,
               bool ok, sim::Time downstream_ns);
   void maybe_close(std::uint64_t serial);
@@ -223,7 +234,11 @@ class RpcServer {
   sim::FlatMap<std::uint64_t, ConnState> conns_;
   std::uint64_t next_serial_ = 1;
   std::deque<Pending> backlog_;
-  int busy_ = 0;
+  // One record per worker, and the workers not serving (a stack). A service
+  // timer carries its worker's index rather than the request, which keeps
+  // its closure inline in the event slot.
+  std::vector<InService> serving_;
+  std::vector<int> idle_workers_;
 };
 
 // ---- Client ----

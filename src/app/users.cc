@@ -42,7 +42,8 @@ UserGroup::UserGroup(host::Host* host, ConduitRegistry* registry,
       rng_(rng),
       start_(start),
       client_(host, registry, server_ip, server_port, tcp_config),
-      sessions_(static_cast<std::size_t>(sessions), SessionState::kThinking) {
+      sessions_(static_cast<std::size_t>(sessions), SessionState::kThinking),
+      thinks_(host->sim(), this, &UserGroup::on_think_timer) {
   ACDC_CHECK(sessions > 0,
              "user group: sessions must be positive (sessions=%lld)",
              static_cast<long long>(sessions));
@@ -90,8 +91,11 @@ void UserGroup::arm_think(std::size_t session) {
   const sim::Time mean = std::max<sim::Time>(
       1, static_cast<sim::Time>(static_cast<double>(config_.think_time_mean) /
                                 rate_multiplier()));
-  sim()->schedule(rng_.exponential_gap(mean),
-                  [this, session] { on_think(session); });
+  thinks_.arm(rng_.exponential_gap(mean), session);
+}
+
+void UserGroup::on_think_timer(void* self, std::uint64_t session) {
+  static_cast<UserGroup*>(self)->on_think(static_cast<std::size_t>(session));
 }
 
 void UserGroup::on_think(std::size_t session) {

@@ -3,7 +3,10 @@
 // (the edge-proxy idiom — what makes 1M simulated users cost ~tens of
 // thousands of connections, not a million). Each session loops
 // think -> request -> wait-for-result -> think; the think-rate is shaped
-// by a load curve (steady / diurnal sine / bursty on-off). All timers run
+// by a load curve (steady / diurnal sine / bursty on-off). A thinking
+// session costs one entry in the group's think-timer heap, not an event of
+// its own (sim::TimerHeap: only the group's earliest think waits in the
+// event queue, at the position its own event would take). All timers run
 // on the owning host's shard simulator and all randomness comes from the
 // group's own RNG substream, so populations are parallel-shard safe and
 // adding one never perturbs another.
@@ -18,6 +21,7 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer_heap.h"
 
 namespace acdc::app {
 
@@ -99,6 +103,7 @@ class UserGroup {
   enum class SessionState : std::uint8_t { kThinking, kWaiting, kEnded };
 
   void arm_think(std::size_t session);
+  static void on_think_timer(void* self, std::uint64_t session);
   void on_think(std::size_t session);
   void on_result(std::size_t session, const RpcResult& r);
   void stop_all();
@@ -112,6 +117,9 @@ class UserGroup {
   sim::Time start_;
   RpcClient client_;
   std::vector<SessionState> sessions_;
+  // Every session's pending think, tagged with its index. Ended sessions'
+  // thinks stay and fire as no-ops.
+  sim::TimerHeap thinks_;
   UserGroupStats stats_;
   std::function<void(const RpcResult&)> observer_;
   bool stopped_ = false;

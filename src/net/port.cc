@@ -97,11 +97,11 @@ void Port::register_metrics(obs::MetricsRegistry& registry) const {
 void Port::start_transmission() {
   // Only reached with a packet waiting: from send(), or from a completion
   // that was scheduled because one was.
-  PacketPtr packet = queue_->dequeue();
+  std::int64_t wire_bytes = 0;
+  PacketPtr packet = queue_->dequeue(&wire_bytes);
   ACDC_CHECK(packet != nullptr, "port %s: transmission started at %lld ns "
              "with an empty queue", name_.c_str(),
              static_cast<long long>(sim_->now()));
-  const std::int64_t wire_bytes = packet->wire_bytes();
   const sim::Time tx = sim::transmission_time(wire_bytes, rate_);
   ++transmitted_packets_;
   transmitted_bytes_ += wire_bytes;

@@ -4,19 +4,20 @@
 
 namespace acdc::net {
 
-PacketPtr Queue::dequeue() {
+PacketPtr Queue::dequeue(std::int64_t* wire_bytes) {
   if (packets_.empty()) return nullptr;
-  PacketPtr p = std::move(packets_.front());
+  PacketPtr p = std::move(packets_.front().packet);
+  const std::int64_t bytes = packets_.front().wire_bytes;
   packets_.pop_front();
-  bytes_ -= p->wire_bytes();
+  bytes_ -= bytes;
   ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += p->wire_bytes();
-  if (pool_ != nullptr) pool_->on_dequeue(p->wire_bytes());
+  stats_.dequeued_bytes += bytes;
+  if (pool_ != nullptr) pool_->on_dequeue(bytes);
+  if (wire_bytes != nullptr) *wire_bytes = bytes;
   return p;
 }
 
-void Queue::accept(PacketPtr packet) {
-  const std::int64_t bytes = packet->wire_bytes();
+void Queue::accept(PacketPtr packet, std::int64_t bytes) {
   bytes_ += bytes;
   if (pool_ != nullptr) pool_->on_enqueue(bytes);
   ++stats_.enqueued_packets;
@@ -35,25 +36,25 @@ void Queue::accept(PacketPtr packet) {
       });
     }
   }
-  packets_.push_back(std::move(packet));
+  packets_.push_back(Queued{std::move(packet), bytes});
 }
 
-void Queue::drop(const Packet& packet) {
+void Queue::drop(const Packet& packet, std::int64_t bytes) {
   ++stats_.dropped_packets;
-  stats_.dropped_bytes += packet.wire_bytes();
+  stats_.dropped_bytes += bytes;
   if (tracing()) {
     if (packet.uid != 0) {
       trace_->emit(obs::EventType::kPktDrop, [&](obs::TraceEvent& ev) {
         fill_trace_event(ev, packet);
         ev.a = static_cast<std::int64_t>(packet.uid);
         ev.b = bytes_;
-        ev.x = static_cast<double>(packet.wire_bytes());
+        ev.x = static_cast<double>(bytes);
       });
     } else {
       trace_->emit(obs::EventType::kQueueDrop, [&](obs::TraceEvent& ev) {
         fill_trace_event(ev, packet);
         ev.a = bytes_;
-        ev.b = packet.wire_bytes();
+        ev.b = bytes;
       });
     }
   }
@@ -85,10 +86,10 @@ void Queue::register_metrics(obs::MetricsRegistry& registry,
 bool DropTailQueue::enqueue(PacketPtr packet) {
   const std::int64_t bytes = packet->wire_bytes();
   if (bytes_ + bytes > capacity_ || !pool_admits(bytes)) {
-    drop(*packet);
+    drop(*packet, bytes);
     return false;
   }
-  accept(std::move(packet));
+  accept(std::move(packet), bytes);
   return true;
 }
 

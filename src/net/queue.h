@@ -76,7 +76,10 @@ class Queue {
   // admitted.
   virtual bool enqueue(PacketPtr packet) = 0;
 
-  PacketPtr dequeue();
+  // Pops the head packet (nullptr when empty). `wire_bytes`, when given,
+  // receives its wire size as computed at enqueue: nothing changes a
+  // queued packet's size.
+  PacketPtr dequeue(std::int64_t* wire_bytes = nullptr);
 
   bool empty() const { return packets_.empty(); }
   std::int64_t byte_length() const { return bytes_; }
@@ -103,13 +106,20 @@ class Queue {
   bool pool_admits(std::int64_t packet_bytes) const {
     return pool_ == nullptr || pool_->admit(bytes_, packet_bytes);
   }
-  void accept(PacketPtr packet);
-  void drop(const Packet& packet);
+  // `bytes` is the packet's wire_bytes(), computed once by enqueue().
+  void accept(PacketPtr packet, std::int64_t bytes);
+  void drop(const Packet& packet, std::int64_t bytes);
   bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
   // Fills a flow-stamped event from `packet` (timestamp = enqueued_at).
   void fill_trace_event(obs::TraceEvent& ev, const Packet& packet) const;
 
-  std::deque<PacketPtr> packets_;
+  // A queued packet with its wire size, so dequeue() need not recompute it.
+  struct Queued {
+    PacketPtr packet;
+    std::int64_t wire_bytes;
+  };
+
+  std::deque<Queued> packets_;
   std::int64_t bytes_ = 0;
   QueueStats stats_;
   SharedBufferPool* pool_ = nullptr;

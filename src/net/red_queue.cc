@@ -18,7 +18,7 @@ bool RedQueue::enqueue(PacketPtr packet) {
   const std::int64_t bytes = packet->wire_bytes();
   if ((config_.capacity_bytes > 0 && bytes_ + bytes > config_.capacity_bytes) ||
       !pool_admits(bytes)) {
-    drop(*packet);
+    drop(*packet, bytes);
     return false;
   }
 
@@ -43,11 +43,11 @@ bool RedQueue::enqueue(PacketPtr packet) {
       }
     } else {
       // Non-ECT packets past the threshold are dropped (WRED drop action).
-      drop(*packet);
+      drop(*packet, bytes);
       return false;
     }
   }
-  accept(std::move(packet));
+  accept(std::move(packet), bytes);
   return true;
 }
 

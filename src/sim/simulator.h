@@ -53,7 +53,8 @@ class Simulator {
   // run, and the position at the end of its tick. Drivers run to a
   // deadline; this is the drain loop of the engine and port tests
   // (SimulatorTest, DeadlineTimerTest including its cancel-and-schedule
-  // reference, ReservedEventTest, PortDeathTest, FaultInjectorDeathTest,
+  // reference, TimerHeapTest including its one-event-per-timer reference,
+  // ReservedEventTest, PortDeathTest, FaultInjectorDeathTest,
   // SwitchTest, PacketPoolTest.PeerlessPortReturnsPacketsToThePool and
   // ObsIntegrationTest.PerHopEventsConservePackets).
   void run();
@@ -88,12 +89,19 @@ class Simulator {
 
   std::uint64_t executed_events() const { return queue_.executed_count(); }
 
+  // Events waiting to run, cancelled ones excluded. Pins how many queue
+  // positions a component holds (TimerHeapTest and
+  // UserGroupTest.ThinkTimersHoldOneQueuePosition).
+  std::size_t pending_events() const { return queue_.size(); }
+
  private:
   friend class DeadlineTimer;
   friend class ReservedEvent;
+  friend class TimerHeap;
 
-  // For DeadlineTimer and ReservedEvent: schedules an unkeyed event with an
-  // insertion sequence number taken earlier from queue_.take_seq().
+  // For DeadlineTimer, ReservedEvent and TimerHeap: schedules an unkeyed
+  // event with an insertion sequence number taken earlier from
+  // queue_.take_seq().
   EventId schedule_at_seq(Time at, std::uint64_t seq, EventAction action);
 
   // Advances the clock and the pop-order position to a popped event, then

@@ -277,6 +277,25 @@ TEST(RpcTest, CloseCancelsDeadlinelessCallsAndReleasesConnections) {
 // NDEBUG, zero workers backlogged every request forever, a zero fan-out
 // never fired `done`, and empty workers reached uniform_int(0, -1) and then
 // an index modulo zero.
+// A thinking session costs a heap entry, not a pending event: once the
+// start tick has armed every think, the group's whole population waits
+// behind one queue position, beside the connection's own few events.
+TEST(UserGroupTest, ThinkTimersHoldOneQueuePosition) {
+  RpcPair net;
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{},
+                   RpcServerConfig{}, sim::Rng(testlib::test_seed(11)));
+  const sim::Time start = sim::milliseconds(1);
+  UserGroup group(&net.client_host, &net.registry, net.server_host.ip(),
+                  RpcServerConfig{}.port, tcp::TcpConfig{},
+                  UserPopulationConfig{}, /*sessions=*/10'000,
+                  sim::Rng(testlib::test_seed(12)), start);
+  net.sim.run_until(start);
+  EXPECT_LE(net.sim.pending_events(), 4u);
+  // The thinks still fire, one event each (2 s mean think time).
+  net.sim.run_until(start + sim::milliseconds(20));
+  EXPECT_GT(group.stats().issued, 0);
+}
+
 TEST(AppTierDeathTest, RpcServerNeedsWorkers) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RpcPair net;

@@ -1,5 +1,6 @@
 // Unit tests for the discrete-event core: ordering, cancellation,
-// determinism, the always-on causality check, deadline timers, time helpers.
+// determinism, the always-on causality check, deadline timers, timer heaps,
+// time helpers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +12,7 @@
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/timer_heap.h"
 #include "testlib/seed.h"
 
 namespace acdc::sim {
@@ -323,6 +325,149 @@ TEST(DeadlineTimerTest, SameTickOrderMatchesCancelAndSchedule) {
     const std::vector<std::string> reference = TimerScript(false, s).run();
     ASSERT_EQ(timer, reference) << "seed " << s;
     ASSERT_GT(timer.size(), 400u);
+  }
+}
+
+// Test owner for TimerHeap: records "time:tag" for every fire.
+struct TagLog {
+  Simulator* sim = nullptr;
+  std::vector<std::string> fires;
+  static void on_fire(void* self, std::uint64_t tag) {
+    auto* log = static_cast<TagLog*>(self);
+    log->fires.push_back(std::to_string(log->sim->now()) + ":" +
+                         std::to_string(tag));
+  }
+};
+
+TEST(TimerHeapTest, FiresByDeadlineThenArmOrderFromOneQueuePosition) {
+  Simulator sim;
+  TagLog log{&sim, {}};
+  TimerHeap heap(&sim, &log, &TagLog::on_fire);
+  heap.arm(300, 1);
+  heap.arm(100, 2);  // new earliest: the event at 300 is cancelled
+  heap.arm(100, 3);  // equal deadline, later arm
+  heap.arm(0, 4);    // new earliest again
+  heap.arm(500, 5);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run();
+  EXPECT_EQ(log.fires, (std::vector<std::string>{"0:4", "100:2", "100:3",
+                                                 "300:1", "500:5"}));
+  // One event per timer; the two superseded earliest events never ran.
+  EXPECT_EQ(sim.executed_events(), 5u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(TimerHeapTest, DestroyedWhilePendingNeverFires) {
+  Simulator sim;
+  TagLog log{&sim, {}};
+  {
+    TimerHeap heap(&sim, &log, &TagLog::on_fire);
+    heap.arm(100, 1);
+    heap.arm(50, 2);  // the event at 100 stays behind as a tombstone
+    heap.arm(200, 3);
+  }
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.next_event_time(), kNoTime);
+  sim.run();
+  EXPECT_TRUE(log.fires.empty());
+  EXPECT_EQ(sim.executed_events(), 0u);
+}
+
+// Same-tick order against a reference: one Simulator arms its timers
+// through a single TimerHeap, another schedules one plain event per timer,
+// under the same random script. Unkeyed and keyed third-party events arm
+// timers (zero delays, deadlines equal to an armed one, fresh earliest
+// ones), land on armed deadlines' nanoseconds and log what they see, and
+// fired timers re-arm from inside the handler. Every execution must
+// interleave identically, with the same executed-event count.
+class HeapScript {
+ public:
+  HeapScript(bool use_heap, std::uint64_t seed)
+      : use_heap_(use_heap),
+        rng_(seed),
+        heap_(&sim_, this, [](void* self, std::uint64_t tag) {
+          static_cast<HeapScript*>(self)->on_fire(tag);
+        }) {}
+
+  std::vector<std::string> run() {
+    for (int i = 0; i < 300; ++i) {
+      const auto at = static_cast<Time>(rng_.uniform_int(0, 20'000));
+      if (rng_.chance(0.3)) {
+        const auto key = static_cast<std::uint64_t>(rng_.uniform_int(0, 3));
+        sim_.schedule_at_keyed(at, key, [this, i] { step(i, "keyed"); });
+      } else {
+        sim_.schedule_at(at, [this, i] { step(i, "step"); });
+      }
+    }
+    sim_.run();
+    note("executed " + std::to_string(sim_.executed_events()));
+    return log_;
+  }
+
+ private:
+  void note(const std::string& what) {
+    log_.push_back(std::to_string(sim_.now()) + " " + what);
+  }
+
+  void arm(Time delay) {
+    const std::uint64_t tag = next_tag_++;
+    if (use_heap_) {
+      heap_.arm(delay, tag);
+    } else {
+      sim_.schedule(delay, [this, tag] { on_fire(tag); });
+    }
+    deadlines_.push_back(sim_.now() + delay);
+  }
+
+  void on_fire(std::uint64_t tag) {
+    note("fire " + std::to_string(tag));
+    if (rng_.chance(0.3)) {
+      arm(rng_.chance(0.3) ? 0 : rng_.uniform_int(0, 500));
+    }
+  }
+
+  void step(int i, const char* kind) {
+    note(std::string(kind) + " " + std::to_string(i));
+    const int arms = static_cast<int>(rng_.uniform_int(0, 3));
+    for (int a = 0; a < arms; ++a) {
+      const int op = static_cast<int>(rng_.uniform_int(0, 9));
+      if (op < 2) {
+        arm(0);
+      } else if (op < 4 && !deadlines_.empty()) {
+        // An earlier arm's deadline, or now once that has passed.
+        const Time d = deadlines_[static_cast<std::size_t>(rng_.uniform_int(
+            0, static_cast<std::int64_t>(deadlines_.size()) - 1))];
+        arm(d >= sim_.now() ? d - sim_.now() : 0);
+      } else if (op < 8) {
+        arm(rng_.uniform_int(0, 3000));
+      } else {
+        arm(rng_.uniform_int(10'000, 40'000));
+      }
+    }
+    // A third party lands on the latest deadline's nanosecond.
+    if (!deadlines_.empty() && deadlines_.back() >= sim_.now() &&
+        rng_.chance(0.5)) {
+      sim_.schedule_at(deadlines_.back(),
+                       [this, i] { note("peer " + std::to_string(i)); });
+    }
+  }
+
+  bool use_heap_;
+  Rng rng_;
+  Simulator sim_;
+  TimerHeap heap_;
+  std::uint64_t next_tag_ = 0;
+  std::vector<Time> deadlines_;
+  std::vector<std::string> log_;
+};
+
+TEST(TimerHeapTest, SameTickOrderMatchesOneEventPerTimer) {
+  const std::uint64_t seed = testlib::test_seed(20160822);
+  for (std::uint64_t s = seed; s < seed + 20; ++s) {
+    const std::vector<std::string> heap = HeapScript(true, s).run();
+    const std::vector<std::string> reference = HeapScript(false, s).run();
+    ASSERT_EQ(heap, reference) << "seed " << s;
+    ASSERT_GT(heap.size(), 600u);
   }
 }
 
