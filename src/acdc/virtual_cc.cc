@@ -50,6 +50,23 @@ bool VirtualCc::window_rolled(FlowHot& s) {
   return false;
 }
 
+bool VirtualCc::loss(const VccEvent& ev) {
+  return ev.dupack && ev.dupacks >= kLossDupacks;
+}
+
+bool VirtualCc::begin_reduction(FlowHot& s) {
+  if (s.reduced_this_window) return false;
+  s.reduced_this_window = true;
+  s.cc_window_end = s.snd_nxt;
+  s.window_boundary_valid = true;
+  return true;
+}
+
+void VirtualCc::halve(FlowHot& s) {
+  s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
+  s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
+}
+
 void VirtualCc::reno_grow(FlowHot& s, std::int64_t acked_bytes) {
   if (acked_bytes <= 0) return;
   if (s.cwnd_bytes < s.ssthresh_bytes) {
@@ -92,37 +109,28 @@ void VirtualDctcp::on_ack(FlowHot& s, const VccConfig& cfg,
     s.win_marked = 0;
   }
 
-  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
+  const bool lost = loss(ev);
   const bool congestion = ev.fb_marked_delta > 0;
 
-  if (loss) {
+  if (lost) {
     // Fig. 5: loss implies maximal alpha, then the window is cut (at most
     // once per window). Retransmission itself is the VM's job.
     s.alpha = 1.0;
   }
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes =
-          std::max(min_cwnd_bytes(s),
-                   s.cwnd_bytes * reduction_factor(s.alpha, s.beta));
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-      return;
-    }
-    // Already cut in this window: keep growing like the host stack, which
-    // runs tcp_cong_avoid() on every ACK outside the reduction itself.
+  // An ACK that finds this window already cut keeps growing like the host
+  // stack, which runs tcp_cong_avoid() on every ACK outside the reduction.
+  if ((lost || congestion) && begin_reduction(s)) {
+    s.cwnd_bytes = std::max(min_cwnd_bytes(s),
+                            s.cwnd_bytes * reduction_factor(s.alpha, s.beta));
+    s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
+    return;
   }
   if (!ev.dupack) reno_grow(s, ev.acked_bytes);  // tcp_cong_avoid()
 }
 
 void VirtualDctcp::on_timeout(FlowHot& s, const VccConfig& cfg) const {
-  (void)cfg;
   s.alpha = 1.0;
-  s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-  s.cwnd_bytes = min_cwnd_bytes(s);
-  s.window_boundary_valid = false;
+  VirtualCc::on_timeout(s, cfg);
 }
 
 // -------------------------------------------------------------------- Reno
@@ -131,16 +139,8 @@ void VirtualReno::on_ack(FlowHot& s, const VccConfig& cfg,
                          const VccEvent& ev) const {
   (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
-  const bool congestion = ev.fb_marked_delta > 0;
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (loss(ev) || ev.fb_marked_delta > 0) {
+    if (begin_reduction(s)) halve(s);
     return;
   }
   if (!ev.dupack) reno_grow(s, ev.acked_bytes);
@@ -199,15 +199,8 @@ void VirtualCubic::on_ack(FlowHot& s, const VccConfig& cfg,
                           const VccEvent& ev) const {
   (void)cfg;
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
-  const bool congestion = ev.fb_marked_delta > 0;
-  if (loss || congestion) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      cut(s);
-    }
+  if (loss(ev) || ev.fb_marked_delta > 0) {
+    if (begin_reduction(s)) cut(s);
     return;
   }
   if (!ev.dupack) grow(s, ev);
@@ -229,15 +222,8 @@ double VirtualPowerTcp::bdp_bytes(double tau_us,
 void VirtualPowerTcp::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
-  if (loss) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (loss(ev)) {
+    if (begin_reduction(s)) halve(s);
     return;
   }
   if (ev.dupack) return;
@@ -309,15 +295,8 @@ double VirtualFairRate::window_bytes(double tau_us,
 void VirtualFairRate::on_ack(FlowHot& s, const VccConfig& cfg,
                              const VccEvent& ev) const {
   window_rolled(s);
-  const bool loss = ev.dupack && ev.dupacks >= kLossDupacks;
-  if (loss) {
-    if (!s.reduced_this_window) {
-      s.reduced_this_window = true;
-      s.cc_window_end = s.snd_nxt;
-      s.window_boundary_valid = true;
-      s.cwnd_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes / 2.0);
-      s.ssthresh_bytes = std::max(min_cwnd_bytes(s), s.cwnd_bytes);
-    }
+  if (loss(ev)) {
+    if (begin_reduction(s)) halve(s);
     return;
   }
   if (ev.dupack) return;

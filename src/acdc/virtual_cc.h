@@ -78,6 +78,14 @@ class VirtualCc {
   // True when snd_una has passed the recorded window boundary; rolls the
   // window forward (one boundary per RTT worth of data).
   static bool window_rolled(FlowHot& s);
+  // The fast-retransmit loss signal: a duplicate ACK at or past the
+  // threshold.
+  static bool loss(const VccEvent& ev);
+  // Claims this window's one reduction: false when the window was already
+  // cut, else marks it cut and restarts the window at snd_nxt.
+  static bool begin_reduction(FlowHot& s);
+  // The Reno cut: half the window, which also becomes ssthresh.
+  static void halve(FlowHot& s);
   // Reno-style growth in bytes (slow start + congestion avoidance), used by
   // DCTCP and NewReno.
   static void reno_grow(FlowHot& s, std::int64_t acked_bytes);

@@ -20,6 +20,9 @@ FanoutCoordinator::FanoutCoordinator(sim::Simulator* sim,
   ACDC_CHECK(!leaves_.empty(), "fanout: no leaf clients (leaves=0)");
   ACDC_CHECK(config_.fanout > 0, "fanout: fanout must be positive (fanout=%d)",
              config_.fanout);
+  ACDC_CHECK(config_.leaf_deadline > 0,
+             "fanout: leaf_deadline must be positive (leaf_deadline=%lld)",
+             static_cast<long long>(config_.leaf_deadline));
   // Decorrelate coordinators sharing a leaf pool: each starts its rotation
   // at its own substream-drawn offset.
   cursor_ = static_cast<std::size_t>(
@@ -45,15 +48,11 @@ void FanoutCoordinator::issue(sim::Time budget, Done done) {
   round->t0 = sim_->now();
   round->waiting = asked;
 
+  const sim::Time deadline = std::min(
+      config_.leaf_deadline, std::max<sim::Time>(budget - sim_->now(), 1));
   for (int i = 0; i < asked; ++i) {
     RpcClient* leaf = leaves_[cursor_ % leaves_.size()];
     ++cursor_;
-    sim::Time deadline = config_.leaf_deadline;
-    if (budget != sim::kNoTime) {
-      const sim::Time remaining = std::max<sim::Time>(budget - sim_->now(), 1);
-      deadline = deadline == sim::kNoTime ? remaining
-                                          : std::min(deadline, remaining);
-    }
     ++stats_.leaf_calls;
     ++in_flight_;
     leaf->call(kLeafRequestBytes, deadline,

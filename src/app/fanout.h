@@ -21,7 +21,7 @@ namespace acdc::app {
 
 struct FanoutConfig {
   int fanout = 4;  // leaves contacted per request (<= clients.size())
-  sim::Time leaf_deadline = sim::milliseconds(8);  // relative, per leaf call
+  sim::Time leaf_deadline = sim::milliseconds(8);  // relative, per leaf, > 0
 };
 
 struct FanoutStats {
@@ -50,9 +50,9 @@ class FanoutCoordinator {
                     const FanoutConfig& config, sim::Rng rng);
 
   // Issues one partition-aggregate round. `budget` is the absolute
-  // deadline of the enclosing request (kNoTime = none); each leaf call's
-  // deadline is min(leaf_deadline, remaining budget). `done` fires exactly
-  // once, when the last leaf call terminates.
+  // deadline of the enclosing request; each leaf call's deadline is
+  // min(leaf_deadline, remaining budget), at least 1 ns. `done` fires
+  // exactly once, when the last leaf call ends.
   void issue(sim::Time budget, Done done);
 
   const FanoutStats& stats() const { return stats_; }

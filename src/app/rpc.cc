@@ -227,85 +227,59 @@ std::uint64_t RpcClient::call(std::int64_t request_bytes, sim::Time deadline,
              "rpc client %s: request_bytes must not be negative (%lld)",
              net::ip_to_string(local_.ip).c_str(),
              static_cast<long long>(request_bytes));
+  ACDC_CHECK(deadline > 0, "rpc client %s: deadline must be positive (%lld)",
+             net::ip_to_string(local_.ip).c_str(),
+             static_cast<long long>(deadline));
   const std::uint64_t id = next_id_++;
   ++stats_.issued;
   RpcFrame f;
   f.id = id;
   f.bytes = kRpcHeaderBytes + request_bytes;
   const sim::Time now = host_->sim()->now();
-  const sim::Time abs_deadline =
-      deadline == sim::kNoTime ? sim::kNoTime : now + deadline;
-  f.deadline = abs_deadline;
-  pending_.emplace(id, Pending{std::move(done), now, abs_deadline});
+  f.deadline = now + deadline;
+  pending_[id] = Pending{std::move(done), now};
   conduit_->to_server.push(f);
   conn_->send(f.bytes);
-  if (abs_deadline != sim::kNoTime) {
-    host_->sim()->schedule_at(abs_deadline, [this, id] { on_deadline(id); });
-  }
+  host_->sim()->schedule_at(f.deadline, [this, id] { on_deadline(id); });
   return id;
 }
 
 void RpcClient::on_response(const RpcFrame& frame) {
-  auto it = pending_.find(frame.id);
-  if (it == pending_.end()) {
-    // Straggler: its deadline already fired or close() cancelled it (the
-    // result went out as a miss).
-    ++stats_.late;
-    return;
-  }
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  ++stats_.completed;
   RpcResult r;
-  r.id = frame.id;
   r.ok = frame.ok;
-  r.latency = host_->sim()->now() - p.issued;
   r.response_bytes = frame.bytes - kRpcHeaderBytes;
   r.server_cost = frame.server_cost;
-  if (p.done) p.done(r);
-  maybe_fin();
+  // A straggler: its deadline fired first and the result went out as a miss.
+  if (!end_call(frame.id, r, stats_.completed)) ++stats_.late;
 }
 
 void RpcClient::on_deadline(std::uint64_t id) {
-  auto it = pending_.find(id);
-  if (it == pending_.end()) return;  // answered in time
-  Pending p = std::move(it->second);
-  pending_.erase(it);
-  ++stats_.timed_out;
   RpcResult r;
-  r.id = id;
   r.timed_out = true;
+  end_call(id, r, stats_.timed_out);  // false: answered in time
+}
+
+bool RpcClient::end_call(std::uint64_t id, RpcResult r,
+                         std::int64_t& outcome) {
+  Pending* found = pending_.find(id);
+  if (found == nullptr) return false;
+  Pending p = std::move(*found);
+  pending_.erase(id);
+  ++outcome;
+  r.id = id;
   r.latency = host_->sim()->now() - p.issued;
   if (p.done) p.done(r);
   maybe_fin();
+  return true;
 }
 
 void RpcClient::close() {
-  if (close_requested_) return;
   close_requested_ = true;
-  // Deadline-less calls would otherwise never terminate once the caller
-  // stops: cancel them now (ISSUE's "session teardown" terminal state).
-  std::vector<std::uint64_t> cancel;
-  for (const auto& [id, p] : pending_) {
-    if (p.deadline == sim::kNoTime) cancel.push_back(id);
-  }
-  std::sort(cancel.begin(), cancel.end());
-  for (std::uint64_t id : cancel) {
-    auto it = pending_.find(id);
-    Pending p = std::move(it->second);
-    pending_.erase(it);
-    ++stats_.cancelled;  // a straggler response counts late
-    RpcResult r;
-    r.id = id;
-    r.timed_out = true;
-    r.latency = host_->sim()->now() - p.issued;
-    if (p.done) p.done(r);
-  }
   maybe_fin();
 }
 
 void RpcClient::maybe_fin() {
-  if (!close_requested_ || fin_sent_ || !pending_.empty()) return;
+  if (!close_requested_ || fin_sent_ || pending_.size() != 0) return;
   fin_sent_ = true;
   conn_->close();
 }

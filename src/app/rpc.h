@@ -31,6 +31,7 @@
 #include "host/host.h"
 #include "net/packet.h"
 #include "sim/flat_map.h"
+#include "sim/hash.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
@@ -120,11 +121,8 @@ class ConduitRegistry {
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
-      std::size_t h = k.client_ip;
-      h = h * 1000003u + k.client_port;
-      h = h * 1000003u + k.server_ip;
-      h = h * 1000003u + k.server_port;
-      return h;
+      return sim::tuple_hash(k.client_ip, k.server_ip, k.client_port,
+                             k.server_port);
     }
   };
   struct Entry {
@@ -246,7 +244,7 @@ class RpcServer {
 struct RpcResult {
   std::uint64_t id = 0;
   bool ok = false;         // response arrived in time, served fully
-  bool timed_out = false;  // deadline fired first (or teardown)
+  bool timed_out = false;  // deadline fired first
   sim::Time latency = 0;   // completion (or deadline) - issue
   std::int64_t response_bytes = 0;
   TierBreakdown server_cost;  // echoed from the server (zero on timeout)
@@ -257,13 +255,12 @@ struct RpcClientStats {
   std::int64_t completed = 0;   // responses delivered in time
   std::int64_t timed_out = 0;
   std::int64_t late = 0;        // responses that arrived after their deadline
-  std::int64_t cancelled = 0;   // torn down with the connection
 };
 
 // One persistent connection to one server; call() multiplexes any number
 // of logical callers (the user-population tier packs a whole session group
-// onto one client). Every call terminates: with a response, with a
-// deadline miss, or — for deadline-less calls — at close()/teardown.
+// onto one client). Every call ends exactly once: by its response or by
+// its deadline, whichever comes first.
 class RpcClient {
  public:
   using Callback = std::function<void(const RpcResult&)>;
@@ -273,12 +270,12 @@ class RpcClient {
             net::IpAddr server_ip, net::TcpPort server_port,
             const tcp::TcpConfig& tcp_config);
 
-  // Issues one request. `deadline` is relative to now (kNoTime = none).
-  // `done` always fires exactly once. Returns the request id.
+  // Issues one request. `deadline` is relative to now and must be
+  // positive. `done` always fires exactly once. Returns the request id.
   std::uint64_t call(std::int64_t request_bytes, sim::Time deadline,
                      Callback done);
 
-  // No further calls; FINs once the last outstanding call terminates and
+  // No further calls; FINs once the last outstanding call ends and
   // releases the connection when the close completes. Idempotent.
   void close();
 
@@ -293,11 +290,13 @@ class RpcClient {
   struct Pending {
     Callback done;
     sim::Time issued = 0;
-    sim::Time deadline = sim::kNoTime;  // absolute
   };
 
   void on_response(const RpcFrame& frame);
   void on_deadline(std::uint64_t id);
+  // Ends call `id` with `r`: removes it, counts it in `outcome` and fires
+  // its callback. False when the call had already ended.
+  bool end_call(std::uint64_t id, RpcResult r, std::int64_t& outcome);
   void maybe_fin();
 
   host::Host* host_;
@@ -308,11 +307,10 @@ class RpcClient {
   tcp::Endpoint remote_;
   RpcClientStats stats_;
 
-  // Calls not yet terminated. The server answers each id at most once, so
-  // a response whose id is missing here is a straggler of a call that
-  // timed out or was cancelled. Node-based because close() iterates it,
-  // which sim::FlatMap does not offer.
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  // Calls not yet ended, by id. The server answers each id at most once,
+  // so a response whose id is missing here is a straggler of a call that
+  // timed out.
+  sim::FlatMap<std::uint64_t, Pending> pending_;
   std::uint64_t next_id_ = 1;
   bool close_requested_ = false;
   bool fin_sent_ = false;

@@ -41,6 +41,16 @@ void merge_fanout(const FanoutStats& from, FanoutStats& into) {
 
 }  // namespace
 
+void ServiceStats::merge_into(ServiceStats& into) const {
+  user.merge_into(into.user);
+  into.groups += groups;
+  into.conduits_live += conduits_live;
+  merge_server(frontend, into.frontend);
+  merge_server(worker, into.worker);
+  merge_server(storage, into.storage);
+  merge_fanout(fanout, into.fanout);
+}
+
 ServiceTier::ServiceTier(const ServiceRoles& roles, const ServiceConfig& config,
                          const tcp::TcpConfig& tcp_config, sim::Rng rng)
     : config_(config) {
@@ -73,11 +83,8 @@ ServiceTier::ServiceTier(const ServiceRoles& roles, const ServiceConfig& config,
       worker_servers_.back()->set_handler(
           [h, sc](const RpcServer::Request& req, RpcServer::Respond respond) {
             const sim::Time t0 = h->sim()->now();
-            sim::Time deadline = kStorageDeadline;
-            if (req.deadline != sim::kNoTime) {
-              deadline = std::min(
-                  deadline, std::max<sim::Time>(req.deadline - t0, 1));
-            }
+            const sim::Time deadline = std::min(
+                kStorageDeadline, std::max<sim::Time>(req.deadline - t0, 1));
             sc->call(kStorageRequestBytes, deadline,
                      [h, t0, respond = std::move(respond)](
                          const RpcResult& r) {
@@ -154,14 +161,11 @@ bool ServiceTier::drained() const {
   for (const auto& c : coordinators_) {
     if (c->in_flight() != 0) return false;
   }
-  for (const auto& s : frontend_servers_) {
-    if (s->in_flight() != 0) return false;
-  }
-  for (const auto& s : worker_servers_) {
-    if (s->in_flight() != 0) return false;
-  }
-  for (const auto& s : storage_servers_) {
-    if (s->in_flight() != 0) return false;
+  for (const auto* servers :
+       {&frontend_servers_, &worker_servers_, &storage_servers_}) {
+    for (const auto& s : *servers) {
+      if (s->in_flight() != 0) return false;
+    }
   }
   return true;
 }
@@ -250,21 +254,6 @@ void ServiceTier::register_metrics(sim::Simulator* shard_sim,
   register_tier("frontend", frontend_servers_);
   register_tier("worker", worker_servers_);
   register_tier("storage", storage_servers_);
-}
-
-ServiceStats ServiceEngine::stats() const {
-  ServiceStats out;
-  for (const auto& t : tiers_) {
-    const ServiceStats s = t->stats();
-    s.user.merge_into(out.user);
-    out.groups += s.groups;
-    out.conduits_live += s.conduits_live;
-    merge_server(s.frontend, out.frontend);
-    merge_server(s.worker, out.worker);
-    merge_server(s.storage, out.storage);
-    merge_fanout(s.fanout, out.fanout);
-  }
-  return out;
 }
 
 }  // namespace acdc::app

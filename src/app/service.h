@@ -67,6 +67,10 @@ struct ServiceStats {
   std::int64_t groups = 0;
   std::int64_t conduits_live = 0;
 
+  // Folds these stats into `into`: counts and histograms add, busy peaks
+  // take the max.
+  void merge_into(ServiceStats& into) const;
+
   // Sustained completed requests per simulated second.
   double requests_per_sec(sim::Time elapsed) const {
     const double s = sim::to_seconds(elapsed);
@@ -109,32 +113,6 @@ class ServiceTier {
   std::vector<std::unique_ptr<RpcClient>> storage_clients_;  // worker->storage
   std::vector<std::unique_ptr<FanoutCoordinator>> coordinators_;
   std::vector<std::unique_ptr<UserGroup>> groups_;
-};
-
-// Scenario-owned collection of service tiers (mirrors ChurnEngine).
-class ServiceEngine {
- public:
-  ServiceTier* add_tier(const ServiceRoles& roles, const ServiceConfig& config,
-                        const tcp::TcpConfig& tcp_config, sim::Rng rng) {
-    tiers_.push_back(
-        std::make_unique<ServiceTier>(roles, config, tcp_config, rng));
-    return tiers_.back().get();
-  }
-
-  bool empty() const { return tiers_.empty(); }
-  const std::vector<std::unique_ptr<ServiceTier>>& tiers() const {
-    return tiers_;
-  }
-  bool drained() const {
-    for (const auto& t : tiers_) {
-      if (!t->drained()) return false;
-    }
-    return true;
-  }
-  ServiceStats stats() const;
-
- private:
-  std::vector<std::unique_ptr<ServiceTier>> tiers_;
 };
 
 }  // namespace acdc::app

@@ -12,6 +12,11 @@ namespace {
 constexpr std::int64_t kRequestBytes = 256;
 // kDiurnal's rate swing around the mean, in [0, 1).
 constexpr double kDiurnalDepth = 0.6;
+// kBurst's exponential on/off phase-duration means, and its think-rate
+// multiplier while on.
+constexpr sim::Time kBurstOnMean = sim::seconds(0.5);
+constexpr sim::Time kBurstOffMean = sim::seconds(2.0);
+constexpr double kBurstFactor = 4.0;
 
 }  // namespace
 
@@ -71,19 +76,18 @@ double UserGroup::rate_multiplier() const {
       return 1.0 + kDiurnalDepth * std::sin(phase);
     }
     case LoadCurve::kBurst:
-      return burst_on_ ? config_.burst_factor : 1.0;
+      return burst_on_ ? kBurstFactor : 1.0;
   }
   return 1.0;
 }
 
 void UserGroup::flip_burst() {
   if (stopped_) return;
-  sim()->schedule(rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
-                                                 : config_.burst_off_mean),
-                  [this] {
-                    burst_on_ = !burst_on_;
-                    flip_burst();
-                  });
+  sim()->schedule(
+      rng_.exponential_gap(burst_on_ ? kBurstOnMean : kBurstOffMean), [this] {
+        burst_on_ = !burst_on_;
+        flip_burst();
+      });
 }
 
 void UserGroup::arm_think(std::size_t session) {

@@ -44,9 +44,6 @@ struct UserPopulationConfig {
   sim::Time slo = sim::milliseconds(20);
   LoadCurve curve = LoadCurve::kSteady;
   sim::Time diurnal_period = sim::seconds(20.0);
-  sim::Time burst_on_mean = sim::seconds(0.5);
-  sim::Time burst_off_mean = sim::seconds(2.0);
-  double burst_factor = 4.0;  // think-rate multiplier while bursting
   // Sessions stop issuing at start + stop_after (kNoTime = never); idle
   // sessions end immediately, in-flight ones when their request
   // terminates, and the group FINs its connection once drained.
@@ -61,7 +58,7 @@ struct UserGroupStats {
   std::int64_t sessions_ended = 0;
   std::int64_t issued = 0;
   std::int64_t completed = 0;        // responses within deadline
-  std::int64_t deadline_misses = 0;  // timed out (or cancelled at teardown)
+  std::int64_t deadline_misses = 0;  // timed out
   std::int64_t slo_violations = 0;   // terminations with latency > slo
   std::int64_t degraded = 0;         // in-time responses with ok == false
   std::int64_t late_responses = 0;   // stragglers after their deadline

@@ -181,14 +181,14 @@ PartitionReport Scenario::enable_parallel(const ParallelOptions& options) {
   ACDC_CHECK(shard_recorders_.empty(),
              "scenario: call enable_parallel before enable_tracing");
   ACDC_CHECK(filters_.empty() && bulk_apps_.empty() && echo_apps_.empty() &&
-                 message_apps_.empty() && churn_engine_.sources().empty() &&
-                 service_engine_.empty(),
+                 message_apps_.empty() && churn_sources_.empty() &&
+                 service_tiers_.empty(),
              "scenario: call enable_parallel before vSwitches, shapers and "
              "apps (%zu filters, %zu bulk, %zu echo, %zu message, %zu churn, "
              "%zu service)",
              filters_.size(), bulk_apps_.size(), echo_apps_.size(),
-             message_apps_.size(), churn_engine_.sources().size(),
-             service_engine_.tiers().size());
+             message_apps_.size(), churn_sources_.size(),
+             service_tiers_.size());
 
   report_ = PartitionReport{};
   report_.host_shard.assign(hosts_.size(), 0);
@@ -392,10 +392,16 @@ workload::ChurnSource* Scenario::add_churn_workload(
     host::Host* sender, host::Host* receiver, const tcp::TcpConfig& cfg,
     const workload::ChurnConfig& config, sim::Time start) {
   const std::uint64_t stream =
-      kChurnRngStreamBase +
-      static_cast<std::uint64_t>(churn_engine_.sources().size());
-  return churn_engine_.add_source(sender, receiver, next_port_++, cfg, config,
-                                  rng_.split(stream), start);
+      kChurnRngStreamBase + static_cast<std::uint64_t>(churn_sources_.size());
+  churn_sources_.push_back(std::make_unique<workload::ChurnSource>(
+      sender, receiver, next_port_++, cfg, config, rng_.split(stream), start));
+  return churn_sources_.back().get();
+}
+
+workload::ChurnStats Scenario::churn_stats() const {
+  workload::ChurnStats total;
+  for (const auto& src : churn_sources_) total += src->stats();
+  return total;
 }
 
 app::ServiceTier* Scenario::add_service_workload(
@@ -403,11 +409,18 @@ app::ServiceTier* Scenario::add_service_workload(
     const tcp::TcpConfig& cfg) {
   const std::uint64_t stream =
       kServiceRngStreamBase +
-      static_cast<std::uint64_t>(service_engine_.tiers().size());
-  app::ServiceTier* tier =
-      service_engine_.add_tier(roles, config, cfg, rng_.split(stream));
+      static_cast<std::uint64_t>(service_tiers_.size());
+  service_tiers_.push_back(std::make_unique<app::ServiceTier>(
+      roles, config, cfg, rng_.split(stream)));
+  app::ServiceTier* tier = service_tiers_.back().get();
   if (!shard_recorders_.empty()) trace_tier(tier);
   return tier;
+}
+
+app::ServiceStats Scenario::service_stats() const {
+  app::ServiceStats total;
+  for (const auto& tier : service_tiers_) tier->stats().merge_into(total);
+  return total;
 }
 
 net::FaultStats Scenario::fault_stats() const {
@@ -435,7 +448,7 @@ obs::FlightRecorder& Scenario::enable_tracing(std::size_t ring_capacity,
     }
     for (const auto& h : hosts_) trace_host(h.get());
     for (const auto& sw : switches_) trace_switch(sw.get());
-    for (const auto& tier : service_engine_.tiers()) trace_tier(tier.get());
+    for (const auto& tier : service_tiers_) trace_tier(tier.get());
     // Executor diagnostics ride the shard-0 registry (sampled on the
     // shard-0 worker thread, which is the run_until caller). stats() is
     // safe mid-run: every field is a relaxed atomic, so samples taken

@@ -181,7 +181,8 @@ class Scenario {
                                             const tcp::TcpConfig& cfg,
                                             const workload::ChurnConfig& config,
                                             sim::Time start = 0);
-  workload::ChurnStats churn_stats() const { return churn_engine_.stats(); }
+  // Summed over every source. Safe whenever no simulator is running.
+  workload::ChurnStats churn_stats() const;
 
   // ---- Closed-loop service workload ----
   // One 3-tier (or 2-tier, when roles.storage is empty) closed-loop
@@ -197,7 +198,8 @@ class Scenario {
   app::ServiceTier* add_service_workload(const app::ServiceRoles& roles,
                                          const app::ServiceConfig& config,
                                          const tcp::TcpConfig& cfg);
-  app::ServiceStats service_stats() const { return service_engine_.stats(); }
+  // Merged over every tier.
+  app::ServiceStats service_stats() const;
 
   void run_until(sim::Time t);
 
@@ -307,8 +309,8 @@ class Scenario {
   std::vector<std::unique_ptr<host::BulkApp>> bulk_apps_;
   std::vector<std::unique_ptr<host::EchoApp>> echo_apps_;
   std::vector<std::unique_ptr<host::MessageApp>> message_apps_;
-  workload::ChurnEngine churn_engine_;
-  app::ServiceEngine service_engine_;
+  std::vector<std::unique_ptr<workload::ChurnSource>> churn_sources_;
+  std::vector<std::unique_ptr<app::ServiceTier>> service_tiers_;
   net::TcpPort next_port_ = 5000;
   std::uint8_t next_host_id_ = 1;
 

@@ -1,8 +1,9 @@
 #include "net/token_bucket.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
+
+#include "sim/check.h"
 
 namespace acdc::net {
 
@@ -14,8 +15,11 @@ TokenBucketShaper::TokenBucketShaper(sim::Simulator* sim, sim::Rate rate,
       burst_bytes_(burst_bytes),
       backlog_limit_bytes_(backlog_limit_bytes),
       tokens_bytes_(static_cast<double>(burst_bytes)) {
-  assert(rate_ > 0);
-  assert(burst_bytes_ > 0);
+  ACDC_CHECK(rate_ > 0, "token bucket: rate must be positive (rate=%lld bps)",
+             static_cast<long long>(rate_));
+  ACDC_CHECK(burst_bytes_ > 0,
+             "token bucket: burst_bytes must be positive (burst_bytes=%lld)",
+             static_cast<long long>(burst_bytes_));
 }
 
 void TokenBucketShaper::refill() {
@@ -28,30 +32,31 @@ void TokenBucketShaper::refill() {
 }
 
 void TokenBucketShaper::handle_egress(PacketPtr packet) {
+  const std::int64_t bytes = packet->wire_bytes();
   if (backlog_limit_bytes_ > 0 &&
-      backlog_bytes_ + packet->wire_bytes() > backlog_limit_bytes_) {
+      backlog_bytes_ + bytes > backlog_limit_bytes_) {
     ++dropped_packets_;  // qdisc overflow
     return;
   }
-  backlog_bytes_ += packet->wire_bytes();
-  backlog_.push_back(std::move(packet));
+  backlog_bytes_ += bytes;
+  backlog_.push_back(Queued{std::move(packet), bytes});
   drain();
 }
 
 void TokenBucketShaper::drain() {
   refill();
   while (!backlog_.empty()) {
-    const std::int64_t need = backlog_.front()->wire_bytes();
+    const std::int64_t need = backlog_.front().wire_bytes;
     if (tokens_bytes_ < static_cast<double>(need)) break;
     tokens_bytes_ -= static_cast<double>(need);
-    PacketPtr p = std::move(backlog_.front());
+    PacketPtr p = std::move(backlog_.front().packet);
     backlog_.pop_front();
     backlog_bytes_ -= need;
     send_down(std::move(p));
   }
   if (!backlog_.empty() && !drain_scheduled_) {
     const double deficit =
-        static_cast<double>(backlog_.front()->wire_bytes()) - tokens_bytes_;
+        static_cast<double>(backlog_.front().wire_bytes) - tokens_bytes_;
     const sim::Time wait = std::max<sim::Time>(
         1, static_cast<sim::Time>(deficit * 8.0 * 1e9 /
                                   static_cast<double>(rate_)));

@@ -13,8 +13,8 @@ namespace acdc::net {
 
 class TokenBucketShaper : public DuplexFilter {
  public:
-  // `backlog_limit_bytes` caps the shaper's queue (a qdisc length); 0 means
-  // unbounded.
+  // `rate` and `burst_bytes` must be positive. `backlog_limit_bytes` caps
+  // the shaper's queue (a qdisc length); 0 means unbounded.
   TokenBucketShaper(sim::Simulator* sim, sim::Rate rate,
                     std::int64_t burst_bytes,
                     std::int64_t backlog_limit_bytes = 0);
@@ -26,6 +26,12 @@ class TokenBucketShaper : public DuplexFilter {
   void handle_egress(PacketPtr packet) override;
 
  private:
+  // A queued packet with its wire size, computed once on arrival.
+  struct Queued {
+    PacketPtr packet;
+    std::int64_t wire_bytes;
+  };
+
   void refill();
   void drain();
 
@@ -36,7 +42,7 @@ class TokenBucketShaper : public DuplexFilter {
   std::int64_t dropped_packets_ = 0;
   double tokens_bytes_;
   sim::Time last_refill_ = 0;
-  std::deque<PacketPtr> backlog_;
+  std::deque<Queued> backlog_;
   std::int64_t backlog_bytes_ = 0;
   bool drain_scheduled_ = false;
 };

@@ -36,32 +36,11 @@ class SpinBarrier {
   SpinBarrier& operator=(const SpinBarrier&) = delete;
 
   // Blocks until all participants arrive. Release/acquire on the phase word
-  // makes every write before arrive_and_wait() on one thread visible after
-  // it returns on every other thread.
-  void arrive_and_wait() {
-    const std::uint32_t phase = phase_.load(std::memory_order_relaxed);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        participants_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.store(phase + 1, std::memory_order_release);
-      return;
-    }
-    int spins = 0;
-    while (phase_.load(std::memory_order_acquire) == phase) {
-      if (++spins < kSpinLimit) {
-        cpu_relax();
-      } else {
-#if defined(__unix__) || defined(__APPLE__)
-        sched_yield();
-#endif
-      }
-    }
-  }
-
-  // As arrive_and_wait, but accumulates the wall time this thread actually
-  // spent waiting into *wait_ns. The clock is read only on the slow path
-  // (some participant had not arrived yet), so the last arriver — and the
-  // uncontended fast path — pays nothing. Feeds the per-thread
+  // makes every write before the call on one thread visible after it
+  // returns on every other thread. Accumulates the wall time this thread
+  // actually spent waiting into *wait_ns. The clock is read only on the
+  // slow path (some participant had not arrived yet), so the last arriver —
+  // and the uncontended fast path — pays nothing. Feeds the per-thread
   // barrier_wait_ns executor diagnostic.
   void arrive_and_wait_timed(std::uint64_t* wait_ns) {
     const std::uint32_t phase = phase_.load(std::memory_order_relaxed);

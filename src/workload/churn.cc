@@ -6,6 +6,16 @@
 
 namespace acdc::workload {
 
+namespace {
+
+// kBurstyOnOff's exponential phase-duration means, and its arrival-rate
+// multiplier while on (the rate is zero while off).
+constexpr sim::Time kBurstOnMean = sim::milliseconds(10);
+constexpr sim::Time kBurstOffMean = sim::milliseconds(40);
+constexpr double kBurstFactor = 4.0;
+
+}  // namespace
+
 ChurnSource::ChurnSource(host::Host* sender, host::Host* receiver,
                          net::TcpPort port, tcp::TcpConfig tcp_config,
                          ChurnConfig config, sim::Rng rng, sim::Time start)
@@ -17,12 +27,12 @@ ChurnSource::ChurnSource(host::Host* sender, host::Host* receiver,
       rng_(rng),
       start_(start) {
   const double rate = config_.arrival == ArrivalKind::kBurstyOnOff
-                          ? config_.flows_per_sec * config_.burst_factor
+                          ? config_.flows_per_sec * kBurstFactor
                           : config_.flows_per_sec;
   ACDC_CHECK(rate > 0.0,
              "churn: the arrival rate must be positive (flows_per_sec=%g, "
              "burst_factor=%g)",
-             config_.flows_per_sec, config_.burst_factor);
+             config_.flows_per_sec, kBurstFactor);
   mean_gap_ = sim::seconds(1.0 / rate);
   // Receiver side, wired once before any run: accepted connections answer
   // the client's FIN with their own and release themselves on kDone. Both
@@ -51,7 +61,7 @@ void ChurnSource::start() {
     case ArrivalKind::kBurstyOnOff:
       burst_on_ = true;
       arm_arrival();
-      sender_->sim()->schedule(rng_.exponential_gap(config_.burst_on_mean),
+      sender_->sim()->schedule(rng_.exponential_gap(kBurstOnMean),
                                [this] { flip_phase(); });
       break;
   }
@@ -79,8 +89,7 @@ void ChurnSource::flip_phase() {
   if (stopped()) return;
   burst_on_ = !burst_on_;
   sender_->sim()->schedule(
-      rng_.exponential_gap(burst_on_ ? config_.burst_on_mean
-                                     : config_.burst_off_mean),
+      rng_.exponential_gap(burst_on_ ? kBurstOnMean : kBurstOffMean),
       [this] { flip_phase(); });
   if (burst_on_) arm_arrival();
 }
@@ -149,22 +158,6 @@ void ChurnSource::finish(tcp::TcpConnection* conn) {
   --stats_.concurrent;
   flows_.erase(conn);
   sender_->release_connection(conn);
-}
-
-ChurnSource* ChurnEngine::add_source(host::Host* sender, host::Host* receiver,
-                                     net::TcpPort port,
-                                     const tcp::TcpConfig& tcp_config,
-                                     const ChurnConfig& config, sim::Rng rng,
-                                     sim::Time start) {
-  sources_.push_back(std::make_unique<ChurnSource>(
-      sender, receiver, port, tcp_config, config, rng, start));
-  return sources_.back().get();
-}
-
-ChurnStats ChurnEngine::stats() const {
-  ChurnStats total;
-  for (const auto& src : sources_) total += src->stats();
-  return total;
 }
 
 }  // namespace acdc::workload

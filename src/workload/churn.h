@@ -13,13 +13,11 @@
 //
 // Arrival processes:
 //   kPoisson     exponential inter-arrival gaps at flows_per_sec
-//   kBurstyOnOff exponential on/off phases; arrivals only during "on", at
-//                flows_per_sec * burst_factor
+//   kBurstyOnOff exponential on/off phases (means 10 ms and 40 ms);
+//                arrivals only during "on", at 4 x flows_per_sec
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "host/host.h"
 #include "sim/flat_map.h"
@@ -34,11 +32,6 @@ struct ChurnConfig {
   ArrivalKind arrival = ArrivalKind::kPoisson;
   // Mean arrival rate per source (kPoisson; base rate for kBurstyOnOff).
   double flows_per_sec = 1000.0;
-  // kBurstyOnOff: exponential on/off phase durations; during "on" the
-  // arrival rate is flows_per_sec * burst_factor, during "off" it is zero.
-  sim::Time burst_on_mean = sim::milliseconds(10);
-  sim::Time burst_off_mean = sim::milliseconds(40);
-  double burst_factor = 4.0;
   // Payload bytes of every flow.
   std::int64_t message_bytes = 10'000;
   // Fraction of flows torn down by RST at a uniformly-drawn point of the
@@ -122,28 +115,6 @@ class ChurnSource {
   bool arrival_armed_ = false;
   sim::FlatMap<tcp::TcpConnection*, Flow> flows_;
   ChurnStats stats_;
-};
-
-// A bag of ChurnSources plus aggregate accounting. Owned by the Scenario
-// (add_churn_workload) or constructed directly in benches.
-class ChurnEngine {
- public:
-  ChurnSource* add_source(host::Host* sender, host::Host* receiver,
-                          net::TcpPort port, const tcp::TcpConfig& tcp_config,
-                          const ChurnConfig& config, sim::Rng rng,
-                          sim::Time start);
-
-  // Aggregate over all sources. Safe to call whenever no simulator is
-  // actively running (sources on different shards mutate only their own
-  // stats during a run).
-  ChurnStats stats() const;
-
-  const std::vector<std::unique_ptr<ChurnSource>>& sources() const {
-    return sources_;
-  }
-
- private:
-  std::vector<std::unique_ptr<ChurnSource>> sources_;
 };
 
 }  // namespace acdc::workload

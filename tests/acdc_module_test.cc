@@ -6,56 +6,13 @@
 #include <gtest/gtest.h>
 
 #include "acdc/receiver_module.h"
-#include "acdc/sender_module.h"
+#include "sender_module_fixture.h"
 #include "sim/simulator.h"
 
 namespace acdc::vswitch {
 namespace {
 
-constexpr net::IpAddr kVm = net::make_ip(10, 0, 0, 1);
-constexpr net::IpAddr kPeer = net::make_ip(10, 0, 0, 2);
-
-net::Packet data_packet(std::uint32_t seq, std::int64_t payload) {
-  net::Packet p;
-  p.ip.src = kVm;
-  p.ip.dst = kPeer;
-  p.tcp.src_port = 1000;
-  p.tcp.dst_port = 80;
-  p.tcp.seq = seq;
-  p.tcp.flags.ack = true;
-  p.payload_bytes = payload;
-  return p;
-}
-
-net::Packet ack_packet(std::uint32_t ack_seq, std::uint16_t window_raw) {
-  net::Packet p;
-  p.ip.src = kPeer;
-  p.ip.dst = kVm;
-  p.tcp.src_port = 80;
-  p.tcp.dst_port = 1000;
-  p.tcp.ack_seq = ack_seq;
-  p.tcp.flags.ack = true;
-  p.tcp.window_raw = window_raw;
-  return p;
-}
-
-FlowKey data_key() { return FlowKey{kVm, kPeer, 1000, 80}; }
-
-class SenderModuleTest : public ::testing::Test {
- protected:
-  SenderModuleTest() : sender_(core_) { core_.sim = &sim_; }
-
-  FlowHot& entry() {
-    return *core_.entry(data_key(), AcdcCore::kCacheSndEgress).hot;
-  }
-
-  // Lvalue helper for one-shot egress packets.
-  bool egress(net::Packet p) { return sender_.process_egress(p); }
-
-  sim::Simulator sim_;
-  AcdcCore core_;
-  SenderModule sender_{core_};
-};
+class SenderModuleTest : public SenderModuleFixture {};
 
 TEST_F(SenderModuleTest, EgressSynLearnsMssAndSetsNsBit) {
   net::Packet syn = data_packet(100, 0);

@@ -1,11 +1,11 @@
 // RPC layer unit tests (src/app/rpc.h): out-of-band frame reassembly
 // across partial deliveries, request/response id matching over a real
 // TcpConnection, worker-pool backlog limits, late-response accounting, a
-// hand-computed 1-client/1-server latency check (2 x RTT + service time —
-// the request rides the connection handshake, so the client-observed
-// latency is the handshake RTT plus the request/response RTT plus the
-// modeled service), and the app tier's construction and call
-// preconditions.
+// close() that waits out its calls' deadlines, a hand-computed
+// 1-client/1-server latency check (2 x RTT + service time — the request
+// rides the connection handshake, so the client-observed latency is the
+// handshake RTT plus the request/response RTT plus the modeled service),
+// and the app tier's construction and call preconditions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -218,7 +218,7 @@ TEST(RpcTest, HandComputedLatencyIsTwoRttPlusServiceTime) {
   // 50us one-way propagation, 2 x RTT = 200us of propagation plus a few
   // microseconds of 10G serialization for ~2.3KB of packets.
   sim::Time latency = 0;
-  client.call(256, sim::kNoTime, [&latency](const RpcResult& r) {
+  client.call(256, sim::milliseconds(20), [&latency](const RpcResult& r) {
     EXPECT_TRUE(r.ok);
     latency = r.latency;
     EXPECT_EQ(r.server_cost.service_ns, sim::milliseconds(1));
@@ -234,7 +234,7 @@ TEST(RpcTest, HandComputedLatencyIsTwoRttPlusServiceTime) {
       << "more than serialization slack above 2 x RTT + service";
 }
 
-TEST(RpcTest, CloseCancelsDeadlinelessCallsAndReleasesConnections) {
+TEST(RpcTest, CloseWaitsForDeadlinesThenReleasesConnections) {
   RpcPair net;
   RpcServerConfig scfg;
   scfg.workers = 1;
@@ -242,32 +242,46 @@ TEST(RpcTest, CloseCancelsDeadlinelessCallsAndReleasesConnections) {
   scfg.service_time = sim::milliseconds(5);  // still in service at close()
   RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
                    sim::Rng(testlib::test_seed(104)));
-  auto client = std::make_unique<RpcClient>(
-      &net.client_host, &net.registry, net.server_host.ip(), scfg.port,
-      tcp::TcpConfig{});
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   scfg.port, tcp::TcpConfig{});
 
   int served = 0;
-  int cancelled = 0;
+  int timed_out = 0;
   for (int i = 0; i < 2; ++i) {
-    client->call(128, sim::kNoTime, [&](const RpcResult& r) {
-      (r.timed_out ? cancelled : served)++;
+    client.call(128, sim::milliseconds(2), [&](const RpcResult& r) {
+      (r.timed_out ? timed_out : served)++;
     });
   }
-  net.sim.schedule(sim::milliseconds(1), [&client] { client->close(); });
+  net.sim.schedule(sim::milliseconds(1), [&client] { client.close(); });
+  using State = tcp::TcpConnection::State;
+  std::int64_t outstanding_after_close = -1;
+  State before_deadlines = State::kClosed;
+  State after_deadlines = State::kClosed;
+  net.sim.schedule(sim::microseconds(1'500), [&] {
+    outstanding_after_close = client.outstanding();
+    before_deadlines = client.connection()->state();
+  });
+  net.sim.schedule(sim::microseconds(2'500), [&] {
+    after_deadlines = client.connection()->state();
+  });
   net.sim.run_until(sim::milliseconds(100));
 
-  // close() terminates every deadline-less call on the spot — the one
-  // still in service *and* the one the zero-size backlog dropped — so no
-  // caller waits on a server that may never answer. The in-service
-  // request's response still arrives (half-close keeps the receive path
-  // open) and is swallowed as a late straggler. Both ends then release
-  // their connection objects and the shared conduit entry dies.
+  // close() ends no call: both wait for their 2 ms deadline — the one
+  // still in service *and* the one the zero-size backlog dropped — and the
+  // FIN leaves once the last has ended. The in-service request's response
+  // still arrives (half-close keeps the receive path open) and is swallowed
+  // as a late straggler. Both ends then release their connection objects
+  // and the shared conduit entry dies.
+  EXPECT_EQ(outstanding_after_close, 2);
+  EXPECT_EQ(before_deadlines, State::kEstablished);
+  EXPECT_EQ(after_deadlines, State::kFinWait);
   EXPECT_EQ(served, 0);
-  EXPECT_EQ(cancelled, 2);
-  EXPECT_EQ(client->stats().cancelled, 2);
-  EXPECT_EQ(client->stats().late, 1);
+  EXPECT_EQ(timed_out, 2);
+  EXPECT_EQ(client.stats().timed_out, 2);
+  EXPECT_EQ(client.stats().late, 1);
+  EXPECT_EQ(server.stats().rejected, 1);
   EXPECT_EQ(server.stats().responses, 1);
-  EXPECT_TRUE(client->closed());
+  EXPECT_TRUE(client.closed());
   EXPECT_EQ(net.registry.size(), 0u);
   EXPECT_EQ(net.client_host.connections_released(), 1);
   EXPECT_EQ(net.server_host.connections_released(), 1);
@@ -320,6 +334,17 @@ TEST(AppTierDeathTest, RpcClientCallPreconditions) {
                "rpc client 10.0.0.1: call\\(\\) after close\\(\\)");
 }
 
+TEST(AppTierDeathTest, RpcClientCallNeedsAPositiveDeadline) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  RpcClient client(&net.client_host, &net.registry, net.server_host.ip(),
+                   7000, tcp::TcpConfig{});
+  EXPECT_DEATH(client.call(128, sim::kNoTime, {}),
+               "rpc client 10.0.0.1: deadline must be positive \\(-1\\)");
+  EXPECT_DEATH(client.call(128, 0, {}),
+               "rpc client 10.0.0.1: deadline must be positive \\(0\\)");
+}
+
 TEST(AppTierDeathTest, FanoutNeedsLeavesAndAPositiveFanout) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RpcPair net;
@@ -331,6 +356,22 @@ TEST(AppTierDeathTest, FanoutNeedsLeavesAndAPositiveFanout) {
   zero.fanout = 0;
   EXPECT_DEATH(FanoutCoordinator(&net.sim, {&leaf}, zero, sim::Rng(1)),
                "fanout: fanout must be positive \\(fanout=0\\)");
+}
+
+TEST(AppTierDeathTest, FanoutNeedsAPositiveLeafDeadline) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  RpcPair net;
+  RpcClient leaf(&net.client_host, &net.registry, net.server_host.ip(), 7000,
+                 tcp::TcpConfig{});
+  FanoutConfig config;
+  config.leaf_deadline = 0;
+  EXPECT_DEATH(
+      FanoutCoordinator(&net.sim, {&leaf}, config, sim::Rng(1)),
+      "fanout: leaf_deadline must be positive \\(leaf_deadline=0\\)");
+  config.leaf_deadline = sim::kNoTime;
+  EXPECT_DEATH(
+      FanoutCoordinator(&net.sim, {&leaf}, config, sim::Rng(1)),
+      "fanout: leaf_deadline must be positive \\(leaf_deadline=-1\\)");
 }
 
 TEST(AppTierDeathTest, UserGroupNeedsSessions) {

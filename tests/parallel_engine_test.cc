@@ -86,14 +86,15 @@ TEST(SpinBarrierTest, PhasesStayInLockstep) {
   std::atomic<bool> ok{true};
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
+      std::uint64_t wait_ns = 0;
       for (int r = 0; r < kRounds; ++r) {
         counter.fetch_add(1, std::memory_order_relaxed);
-        barrier.arrive_and_wait();
+        barrier.arrive_and_wait_timed(&wait_ns);
         // Between barriers every thread must observe the full round.
         if (counter.load(std::memory_order_relaxed) != kThreads * (r + 1)) {
           ok = false;
         }
-        barrier.arrive_and_wait();
+        barrier.arrive_and_wait_timed(&wait_ns);
       }
     });
   }

@@ -6,8 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "acdc/rtt_estimator.h"
-#include "acdc/sender_module.h"
-#include "sim/simulator.h"
+#include "sender_module_fixture.h"
 
 namespace acdc::vswitch {
 namespace {
@@ -104,49 +103,7 @@ TEST(RttEstimator, ConvergesOnConstantInput) {
 
 // --- Sampling discipline in the sender module -----------------------------
 
-constexpr net::IpAddr kVm = net::make_ip(10, 0, 0, 1);
-constexpr net::IpAddr kPeer = net::make_ip(10, 0, 0, 2);
-
-net::Packet data_packet(std::uint32_t seq, std::int64_t payload) {
-  net::Packet p;
-  p.ip.src = kVm;
-  p.ip.dst = kPeer;
-  p.tcp.src_port = 1000;
-  p.tcp.dst_port = 80;
-  p.tcp.seq = seq;
-  p.tcp.flags.ack = true;
-  p.payload_bytes = payload;
-  return p;
-}
-
-net::Packet ack_packet(std::uint32_t ack_seq) {
-  net::Packet p;
-  p.ip.src = kPeer;
-  p.ip.dst = kVm;
-  p.tcp.src_port = 80;
-  p.tcp.dst_port = 1000;
-  p.tcp.ack_seq = ack_seq;
-  p.tcp.flags.ack = true;
-  p.tcp.window_raw = 65'535;
-  return p;
-}
-
-class RttSamplingTest : public ::testing::Test {
- protected:
-  RttSamplingTest() : sender_(core_) { core_.sim = &sim_; }
-
-  FlowHot& entry() {
-    return *core_.entry(FlowKey{kVm, kPeer, 1000, 80},
-                        AcdcCore::kCacheSndEgress)
-                .hot;
-  }
-  bool egress(net::Packet p) { return sender_.process_egress(p); }
-  bool ingress(net::Packet p) { return sender_.process_ingress_ack(p); }
-
-  sim::Simulator sim_;
-  AcdcCore core_;
-  SenderModule sender_{core_};
-};
+class RttSamplingTest : public SenderModuleFixture {};
 
 TEST_F(RttSamplingTest, AckCompletingTheSampleFeedsTheEstimator) {
   ASSERT_TRUE(egress(data_packet(1'000, 1'000)));

@@ -7,9 +7,8 @@
 
 #include <gtest/gtest.h>
 
-#include "acdc/sender_module.h"
+#include "sender_module_fixture.h"
 #include "sim/rng.h"
-#include "sim/simulator.h"
 #include "tcp/seq.h"
 #include "testlib/seed.h"
 
@@ -68,49 +67,10 @@ TEST(SeqWrap, ComparatorPropertiesHoldForRandomOffsets) {
 
 // --- Sender-module behaviour across a wrap and at scale extremes ----------
 
-constexpr net::IpAddr kVm = net::make_ip(10, 0, 0, 1);
-constexpr net::IpAddr kPeer = net::make_ip(10, 0, 0, 2);
+using vswitch::ack_packet;
+using vswitch::data_packet;
 
-net::Packet data_packet(std::uint32_t seq, std::int64_t payload) {
-  net::Packet p;
-  p.ip.src = kVm;
-  p.ip.dst = kPeer;
-  p.tcp.src_port = 1000;
-  p.tcp.dst_port = 80;
-  p.tcp.seq = seq;
-  p.tcp.flags.ack = true;
-  p.payload_bytes = payload;
-  return p;
-}
-
-net::Packet ack_packet(std::uint32_t ack_seq, std::uint16_t window_raw) {
-  net::Packet p;
-  p.ip.src = kPeer;
-  p.ip.dst = kVm;
-  p.tcp.src_port = 80;
-  p.tcp.dst_port = 1000;
-  p.tcp.ack_seq = ack_seq;
-  p.tcp.flags.ack = true;
-  p.tcp.window_raw = window_raw;
-  return p;
-}
-
-class SeqWrapSenderTest : public ::testing::Test {
- protected:
-  SeqWrapSenderTest() : sender_(core_) { core_.sim = &sim_; }
-
-  vswitch::FlowHot& entry() {
-    return *core_.entry(vswitch::FlowKey{kVm, kPeer, 1000, 80},
-                        vswitch::AcdcCore::kCacheSndEgress)
-                .hot;
-  }
-  bool egress(net::Packet p) { return sender_.process_egress(p); }
-  bool ingress(net::Packet& p) { return sender_.process_ingress_ack(p); }
-
-  sim::Simulator sim_;
-  vswitch::AcdcCore core_;
-  vswitch::SenderModule sender_{core_};
-};
+class SeqWrapSenderTest : public vswitch::SenderModuleFixture {};
 
 TEST_F(SeqWrapSenderTest, SndNxtAndSndUnaCrossTheWrap) {
   // Segment straddles 2^32: snd_nxt lands back near zero.

@@ -153,6 +153,19 @@ TEST(TokenBucketTest, IngressPassesThrough) {
   EXPECT_EQ(up.packets.size(), 1u) << "shaping applies to egress only";
 }
 
+// The shaper's preconditions hold in every build, NDEBUG included: a zero
+// rate would reach drain()'s deficit * 8e9 / rate and convert the infinite
+// wait to sim::Time.
+TEST(TokenBucketDeathTest, RateAndBurstMustBePositive) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  sim::Simulator sim;
+  EXPECT_DEATH(net::TokenBucketShaper(&sim, 0, 20'000),
+               "token bucket: rate must be positive \\(rate=0 bps\\)");
+  EXPECT_DEATH(
+      net::TokenBucketShaper(&sim, sim::megabits_per_second(100), 0),
+      "token bucket: burst_bytes must be positive \\(burst_bytes=0\\)");
+}
+
 // Reachability sweep over every topology builder: every host pair can
 // complete a small transfer (routes are correct in both directions).
 TEST(TopologyTest, DumbbellAllPairsReachable) {
