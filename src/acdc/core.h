@@ -73,35 +73,8 @@ struct AcdcCore {
   PolicyEngine policy;
   AcdcStats stats;
 
-  // Flight recorder (nullptr = tracing off; one branch per hook).
-  obs::FlightRecorder* trace = nullptr;
-  std::uint32_t trace_source = 0;
-
-  bool tracing() const { return trace != nullptr && trace->enabled(); }
-
-  // Flow-stamped event skeleton for the recorder.
-  obs::TraceEvent flow_event(obs::EventType type, const FlowKey& key) const {
-    obs::TraceEvent ev;
-    ev.t = sim->now();
-    ev.type = type;
-    ev.source = trace_source;
-    ev.src_ip = key.src_ip;
-    ev.dst_ip = key.dst_ip;
-    ev.src_port = key.src_port;
-    ev.dst_port = key.dst_port;
-    return ev;
-  }
-
-  // The RWND-enforcement observation point (the Fig. 9/10 "log RWND to a
-  // file" analogue): records a kWindowEnforced trace event.
-  void emit_window_enforced(const FlowRef& f, std::int64_t wnd) {
-    if (!tracing()) return;
-    obs::TraceEvent ev = flow_event(obs::EventType::kWindowEnforced, *f.key);
-    ev.a = wnd;
-    ev.b = static_cast<std::int64_t>(f.hot->cwnd_bytes);
-    ev.x = f.hot->alpha;
-    trace->record(ev);
-  }
+  // Flight-recorder tap (off by default; one branch per hook).
+  obs::Tap tap;
 
   // Single-entry lookup caches, one per datapath direction so the four hot
   // call sites never evict each other. A slot remembers the last key looked

@@ -26,6 +26,8 @@ struct FlowKey {
   static FlowKey from_packet(const net::Packet& p) {
     return FlowKey{p.ip.src, p.ip.dst, p.tcp.src_port, p.tcp.dst_port};
   }
+
+  obs::Flow flow() const { return {src_ip, dst_ip, src_port, dst_port}; }
 };
 
 struct FlowKeyHash {

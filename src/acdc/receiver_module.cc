@@ -49,12 +49,10 @@ void ReceiverModule::process_ingress_data(net::Packet& packet) {
     } else {
       packet.ip.ecn = net::Ecn::kNotEct;
     }
-    if (packet.ip.ecn != before && core_.tracing()) {
-      obs::TraceEvent te =
-          core_.flow_event(obs::EventType::kEcnStrip, *f.key);
-      te.a = packet.payload_bytes;
-      te.b = before == net::Ecn::kCe ? 1 : 0;
-      core_.trace->record(te);
+    if (packet.ip.ecn != before && core_.tap) {
+      core_.tap.emit(obs::EventType::kEcnStrip, core_.sim->now(),
+                     f.key->flow(), packet.payload_bytes,
+                     before == net::Ecn::kCe ? 1 : 0);
     }
   }
 }
@@ -87,13 +85,11 @@ void ReceiverModule::process_egress_ack(
     ++core_.stats.facks_sent;
     emit(make_fack(ack, s.rcv_total_bytes, s.rcv_marked_bytes, telem));
   }
-  if (core_.tracing()) {
-    obs::TraceEvent te = core_.flow_event(
+  if (core_.tap) {
+    core_.tap.emit(
         packed ? obs::EventType::kPackAttached : obs::EventType::kFackEmitted,
-        *f.key);
-    te.a = s.rcv_total_bytes;
-    te.b = s.rcv_marked_bytes;
-    core_.trace->record(te);
+        core_.sim->now(), f.key->flow(), s.rcv_total_bytes,
+        s.rcv_marked_bytes);
   }
 }
 

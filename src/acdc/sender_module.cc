@@ -110,12 +110,9 @@ bool SenderModule::police(const FlowRef& f, const net::Packet& packet) {
       s.snd_una + static_cast<std::uint32_t>(allowed);
   if (seq_gt(seq_end, allowed_end)) {
     ++core_.stats.policed_drops;
-    if (core_.tracing()) {
-      obs::TraceEvent ev =
-          core_.flow_event(obs::EventType::kPolicedDrop, *f.key);
-      ev.a = packet.payload_bytes;
-      ev.b = allowed;
-      core_.trace->record(ev);
+    if (core_.tap) {
+      core_.tap.emit(obs::EventType::kPolicedDrop, core_.sim->now(),
+                     f.key->flow(), packet.payload_bytes, allowed);
     }
     return false;
   }
@@ -255,7 +252,7 @@ bool SenderModule::process_ingress_ack(net::Packet& packet) {
 
   // ---- Virtual congestion control (Fig. 5) ----
   if (!packet.tcp.flags.syn) {
-    const bool tracing = core_.tracing();
+    const bool tracing = static_cast<bool>(core_.tap);
     const double cwnd_before = s.cwnd_bytes;
     // Only snapshot alpha when it will be compared: it lives on the flow
     // record's per-window line, which the steady-state ACK path otherwise
@@ -264,32 +261,23 @@ bool SenderModule::process_ingress_ack(net::Packet& packet) {
     virtual_cc_for(s.cc_kind).on_ack(s, core_.config.vcc, ev);
     if (tracing) {
       if (s.alpha != alpha_before) {
-        obs::TraceEvent te =
-            core_.flow_event(obs::EventType::kAlphaUpdate, *f.key);
-        te.a = fb_marked_delta;
-        te.b = fb_total_delta;
-        te.x = s.alpha;
-        core_.trace->record(te);
+        core_.tap.emit(obs::EventType::kAlphaUpdate, core_.sim->now(),
+                       f.key->flow(), fb_marked_delta, fb_total_delta,
+                       s.alpha);
       }
       if (s.cwnd_bytes != cwnd_before) {
-        obs::TraceEvent te =
-            core_.flow_event(obs::EventType::kCwndUpdate, *f.key);
-        te.a = static_cast<std::int64_t>(s.cwnd_bytes);
-        te.b = static_cast<std::int64_t>(s.ssthresh_bytes);
-        te.x = s.alpha;
-        core_.trace->record(te);
+        core_.tap.emit(obs::EventType::kCwndUpdate, core_.sim->now(),
+                       f.key->flow(), static_cast<std::int64_t>(s.cwnd_bytes),
+                       static_cast<std::int64_t>(s.ssthresh_bytes), s.alpha);
       }
     }
   }
 
   if (packet.acdc_fack) {
     ++core_.stats.facks_consumed;
-    if (core_.tracing()) {
-      obs::TraceEvent te =
-          core_.flow_event(obs::EventType::kFackConsumed, *f.key);
-      te.a = fb_total_delta;
-      te.b = fb_marked_delta;
-      core_.trace->record(te);
+    if (core_.tap) {
+      core_.tap.emit(obs::EventType::kFackConsumed, core_.sim->now(),
+                     f.key->flow(), fb_total_delta, fb_marked_delta);
     }
     return false;  // FACKs never reach the VM
   }
@@ -319,7 +307,14 @@ void SenderModule::enforce_window(const FlowRef& f, net::Packet& ack) {
   // the ACK rewrite would have clipped to 65535 << wscale anyway.
   s.last_enforced_rwnd = static_cast<std::int32_t>(
       std::min<std::int64_t>(wnd, INT32_MAX));
-  core_.emit_window_enforced(f, wnd);
+  // The RWND-enforcement observation point (the Fig. 9/10 "log RWND to a
+  // file" analogue). alpha is read only behind the branch: it sits on the
+  // record's per-window line, which an untraced ACK never loads.
+  if (core_.tap) {
+    core_.tap.emit(obs::EventType::kWindowEnforced, core_.sim->now(),
+                   f.key->flow(), wnd, static_cast<std::int64_t>(s.cwnd_bytes),
+                   s.alpha);
+  }
   if (!core_.config.enforce) return;
   const std::uint8_t scale = s.peer_wscale_valid ? s.peer_wscale : 0;
   // Round up so the effective window never falls below the computed one
@@ -327,12 +322,10 @@ void SenderModule::enforce_window(const FlowRef& f, net::Packet& ack) {
   std::int64_t raw = (wnd + (std::int64_t{1} << scale) - 1) >> scale;
   if (raw == 0) raw = 1;  // never freeze the flow entirely
   if (raw < static_cast<std::int64_t>(ack.tcp.window_raw)) {
-    if (core_.tracing()) {
-      obs::TraceEvent te =
-          core_.flow_event(obs::EventType::kRwndClamped, *f.key);
-      te.a = wnd;
-      te.b = static_cast<std::int64_t>(ack.tcp.window_raw) << scale;
-      core_.trace->record(te);
+    if (core_.tap) {
+      core_.tap.emit(obs::EventType::kRwndClamped, core_.sim->now(),
+                     f.key->flow(), wnd,
+                     static_cast<std::int64_t>(ack.tcp.window_raw) << scale);
     }
     ack.tcp.window_raw = static_cast<std::uint16_t>(raw);
     ++core_.stats.windows_lowered;
@@ -365,12 +358,10 @@ int SenderModule::infer_timeouts(sim::Time now) {
                                    // retransmitted by the VM
     virtual_cc_for(s.cc_kind).on_timeout(s, core_.config.vcc);
     ++core_.stats.inferred_timeouts;
-    if (core_.tracing()) {
-      obs::TraceEvent te =
-          core_.flow_event(obs::EventType::kTimeoutInferred, *f.key);
-      te.a = static_cast<std::int64_t>(s.cwnd_bytes);
-      te.b = now - s.last_activity;
-      core_.trace->record(te);
+    if (core_.tap) {
+      core_.tap.emit(obs::EventType::kTimeoutInferred, core_.sim->now(),
+                     f.key->flow(), static_cast<std::int64_t>(s.cwnd_bytes),
+                     now - s.last_activity);
     }
     ++fired;
   });

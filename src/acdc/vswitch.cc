@@ -197,11 +197,9 @@ bool AcdcVswitch::send_window_update(const FlowKey& key) {
   p->tcp.window_raw =
       static_cast<std::uint16_t>(std::min<std::int64_t>(raw, 65535));
   ++core_.stats.injected_window_updates;
-  if (core_.tracing()) {
-    obs::TraceEvent te =
-        core_.flow_event(obs::EventType::kWindowUpdateInjected, key);
-    te.a = p->tcp.window_raw;
-    core_.trace->record(te);
+  if (core_.tap) {
+    core_.tap.emit(obs::EventType::kWindowUpdateInjected, core_.sim->now(),
+                   key.flow(), p->tcp.window_raw);
   }
   send_up(std::move(p));
   return true;
@@ -217,20 +215,15 @@ bool AcdcVswitch::send_dupacks(const FlowKey& key, int count) {
     ++core_.stats.injected_dupacks;
     send_up(std::move(p));
   }
-  if (core_.tracing()) {
-    obs::TraceEvent te =
-        core_.flow_event(obs::EventType::kDupackInjected, key);
-    te.a = count;
-    core_.trace->record(te);
+  if (core_.tap) {
+    core_.tap.emit(obs::EventType::kDupackInjected, core_.sim->now(),
+                   key.flow(), count);
   }
   return true;
 }
 
 void AcdcVswitch::attach_observability(ObsHooks hooks) {
-  core_.trace = hooks.recorder;
-  core_.trace_source = hooks.recorder != nullptr
-                           ? hooks.recorder->register_source(hooks.name)
-                           : 0;
+  core_.tap = obs::Tap(hooks.recorder, hooks.name);
   if (hooks.metrics != nullptr) register_metrics(*hooks.metrics, hooks.name);
 }
 

@@ -144,7 +144,6 @@ ServiceStats ServiceTier::stats() const {
   out.groups = static_cast<std::int64_t>(groups_.size());
   for (const auto& grp : groups_) {
     grp->stats().merge_into(out.user);
-    out.user.late_responses += grp->client().stats().late;
   }
   for (const auto& s : frontend_servers_) merge_server(s->stats(), out.frontend);
   for (const auto& s : worker_servers_) merge_server(s->stats(), out.worker);

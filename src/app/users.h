@@ -61,7 +61,9 @@ struct UserGroupStats {
   std::int64_t deadline_misses = 0;  // timed out
   std::int64_t slo_violations = 0;   // terminations with latency > slo
   std::int64_t degraded = 0;         // in-time responses with ok == false
-  std::int64_t late_responses = 0;   // stragglers after their deadline
+  // Stragglers after their deadline: the client's late count, which
+  // UserGroup::stats() mirrors here.
+  std::int64_t late_responses = 0;
   std::int64_t response_bytes = 0;
   // Every termination (completed at true latency, misses censored at the
   // deadline) — what the svc.request_latency_ns registry gauges read.
@@ -86,7 +88,12 @@ class UserGroup {
     observer_ = std::move(observer);
   }
 
-  const UserGroupStats& stats() const { return stats_; }
+  // The client owns the late count; the stats mirror it when read, in
+  // place, so the per-tick gauges copy nothing.
+  const UserGroupStats& stats() const {
+    stats_.late_responses = client_.stats().late;
+    return stats_;
+  }
   sim::Simulator* sim() const { return host_->sim(); }
   RpcClient& client() { return client_; }
   const RpcClient& client() const { return client_; }
@@ -117,7 +124,7 @@ class UserGroup {
   // Every session's pending think, tagged with its index. Ended sessions'
   // thinks stay and fire as no-ops.
   sim::TimerHeap thinks_;
-  UserGroupStats stats_;
+  mutable UserGroupStats stats_;  // mutable for the late-count mirror
   std::function<void(const RpcResult&)> observer_;
   bool stopped_ = false;
   bool burst_on_ = false;

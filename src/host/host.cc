@@ -70,10 +70,7 @@ tcp::TcpConnection* Host::make_connection(const tcp::TcpConfig& config,
   auto conn = std::make_unique<tcp::TcpConnection>(sim_, config, local, remote,
                                                    &egress_entry_);
   tcp::TcpConnection* raw = conn.get();
-  if (trace_ != nullptr) {
-    raw->set_trace(trace_, trace_->register_source(
-                               name_ + ".tcp:" + std::to_string(local.port)));
-  }
+  trace_connection(*raw);
   if (rtt_hist_ != nullptr) raw->set_rtt_histogram(rtt_hist_);
   raw->tx_gate = [this] {
     if (nic_.tx_port().queue().byte_length() < tsq_limit_bytes_) return true;
@@ -216,15 +213,16 @@ void Host::rebind_simulator(sim::Simulator* sim) {
   nic_.rebind_simulator(sim);
 }
 
+void Host::trace_connection(tcp::TcpConnection& conn) const {
+  if (trace_ == nullptr) return;
+  conn.set_tap(obs::Tap(
+      trace_, name_ + ".tcp:" + std::to_string(conn.local().port)));
+}
+
 void Host::set_trace(obs::FlightRecorder* recorder) {
   trace_ = recorder;
   nic_.set_trace(recorder);
-  if (recorder == nullptr) return;
-  for (const auto& conn : connections_) {
-    conn->set_trace(recorder,
-                    recorder->register_source(name_ + ".tcp:" +
-                                              std::to_string(conn->local().port)));
-  }
+  for (const auto& conn : connections_) trace_connection(*conn);
 }
 
 void Host::register_metrics(obs::MetricsRegistry& registry) const {

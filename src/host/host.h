@@ -116,6 +116,9 @@ class Host : public net::PacketSink {
   tcp::TcpConnection* make_connection(const tcp::TcpConfig& config,
                                       tcp::Endpoint local,
                                       tcp::Endpoint remote);
+  // Taps `conn` into the recorder as "<host>.tcp:<local port>"; untraced
+  // hosts format no name.
+  void trace_connection(tcp::TcpConnection& conn) const;
   void on_nic_drain();
   net::TcpPort alloc_ephemeral(net::IpAddr remote_ip,
                                net::TcpPort remote_port);

@@ -16,25 +16,18 @@ void Nic::receive(PacketPtr packet) {
   received_bytes_ += packet->wire_bytes();
   // Forensic delivery tap: fires before the ingress filter chain, so the
   // uid the sender's stack stamped is still intact here.
-  if (packet->uid != 0 && trace_ != nullptr && trace_->enabled()) {
-    trace_->emit(obs::EventType::kPktDeliver, [&](obs::TraceEvent& ev) {
-      ev.t = sim_->now();
-      ev.source = trace_source_;
-      ev.src_ip = packet->ip.src;
-      ev.dst_ip = packet->ip.dst;
-      ev.src_port = packet->tcp.src_port;
-      ev.dst_port = packet->tcp.dst_port;
-      ev.a = static_cast<std::int64_t>(packet->uid);
-      ev.b = packet->payload_bytes;
-    });
+  if (packet->uid != 0 && rx_tap_) {
+    rx_tap_.emit(obs::EventType::kPktDeliver, sim_->now(), packet->flow(),
+                 static_cast<std::int64_t>(packet->uid),
+                 packet->payload_bytes);
   }
   if (up_ != nullptr) up_->receive(std::move(packet));
 }
 
 void Nic::set_trace(obs::FlightRecorder* recorder) {
-  trace_ = recorder;
-  trace_source_ =
-      recorder != nullptr ? recorder->register_source(name_ + ":rx") : 0;
+  // Registered before the TX port's own name (ids follow registration).
+  rx_tap_ = recorder != nullptr ? obs::Tap(recorder, name_ + ":rx")
+                                : obs::Tap();
   tx_port_.set_trace(recorder);
 }
 

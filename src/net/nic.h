@@ -48,8 +48,7 @@ class Nic : public PacketSink {
   std::string name_;
   Port tx_port_;
   PacketSink* up_ = nullptr;
-  obs::FlightRecorder* trace_ = nullptr;
-  std::uint32_t trace_source_ = 0;
+  obs::Tap rx_tap_;  // "<name>:rx", the forensic delivery tap
   std::int64_t received_packets_ = 0;
   std::int64_t received_bytes_ = 0;
 };

@@ -19,6 +19,7 @@
 #include <string>
 #include <utility>
 
+#include "obs/trace_event.h"
 #include "sim/check.h"
 #include "sim/time.h"
 
@@ -233,6 +234,11 @@ struct Packet {
   // Size including Ethernet framing; what links and queues account.
   std::int64_t wire_bytes() const {
     return size_bytes() + kEthernetOverheadBytes;
+  }
+
+  // The 4-tuple trace events carry.
+  obs::Flow flow() const {
+    return {ip.src, ip.dst, tcp.src_port, tcp.dst_port};
   }
 
   bool is_pure_ack() const {

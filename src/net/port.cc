@@ -82,9 +82,8 @@ void Port::send(PacketPtr packet) {
 }
 
 void Port::set_trace(obs::FlightRecorder* recorder) {
-  trace_ = recorder;
-  trace_source_ = recorder != nullptr ? recorder->register_source(name_) : 0;
-  queue_->set_trace(recorder, trace_source_);
+  tap_ = obs::Tap(recorder, name_);
+  queue_->set_tap(tap_);
 }
 
 void Port::register_metrics(obs::MetricsRegistry& registry) const {
@@ -119,27 +118,15 @@ void Port::start_transmission() {
   if (sojourn_ns_ != nullptr) {
     sojourn_ns_->record(sim_->now() - packet->enqueued_at);
   }
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (tap_) {
     if (packet->uid != 0) {
-      trace_->emit(obs::EventType::kPktTxStart, [&](obs::TraceEvent& ev) {
-        ev.t = sim_->now();
-        ev.source = trace_source_;
-        ev.src_ip = packet->ip.src;
-        ev.dst_ip = packet->ip.dst;
-        ev.src_port = packet->tcp.src_port;
-        ev.dst_port = packet->tcp.dst_port;
-        ev.a = static_cast<std::int64_t>(packet->uid);
-        ev.b = tx;
-        ev.x = static_cast<double>(sim_->now() - packet->enqueued_at);
-      });
+      tap_.emit(obs::EventType::kPktTxStart, sim_->now(), packet->flow(),
+                static_cast<std::int64_t>(packet->uid), tx,
+                static_cast<double>(sim_->now() - packet->enqueued_at));
     } else {
-      trace_->emit(obs::EventType::kQueueOccupancy,
-                   [&](obs::TraceEvent& ev) {
-                     ev.t = sim_->now();
-                     ev.source = trace_source_;
-                     ev.a = queue_->byte_length();
-                     ev.b = static_cast<std::int64_t>(queue_->packet_length());
-                   });
+      tap_.emit(obs::EventType::kQueueOccupancy, sim_->now(), {},
+                queue_->byte_length(),
+                static_cast<std::int64_t>(queue_->packet_length()));
     }
   }
   if (pcap_ != nullptr) pcap_->write(*packet, sim_->now());

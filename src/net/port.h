@@ -120,8 +120,7 @@ class Port : public PacketSink {
   PacketSink* peer_ = nullptr;
   RemotePeer* remote_peer_ = nullptr;
   std::function<void()> on_drain_;
-  obs::FlightRecorder* trace_ = nullptr;
-  std::uint32_t trace_source_ = 0;
+  obs::Tap tap_;
   PcapWriter* pcap_ = nullptr;
   std::unique_ptr<TelemetrySampler> telemetry_;
   // Observation channel, set from the const register_metrics (the registry

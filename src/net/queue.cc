@@ -23,18 +23,13 @@ void Queue::accept(PacketPtr packet, std::int64_t bytes) {
   ++stats_.enqueued_packets;
   stats_.enqueued_bytes += bytes;
   if (bytes_ > stats_.peak_bytes) stats_.peak_bytes = bytes_;
-  if (tracing()) {
-    // uid-stamped packets emit nothing at admission: their queue wait rides
-    // on kPktTxStart (tx-start minus enqueued_at, the sojourn-histogram
-    // quantity), so a per-hop enqueue event would only repeat what the tx
-    // tap already proves. Untapped traffic keeps the enqueue event.
-    if (packet->uid == 0) {
-      trace_->emit(obs::EventType::kQueueEnqueue, [&](obs::TraceEvent& ev) {
-        fill_trace_event(ev, *packet);
-        ev.a = bytes_;
-        ev.b = bytes;
-      });
-    }
+  // uid-stamped packets emit nothing at admission: their queue wait rides
+  // on kPktTxStart (tx-start minus enqueued_at, the sojourn-histogram
+  // quantity), so a per-hop enqueue event would only repeat what the tx
+  // tap already proves. Untapped traffic keeps the enqueue event.
+  if (tap_ && packet->uid == 0) {
+    tap_.emit(obs::EventType::kQueueEnqueue, packet->enqueued_at,
+              packet->flow(), bytes_, bytes);
   }
   packets_.push_back(Queued{std::move(packet), bytes});
 }
@@ -42,32 +37,16 @@ void Queue::accept(PacketPtr packet, std::int64_t bytes) {
 void Queue::drop(const Packet& packet, std::int64_t bytes) {
   ++stats_.dropped_packets;
   stats_.dropped_bytes += bytes;
-  if (tracing()) {
+  if (tap_) {
     if (packet.uid != 0) {
-      trace_->emit(obs::EventType::kPktDrop, [&](obs::TraceEvent& ev) {
-        fill_trace_event(ev, packet);
-        ev.a = static_cast<std::int64_t>(packet.uid);
-        ev.b = bytes_;
-        ev.x = static_cast<double>(bytes);
-      });
+      tap_.emit(obs::EventType::kPktDrop, packet.enqueued_at, packet.flow(),
+                static_cast<std::int64_t>(packet.uid), bytes_,
+                static_cast<double>(bytes));
     } else {
-      trace_->emit(obs::EventType::kQueueDrop, [&](obs::TraceEvent& ev) {
-        fill_trace_event(ev, packet);
-        ev.a = bytes_;
-        ev.b = bytes;
-      });
+      tap_.emit(obs::EventType::kQueueDrop, packet.enqueued_at,
+                packet.flow(), bytes_, bytes);
     }
   }
-}
-
-void Queue::fill_trace_event(obs::TraceEvent& ev,
-                             const Packet& packet) const {
-  ev.t = packet.enqueued_at;
-  ev.source = trace_source_;
-  ev.src_ip = packet.ip.src;
-  ev.dst_ip = packet.ip.dst;
-  ev.src_port = packet.tcp.src_port;
-  ev.dst_port = packet.tcp.dst_port;
 }
 
 void Queue::register_metrics(obs::MetricsRegistry& registry,

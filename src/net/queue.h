@@ -89,13 +89,10 @@ class Queue {
   // Optional shared pool; admission then also requires pool capacity.
   void set_shared_pool(SharedBufferPool* pool) { pool_ = pool; }
 
-  // Flight-recorder hook: enqueue/drop/mark events are attributed to
-  // `source` (typically the owning port's name). Timestamps come from the
-  // packet's enqueued_at stamp (set by Port::send).
-  void set_trace(obs::FlightRecorder* recorder, std::uint32_t source) {
-    trace_ = recorder;
-    trace_source_ = source;
-  }
+  // Flight-recorder hook: enqueue/drop/mark events go through `tap`
+  // (typically the owning port's). Timestamps come from the packet's
+  // enqueued_at stamp (set by Port::send).
+  void set_tap(obs::Tap tap) { tap_ = tap; }
 
   // Absorbs this queue's stats into the registry as `prefix.*` counters
   // plus a live occupancy gauge.
@@ -109,9 +106,6 @@ class Queue {
   // `bytes` is the packet's wire_bytes(), computed once by enqueue().
   void accept(PacketPtr packet, std::int64_t bytes);
   void drop(const Packet& packet, std::int64_t bytes);
-  bool tracing() const { return trace_ != nullptr && trace_->enabled(); }
-  // Fills a flow-stamped event from `packet` (timestamp = enqueued_at).
-  void fill_trace_event(obs::TraceEvent& ev, const Packet& packet) const;
 
   // A queued packet with its wire size, so dequeue() need not recompute it.
   struct Queued {
@@ -123,8 +117,7 @@ class Queue {
   std::int64_t bytes_ = 0;
   QueueStats stats_;
   SharedBufferPool* pool_ = nullptr;
-  obs::FlightRecorder* trace_ = nullptr;
-  std::uint32_t trace_source_ = 0;
+  obs::Tap tap_;
 };
 
 class DropTailQueue : public Queue {

@@ -34,12 +34,9 @@ bool RedQueue::enqueue(PacketPtr packet) {
     if (ecn_capable(packet->ip.ecn)) {
       packet->ip.ecn = Ecn::kCe;
       ++stats_.marked_packets;
-      if (tracing()) {
-        trace_->emit(obs::EventType::kEcnMark, [&](obs::TraceEvent& ev) {
-          fill_trace_event(ev, *packet);
-          ev.a = bytes_;
-          ev.b = bytes;
-        });
+      if (tap_) {
+        tap_.emit(obs::EventType::kEcnMark, packet->enqueued_at,
+                  packet->flow(), bytes_, bytes);
       }
     } else {
       // Non-ECT packets past the threshold are dropped (WRED drop action).

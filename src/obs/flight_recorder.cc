@@ -37,7 +37,7 @@ const EventMeta& event_meta(EventType type) {
 }
 
 FlightRecorder::FlightRecorder(std::size_t capacity) {
-  sources_.push_back("");  // id 0: unattributed
+  register_source("");  // id 0: unattributed
   set_capacity(capacity);
 }
 
@@ -51,11 +51,10 @@ void FlightRecorder::set_capacity(std::size_t capacity) {
 }
 
 std::uint32_t FlightRecorder::register_source(const std::string& name) {
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
-    if (sources_[i] == name) return static_cast<std::uint32_t>(i);
-  }
-  sources_.push_back(name);
-  return static_cast<std::uint32_t>(sources_.size() - 1);
+  const auto [it, added] = source_ids_.try_emplace(
+      name, static_cast<std::uint32_t>(sources_.size()));
+  if (added) sources_.push_back(name);
+  return it->second;
 }
 
 const std::string& FlightRecorder::source_name(std::uint32_t id) const {
@@ -65,25 +64,6 @@ const std::string& FlightRecorder::source_name(std::uint32_t id) const {
 std::size_t FlightRecorder::add_listener(Listener fn) {
   listeners_.push_back(std::move(fn));
   return listeners_.size() - 1;
-}
-
-void FlightRecorder::record(const TraceEvent& ev) {
-  if (!enabled_) return;
-  for (const Listener& l : listeners_) l(ev);
-  // Branch-wrap instead of `% cap_`: the per-packet taps make this the
-  // hottest store in a traced run, and an integer divide per event is
-  // measurable against a ~100ns packet budget.
-  if (size_ == cap_) {
-    ring_[head_] = ev;
-    if (++head_ == cap_) head_ = 0;
-    ++overwritten_;
-  } else {
-    std::size_t slot = head_ + size_;
-    if (slot >= cap_) slot -= cap_;
-    ring_[slot] = ev;
-    ++size_;
-  }
-  ++recorded_;
 }
 
 std::size_t FlightRecorder::count(EventType type) const {

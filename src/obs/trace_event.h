@@ -72,6 +72,15 @@ struct EventMeta {
 
 const EventMeta& event_meta(EventType type);
 
+// A flow's identity as events carry it: the raw 4-tuple, all zero for an
+// event that is not flow-scoped.
+struct Flow {
+  std::uint32_t src_ip = 0;
+  std::uint32_t dst_ip = 0;
+  std::uint16_t src_port = 0;
+  std::uint16_t dst_port = 0;
+};
+
 struct TraceEvent {
   sim::Time t = 0;
   EventType type = EventType::kWindowEnforced;

@@ -395,18 +395,12 @@ void ParallelExecutor::round_loop(int tid, Time deadline) {
 
 ParallelExecutor::Stats ParallelExecutor::stats() const {
   Stats st;
-  st.per_thread_barrier_ns.reserve(thread_stats_.size());
-  st.per_thread_idle_ns.reserve(thread_stats_.size());
   for (const ThreadStats& ts : thread_stats_) {
-    const std::uint64_t b = ts.barrier_ns.load(std::memory_order_relaxed);
-    const std::uint64_t i = ts.idle_ns.load(std::memory_order_relaxed);
     st.epochs += ts.windows.load(std::memory_order_relaxed);
     st.messages += ts.messages.load(std::memory_order_relaxed);
     st.null_msgs += ts.null_msgs.load(std::memory_order_relaxed);
-    st.barrier_wait_ns += b;
-    st.idle_wait_ns += i;
-    st.per_thread_barrier_ns.push_back(b);
-    st.per_thread_idle_ns.push_back(i);
+    st.barrier_wait_ns += ts.barrier_ns.load(std::memory_order_relaxed);
+    st.idle_wait_ns += ts.idle_ns.load(std::memory_order_relaxed);
   }
   for (const ShardClock& clk : clocks_) {
     st.executed_events += clk.executed.load(std::memory_order_relaxed);

@@ -107,8 +107,6 @@ class ParallelExecutor {
     std::uint64_t executed_events = 0;  // summed over shards
     std::uint64_t barrier_wait_ns = 0;  // summed over threads
     std::uint64_t idle_wait_ns = 0;     // summed over threads
-    std::vector<std::uint64_t> per_thread_barrier_ns;
-    std::vector<std::uint64_t> per_thread_idle_ns;
   };
   // Safe to call concurrently with run_until (the metrics sampler reads it
   // mid-run from the shard-0 thread): every field is derived from relaxed

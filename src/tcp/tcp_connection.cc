@@ -282,45 +282,28 @@ void TcpConnection::send_segment(TxSegment& seg) {
   if (p->payload_bytes > 0 && cwr_pending_) cwr_pending_ = false;
   ++stats_.segments_sent;
 
-  if (trace_ != nullptr && trace_->enabled()) {
+  if (tap_) {
     p->uid = next_uid();
-    const auto fill_flow = [&](obs::TraceEvent& ev) {
-      ev.t = sim_->now();
-      ev.source = trace_source_;
-      ev.src_ip = local_.ip;
-      ev.dst_ip = remote_.ip;
-      ev.src_port = local_.port;
-      ev.dst_port = remote_.port;
-    };
+    const sim::Time now = sim_->now();
     // Flush the pending send-stall first so the analyzer can attach the
     // wait to this (fresh data) segment's origin.
     if (!is_retx && !seg.syn && block_start_ != sim::kNoTime) {
-      const sim::Time stall = sim_->now() - block_start_;
+      const sim::Time stall = now - block_start_;
       if (stall > 0) {
-        trace_->emit(obs::EventType::kTcpSendStall,
-                     [&](obs::TraceEvent& ev) {
-                       fill_flow(ev);
-                       ev.a = stall;
-                       ev.b = static_cast<std::int64_t>(block_cause_);
-                     });
+        tap_.emit(obs::EventType::kTcpSendStall, now, flow(), stall,
+                  static_cast<std::int64_t>(block_cause_));
       }
       block_start_ = sim::kNoTime;
     }
-    trace_->emit(obs::EventType::kPktOrigin, [&](obs::TraceEvent& ev) {
-      fill_flow(ev);
-      ev.a = static_cast<std::int64_t>(p->uid);
-      ev.b = p->payload_bytes;
-    });
+    const auto uid = static_cast<std::int64_t>(p->uid);
+    tap_.emit(obs::EventType::kPktOrigin, now, flow(), uid,
+              p->payload_bytes);
     if (is_retx) {
-      trace_->emit(obs::EventType::kPktRetx, [&](obs::TraceEvent& ev) {
-        fill_flow(ev);
-        ev.a = static_cast<std::int64_t>(p->uid);
-        const bool rto_context = in_rto_recovery_ ||
-                                 state_ == State::kSynSent ||
-                                 state_ == State::kSynReceived;
-        ev.b = sim_->now() - prev_sent_at;
-        ev.x = rto_context ? 1.0 : 0.0;
-      });
+      const bool rto_context = in_rto_recovery_ ||
+                               state_ == State::kSynSent ||
+                               state_ == State::kSynReceived;
+      tap_.emit(obs::EventType::kPktRetx, now, flow(), uid,
+                now - prev_sent_at, rto_context ? 1.0 : 0.0);
     }
   }
   transmit(std::move(p));
@@ -337,7 +320,7 @@ std::uint64_t TcpConnection::next_uid() {
 }
 
 void TcpConnection::note_blocked(obs::StallCause cause) {
-  if (trace_ == nullptr || !trace_->enabled()) return;
+  if (!tap_) return;
   if (block_start_ != sim::kNoTime) return;  // keep the first block's cause
   block_start_ = sim_->now();
   block_cause_ = cause;
@@ -620,7 +603,6 @@ void TcpConnection::enter_recovery() {
   cc_->on_window_reduction(cc_state_);
   trace_cwnd();
   ++stats_.fast_retransmits;
-  ++stats_.loss_reductions;
   if (retransmit_first_unsacked(/*skip_retransmitted=*/false)) {
     ++stats_.retransmissions;
   }
@@ -819,35 +801,21 @@ void TcpConnection::enter_state(State next) {
   if (next == state_) return;
   const State prev = state_;
   state_ = next;
-  if (trace_ == nullptr || !trace_->enabled()) return;
-  obs::TraceEvent ev;
-  ev.t = sim_->now();
-  ev.type = obs::EventType::kConnState;
-  ev.source = trace_source_;
-  ev.src_ip = local_.ip;
-  ev.dst_ip = remote_.ip;
-  ev.src_port = local_.port;
-  ev.dst_port = remote_.port;
-  ev.a = static_cast<std::int64_t>(next);
-  ev.b = static_cast<std::int64_t>(prev);
-  trace_->record(ev);
+  if (tap_) {
+    tap_.emit(obs::EventType::kConnState, sim_->now(), flow(),
+              static_cast<std::int64_t>(next),
+              static_cast<std::int64_t>(prev));
+  }
 }
 
 void TcpConnection::trace_cwnd() {
-  if (trace_ == nullptr || !trace_->enabled()) return;
-  obs::TraceEvent ev;
-  ev.t = sim_->now();
-  ev.type = obs::EventType::kTcpCwnd;
-  ev.source = trace_source_;
-  ev.src_ip = local_.ip;
-  ev.dst_ip = remote_.ip;
-  ev.src_port = local_.port;
-  ev.dst_port = remote_.port;
-  ev.a = cwnd_bytes();
-  ev.b = static_cast<std::int64_t>(cc_state_.ssthresh *
-                                   static_cast<double>(cc_state_.mss));
-  ev.x = cc_state_.cwnd;  // in packets, as the CC modules reason about it
-  trace_->record(ev);
+  if (tap_) {
+    // x: cwnd in packets, as the CC modules reason about it.
+    tap_.emit(obs::EventType::kTcpCwnd, sim_->now(), flow(), cwnd_bytes(),
+              static_cast<std::int64_t>(cc_state_.ssthresh *
+                                        static_cast<double>(cc_state_.mss)),
+              cc_state_.cwnd);
+  }
 }
 
 }  // namespace acdc::tcp

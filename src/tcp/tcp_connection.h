@@ -81,8 +81,7 @@ class TcpConnection {
     std::int64_t retransmissions = 0;
     std::int64_t fast_retransmits = 0;
     std::int64_t rtos = 0;
-    std::int64_t ecn_reductions = 0;   // CWR entries from ECE feedback
-    std::int64_t loss_reductions = 0;  // recovery entries
+    std::int64_t ecn_reductions = 0;  // CWR entries from ECE feedback
   };
 
   TcpConnection(sim::Simulator* sim, TcpConfig config, Endpoint local,
@@ -144,18 +143,19 @@ class TcpConnection {
   const TcpConfig& config() const { return config_; }
   const Endpoint& local() const { return local_; }
   const Endpoint& remote() const { return remote_; }
+  // The 4-tuple this connection's trace events carry, local end first.
+  obs::Flow flow() const {
+    return {local_.ip, remote_.ip, local_.port, remote_.port};
+  }
   bool ecn_negotiated() const { return ecn_ok_; }
 
   // Flight-recorder hook: state transitions and cwnd/ssthresh movements are
-  // recorded against `source` (typically "<host>.tcp:<port>"). When the
-  // recorder wants kPktOrigin events, every transmitted segment also gets a
-  // deterministic nonzero uid (derived from the 4-tuple and a per-connection
-  // counter, so serial and sharded runs agree) plus origin / retransmission
-  // / send-stall events for the forensics analyzer.
-  void set_trace(obs::FlightRecorder* recorder, std::uint32_t source) {
-    trace_ = recorder;
-    trace_source_ = source;
-  }
+  // recorded through `tap` (typically named "<host>.tcp:<port>"). While the
+  // tap is on, every transmitted segment also gets a deterministic nonzero
+  // uid (derived from the 4-tuple and a per-connection counter, so serial
+  // and sharded runs agree) plus origin / retransmission / send-stall
+  // events for the forensics analyzer.
+  void set_tap(obs::Tap tap) { tap_ = tap; }
 
   // Optional RTT histogram (registry-owned); fed one sample per valid RTT
   // measurement. Must outlive the connection.
@@ -274,8 +274,7 @@ class TcpConnection {
   int pending_ack_segments_ = 0;
   sim::DeadlineTimer delack_timer_;
 
-  obs::FlightRecorder* trace_ = nullptr;
-  std::uint32_t trace_source_ = 0;
+  obs::Tap tap_;
   obs::Histogram* rtt_hist_ = nullptr;
 
   // Forensic send-path state.

@@ -310,6 +310,30 @@ TEST(UserGroupTest, ThinkTimersHoldOneQueuePosition) {
   EXPECT_GT(group.stats().issued, 0);
 }
 
+// A group's own stats carry its late responses: the client counts each
+// straggler once, and the group reports that count without the service
+// tier's merge.
+TEST(UserGroupTest, OwnStatsReportTheClientsLateResponses) {
+  RpcPair net;
+  RpcServerConfig scfg;
+  scfg.service_time = sim::milliseconds(5);  // well past the 2 ms deadline
+  RpcServer server(&net.server_host, &net.registry, tcp::TcpConfig{}, scfg,
+                   sim::Rng(testlib::test_seed(13)));
+  UserPopulationConfig ucfg;
+  ucfg.think_time_mean = sim::milliseconds(1);
+  ucfg.deadline = sim::milliseconds(2);
+  ucfg.slo = sim::milliseconds(1);
+  ucfg.stop_after = sim::milliseconds(10);
+  UserGroup group(&net.client_host, &net.registry, net.server_host.ip(),
+                  scfg.port, tcp::TcpConfig{}, ucfg, /*sessions=*/4,
+                  sim::Rng(testlib::test_seed(14)), /*start=*/0);
+  net.sim.run_until(sim::milliseconds(200));
+
+  ASSERT_GT(group.client().stats().late, 0);
+  EXPECT_EQ(group.stats().late_responses, group.client().stats().late);
+  EXPECT_EQ(group.stats().completed, 0);
+}
+
 TEST(AppTierDeathTest, RpcServerNeedsWorkers) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   RpcPair net;

@@ -17,6 +17,11 @@
 // invariant harness; every D-th passing seed is additionally replayed with
 // the AC/DC datapath removed to check transparency (differential oracle).
 //
+// Each seed prints its event digest, app digest, event count and packets
+// checked (unless --quiet), and the final `ok:` line carries one digest
+// folded over those in seed order, so two builds' outputs `diff` clean
+// exactly when every run agrees.
+//
 // On failure the driver shrinks the scenario by greedily toggling fault
 // classes — and the churn and closed-loop service workloads — off (each
 // draws from independent RNG substreams, so masking one leaves the others
@@ -33,12 +38,14 @@
 #include <string>
 #include <vector>
 
+#include "testlib/checked_run.h"
 #include "testlib/scenario_gen.h"
 #include "testlib/seed.h"
 
 namespace {
 
 using acdc::testlib::DifferentialOutcome;
+using acdc::testlib::Digest;
 using acdc::testlib::FaultToggles;
 using acdc::testlib::RunOptions;
 using acdc::testlib::RunOutcome;
@@ -129,13 +136,15 @@ RunOptions run_options(const DriverOptions& opt) {
 }
 
 // One fuzz iteration; fills `failure` with a human-readable report on
-// failure.
+// failure and, when given, `outcome` with the checked run's outcome.
 bool run_seed(std::uint64_t seed, const DriverOptions& opt,
               const FaultToggles& toggles, bool with_differential,
-              std::vector<std::string>* failure) {
+              std::vector<std::string>* failure,
+              RunOutcome* outcome = nullptr) {
   ScenarioPlan plan = acdc::testlib::make_plan(seed);
   acdc::testlib::mask_faults(plan, toggles);
   const RunOutcome out = acdc::testlib::run_plan(plan, run_options(opt));
+  if (outcome != nullptr) *outcome = out;
   bool ok = out.ok();
   if (!ok && failure != nullptr) {
     failure->push_back("plan: " + plan.summary());
@@ -240,12 +249,29 @@ int main(int argc, char** argv) {
   opt.seed = acdc::testlib::test_seed(opt.seed);
   if (!parse_args(argc, argv, opt)) return 2;
 
+  Digest digests;  // every seed's four outcome words, in seed order
   for (int i = 0; i < opt.iters; ++i) {
     const std::uint64_t seed = opt.seed + static_cast<std::uint64_t>(i);
     const bool with_differential =
         opt.differential_every > 0 && i % opt.differential_every == 0;
     std::vector<std::string> report;
-    if (run_seed(seed, opt, opt.toggles, with_differential, &report)) {
+    RunOutcome out;
+    const bool ok =
+        run_seed(seed, opt, opt.toggles, with_differential, &report, &out);
+    digests.mix(out.event_digest);
+    digests.mix(out.app_digest);
+    digests.mix(out.events);
+    digests.mix(out.packets_checked);
+    if (!opt.quiet) {
+      std::printf("seed %llu: event_digest %016llx app_digest %016llx "
+                  "events %llu packets_checked %llu\n",
+                  static_cast<unsigned long long>(seed),
+                  static_cast<unsigned long long>(out.event_digest),
+                  static_cast<unsigned long long>(out.app_digest),
+                  static_cast<unsigned long long>(out.events),
+                  static_cast<unsigned long long>(out.packets_checked));
+    }
+    if (ok) {
       if (!opt.quiet && (i + 1) % 50 == 0) {
         std::printf("... %d/%d seeds ok\n", i + 1, opt.iters);
       }
@@ -264,9 +290,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  std::printf("ok: %d seeds passed (base seed %llu%s)\n", opt.iters,
-              static_cast<unsigned long long>(opt.seed),
+  std::printf("ok: %d seeds passed (base seed %llu%s), digest %016llx\n",
+              opt.iters, static_cast<unsigned long long>(opt.seed),
               opt.differential_every > 0 ? ", differential oracle sampled"
-                                         : "");
+                                         : "",
+              static_cast<unsigned long long>(digests.h));
   return 0;
 }

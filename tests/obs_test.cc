@@ -1,11 +1,13 @@
 // Unit tests for the observability layer: flight-recorder ring semantics,
-// source interning, metrics registry + snapshot sampling, and the three
-// exporters — plus an end-to-end check that a traced AC/DC run emits the
-// events the paper's figures are built from.
+// source interning, the component tap, metrics registry + snapshot
+// sampling, and the three exporters — plus an end-to-end check that a
+// traced AC/DC run emits the events the paper's figures are built from.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "exp/mode.h"
 #include "exp/star.h"
@@ -25,18 +27,23 @@ TraceEvent make_event(sim::Time t, EventType type, std::int64_t a = 0) {
   return ev;
 }
 
+// Writes `ev` through emit(), the ring's one way in.
+void put(FlightRecorder& rec, const TraceEvent& ev) {
+  rec.emit(ev.type, [&ev](TraceEvent& slot) { slot = ev; });
+}
+
 TEST(FlightRecorderTest, ZeroCapacityStaysDisabled) {
   FlightRecorder rec;
   EXPECT_FALSE(rec.enabled());
   rec.set_enabled(true);  // no storage -> cannot enable
   EXPECT_FALSE(rec.enabled());
-  rec.record(make_event(1, EventType::kEcnMark));
+  put(rec, make_event(1, EventType::kEcnMark));
   EXPECT_TRUE(rec.empty());
   EXPECT_EQ(rec.recorded_events(), 0u);
 
   FlightRecorder sized(8);
   EXPECT_TRUE(sized.enabled());  // storage -> ready to record
-  sized.record(make_event(1, EventType::kEcnMark));
+  put(sized, make_event(1, EventType::kEcnMark));
   EXPECT_EQ(sized.size(), 1u);
 }
 
@@ -44,7 +51,7 @@ TEST(FlightRecorderTest, RingOverwritesOldest) {
   FlightRecorder rec(4);
   rec.set_enabled(true);
   for (std::int64_t i = 0; i < 7; ++i) {
-    rec.record(make_event(i, EventType::kQueueEnqueue, i));
+    put(rec, make_event(i, EventType::kQueueEnqueue, i));
   }
   EXPECT_EQ(rec.size(), 4u);
   EXPECT_EQ(rec.capacity(), 4u);
@@ -65,9 +72,9 @@ TEST(FlightRecorderTest, RingOverwritesOldest) {
 TEST(FlightRecorderTest, CountByTypeAndClear) {
   FlightRecorder rec(16);
   rec.set_enabled(true);
-  rec.record(make_event(1, EventType::kEcnMark));
-  rec.record(make_event(2, EventType::kEcnMark));
-  rec.record(make_event(3, EventType::kQueueDrop));
+  put(rec, make_event(1, EventType::kEcnMark));
+  put(rec, make_event(2, EventType::kEcnMark));
+  put(rec, make_event(3, EventType::kQueueDrop));
   EXPECT_EQ(rec.count(EventType::kEcnMark), 2u);
   EXPECT_EQ(rec.count(EventType::kQueueDrop), 1u);
   EXPECT_EQ(rec.count(EventType::kPackAttached), 0u);
@@ -79,21 +86,21 @@ TEST(FlightRecorderTest, CountByTypeAndClear) {
 TEST(FlightRecorderTest, SetEnabledGates) {
   FlightRecorder rec(4);
   rec.set_enabled(true);
-  rec.record(make_event(1, EventType::kEcnMark));
+  put(rec, make_event(1, EventType::kEcnMark));
   rec.set_enabled(false);
-  rec.record(make_event(2, EventType::kEcnMark));
+  put(rec, make_event(2, EventType::kEcnMark));
   EXPECT_EQ(rec.size(), 1u);
 }
 
 TEST(FlightRecorderTest, SetCapacityResizesAndZeroDisables) {
   FlightRecorder rec(2);
   rec.set_enabled(true);
-  rec.record(make_event(1, EventType::kEcnMark));
+  put(rec, make_event(1, EventType::kEcnMark));
   rec.set_capacity(8);  // discards existing events
   EXPECT_TRUE(rec.empty());
   EXPECT_EQ(rec.capacity(), 8u);
   rec.set_enabled(true);
-  rec.record(make_event(2, EventType::kEcnMark));
+  put(rec, make_event(2, EventType::kEcnMark));
   EXPECT_EQ(rec.size(), 1u);
   rec.set_capacity(0);
   EXPECT_FALSE(rec.enabled());
@@ -111,6 +118,86 @@ TEST(FlightRecorderTest, SourceInterning) {
   EXPECT_EQ(rec.register_source("switch:p0"), a);  // same name -> same id
   EXPECT_EQ(rec.source_name(a), "switch:p0");
   EXPECT_EQ(rec.source_name(b), "acdc.h0");
+}
+
+// The guard idiom every hook site uses.
+void hook(const Tap& tap) {
+  if (tap) tap.emit(EventType::kEcnMark, 1, {}, 1);
+}
+
+TEST(TapTest, OffWithoutAnEnabledRecorderAndRecordsNothing) {
+  const Tap unset;
+  EXPECT_FALSE(unset);
+  hook(unset);
+
+  const Tap no_recorder(nullptr, "switch:p0");
+  EXPECT_FALSE(no_recorder);
+  hook(no_recorder);
+
+  FlightRecorder no_storage;  // capacity 0: disabled for good
+  const Tap on_no_storage(&no_storage, "switch:p0");
+  EXPECT_FALSE(on_no_storage);
+  hook(on_no_storage);
+  on_no_storage.emit(EventType::kEcnMark, 1, {}, 1);  // even unguarded
+  EXPECT_EQ(no_storage.recorded_events(), 0u);
+
+  FlightRecorder paused(4);
+  paused.set_enabled(false);
+  const Tap on_paused(&paused, "switch:p0");
+  EXPECT_FALSE(on_paused);
+  hook(on_paused);
+  EXPECT_TRUE(paused.empty());
+  // The tap follows its recorder's switch, not a copy of it.
+  paused.set_enabled(true);
+  EXPECT_TRUE(on_paused);
+  hook(on_paused);
+  EXPECT_EQ(paused.size(), 1u);
+}
+
+TEST(TapTest, StampsItsSourceAndTheGivenFields) {
+  FlightRecorder rec(8);
+  rec.register_source("acdc.h0");
+  const Tap tap(&rec, "switch:p3");
+  ASSERT_TRUE(tap);
+  const Flow flow{0x0A000001, 0x0A000002, 5000, 80};
+  tap.emit(EventType::kPktTxStart, 1234, flow, 7, -8, 0.5);
+  ASSERT_EQ(rec.size(), 1u);
+  const TraceEvent& ev = rec.at(0);
+  EXPECT_EQ(ev.type, EventType::kPktTxStart);
+  EXPECT_EQ(ev.t, 1234);
+  EXPECT_EQ(ev.source, 2u);  // after "" and "acdc.h0"
+  EXPECT_EQ(rec.source_name(ev.source), "switch:p3");
+  EXPECT_EQ(ev.src_ip, flow.src_ip);
+  EXPECT_EQ(ev.dst_ip, flow.dst_ip);
+  EXPECT_EQ(ev.src_port, flow.src_port);
+  EXPECT_EQ(ev.dst_port, flow.dst_port);
+  EXPECT_EQ(ev.a, 7);
+  EXPECT_EQ(ev.b, -8);
+  EXPECT_EQ(ev.x, 0.5);
+
+  // b and x default to zero; an empty flow is not flow-scoped.
+  tap.emit(EventType::kQueueOccupancy, 2000, {}, 3);
+  ASSERT_EQ(rec.size(), 2u);
+  EXPECT_EQ(rec.at(1).a, 3);
+  EXPECT_EQ(rec.at(1).b, 0);
+  EXPECT_EQ(rec.at(1).x, 0.0);
+  EXPECT_FALSE(rec.at(1).flow_scoped());
+}
+
+TEST(TapTest, SharedNamesShareAnIdInFirstRegistrationOrder) {
+  FlightRecorder rec(4);
+  const Tap rx(&rec, "h0:rx");
+  const Tap tx(&rec, "h0:tx");
+  const Tap rx_again(&rec, "h0:rx");
+  for (const Tap* tap : {&rx, &tx, &rx_again}) {
+    tap->emit(EventType::kPktDeliver, 1, {}, 0);
+  }
+  ASSERT_EQ(rec.size(), 3u);
+  EXPECT_EQ(rec.at(0).source, 1u);  // 0 stays "unattributed"
+  EXPECT_EQ(rec.at(1).source, 2u);
+  EXPECT_EQ(rec.at(2).source, 1u);
+  EXPECT_EQ(rec.sources(),
+            (std::vector<std::string>{"", "h0:rx", "h0:tx"}));
 }
 
 TEST(TraceEventTest, MetaTableCoversAllTypes) {
@@ -187,8 +274,8 @@ TEST(ExportTest, JsonlAndCsvShapes) {
   ev.dst_ip = 0x0A000002;
   ev.src_port = 5000;
   ev.dst_port = 40000;
-  rec.record(ev);
-  rec.record(make_event(2000, EventType::kQueueDrop, 100));
+  put(rec, ev);
+  put(rec, make_event(2000, EventType::kQueueDrop, 100));
 
   EXPECT_EQ(flow_to_string(ev), "10.0.0.1:5000>10.0.0.2:40000");
   EXPECT_EQ(flow_to_string(make_event(0, EventType::kQueueDrop)), "");
@@ -212,8 +299,8 @@ TEST(ExportTest, JsonlAndCsvShapes) {
 TEST(ExportTest, ChromeTraceIsWellFormed) {
   FlightRecorder rec(8);
   rec.set_enabled(true);
-  rec.record(make_event(1000, EventType::kWindowEnforced, 65536));
-  rec.record(make_event(2000, EventType::kEcnMark, 1));
+  put(rec, make_event(1000, EventType::kWindowEnforced, 65536));
+  put(rec, make_event(2000, EventType::kEcnMark, 1));
   MetricsRegistry reg;
   std::int64_t& c = reg.counter("c");
   c = 3;

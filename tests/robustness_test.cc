@@ -9,6 +9,7 @@
 
 #include "acdc/vswitch.h"
 #include "host/host.h"
+#include "host_pair_fixture.h"
 #include "net/datapath.h"
 #include "sim/simulator.h"
 #include "tcp/tcp_connection.h"
@@ -68,26 +69,10 @@ class ChaosFilter : public net::DuplexFilter {
   net::PacketPtr held_;
 };
 
-struct Link {
-  sim::Simulator sim;
-  std::unique_ptr<Host> a;
-  std::unique_ptr<Host> b;
-
-  explicit Link(net::DuplexFilter* filter = nullptr) {
-    HostConfig hc;
-    hc.nic_queue_bytes = 8 * 1024 * 1024;
-    a = std::make_unique<Host>(&sim, "A", net::make_ip(10, 0, 0, 1), hc);
-    b = std::make_unique<Host>(&sim, "B", net::make_ip(10, 0, 0, 2), hc);
-    if (filter != nullptr) a->add_filter(filter);
-    a->nic().tx_port().set_peer(&b->nic());
-    b->nic().tx_port().set_peer(&a->nic());
-  }
-};
-
 TEST(WraparoundTest, TransferAcrossSequenceWrap) {
   // Start just below 2^32 so sequence numbers wrap mid-transfer; the
   // modular arithmetic in the stack must be seamless.
-  Link net;
+  HostPair net;
   TcpConfig cfg;
   cfg.mss = 1448;
   cfg.initial_seq = 0xffff0000u;  // wraps after ~64KB
@@ -101,7 +86,7 @@ TEST(WraparoundTest, TransferAcrossSequenceWrap) {
 
 TEST(WraparoundTest, WrapWithLossRecovery) {
   ChaosFilter chaos(7, 0.01, 0.0, 0.0);
-  Link net(&chaos);
+  HostPair net(&chaos);
   TcpConfig cfg;
   cfg.mss = 1448;
   cfg.initial_seq = 0xfffe0000u;
@@ -170,7 +155,7 @@ class ChaosSweepTest : public ::testing::TestWithParam<ChaosParam> {};
 TEST_P(ChaosSweepTest, ExactDeliveryUnderImpairment) {
   const ChaosParam& p = GetParam();
   ChaosFilter chaos(testlib::test_seed(42), p.drop, p.dup, p.reorder);
-  Link net(&chaos);
+  HostPair net(&chaos);
   TcpConfig cfg;
   cfg.mss = 1448;
   cfg.cc = p.cc;

@@ -17,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -149,6 +150,9 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
     out.table_peak = std::max(out.table_peak, vs->flows().size());
   }
   out.checks = checked.summary();
+  std::printf("churn soak seed %llu shards %d: event_digest %016llx\n",
+              static_cast<unsigned long long>(seed), std::max(p.shards, 1),
+              static_cast<unsigned long long>(out.checks.event_digest));
   // With ACDC_SOAK_TRACE_DIR set (CI sets it), a failing run leaves the
   // tail of its event stream and its latency forensics as artifacts.
   const std::string base = soak_artifact_base("soak", seed, p.shards > 1);

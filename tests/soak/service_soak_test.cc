@@ -20,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -177,6 +178,11 @@ SoakResult run_soak(std::uint64_t seed, const SoakParams& p) {
     outcome.mix(static_cast<std::uint64_t>(st.latency.max()));
   }
   out.outcome_digest = outcome.h;
+  std::printf("service soak seed %llu shards %d: event_digest %016llx "
+              "outcome_digest %016llx\n",
+              static_cast<unsigned long long>(seed), std::max(p.shards, 1),
+              static_cast<unsigned long long>(out.checks.event_digest),
+              static_cast<unsigned long long>(out.outcome_digest));
 
   const std::string base = soak_artifact_base("service", seed, p.shards > 1);
   if (out.checks.violation_count > 0 && !base.empty()) {

@@ -3,36 +3,14 @@
 // updates unblocking a sender, and Karn's rule on RTT sampling.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "host/host.h"
-#include "net/datapath.h"
-#include "sim/simulator.h"
+#include "host_pair_fixture.h"
 #include "tcp/tcp_connection.h"
 
 namespace acdc {
 namespace {
 
-using host::Host;
-using host::HostConfig;
 using tcp::TcpConfig;
 using tcp::TcpConnection;
-
-struct Pair {
-  sim::Simulator sim;
-  std::unique_ptr<Host> a;
-  std::unique_ptr<Host> b;
-
-  explicit Pair(net::DuplexFilter* a_filter = nullptr) {
-    HostConfig hc;
-    hc.nic_queue_bytes = 8 * 1024 * 1024;
-    a = std::make_unique<Host>(&sim, "A", net::make_ip(10, 0, 0, 1), hc);
-    b = std::make_unique<Host>(&sim, "B", net::make_ip(10, 0, 0, 2), hc);
-    if (a_filter != nullptr) a->add_filter(a_filter);
-    a->nic().tx_port().set_peer(&b->nic());
-    b->nic().tx_port().set_peer(&a->nic());
-  }
-};
 
 TcpConfig cfg() {
   TcpConfig c;
@@ -41,7 +19,7 @@ TcpConfig cfg() {
 }
 
 TEST(TcpEdgeTest, RstTearsDownImmediately) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   net.sim.run_until(sim::milliseconds(5));
@@ -61,7 +39,7 @@ TEST(TcpEdgeTest, RstTearsDownImmediately) {
 }
 
 TEST(TcpEdgeTest, DuplicateSynGetsSynAckRetransmit) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   net.sim.run_until(sim::milliseconds(5));
@@ -78,7 +56,7 @@ TEST(TcpEdgeTest, DuplicateSynGetsSynAckRetransmit) {
 }
 
 TEST(TcpEdgeTest, CloseWithPendingDataFlushesFirst) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [c] {
@@ -92,7 +70,7 @@ TEST(TcpEdgeTest, CloseWithPendingDataFlushesFirst) {
 }
 
 TEST(TcpEdgeTest, SimultaneousClose) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg(), [](TcpConnection* srv) {
     srv->on_established = [srv] { srv->close(); };
   });
@@ -104,7 +82,7 @@ TEST(TcpEdgeTest, SimultaneousClose) {
 }
 
 TEST(TcpEdgeTest, ZeroByteSendIsNoop) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [c] {
@@ -116,7 +94,7 @@ TEST(TcpEdgeTest, ZeroByteSendIsNoop) {
 }
 
 TEST(TcpEdgeTest, DelayedAckTimerFiresForOddSegment) {
-  Pair net;
+  HostPair net;
   TcpConfig d = cfg();
   d.delayed_ack = true;
   d.delayed_ack_timeout = sim::milliseconds(40);
@@ -147,7 +125,7 @@ TEST(TcpEdgeTest, RttSamplesSkipRetransmissions) {
     bool dropped_ = false;
   };
   DropFirstData filter;
-  Pair net(&filter);
+  HostPair net(&filter);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [c] { c->send(1'448); };
@@ -159,7 +137,7 @@ TEST(TcpEdgeTest, RttSamplesSkipRetransmissions) {
 }
 
 TEST(TcpEdgeTest, ReceiverWindowUpdateUnblocksSender) {
-  Pair net;
+  HostPair net;
   TcpConfig tiny = cfg();
   tiny.receive_buffer_bytes = 8 * 1024;  // sender blocks quickly
   net.b->listen(80, tiny);
@@ -173,7 +151,7 @@ TEST(TcpEdgeTest, ReceiverWindowUpdateUnblocksSender) {
 }
 
 TEST(TcpEdgeTest, ManySmallWritesDeliverExactly) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [c] {

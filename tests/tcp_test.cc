@@ -2,15 +2,13 @@
 // flow control against the advertised window, loss recovery (fast
 // retransmit, SACK, RTO), ECN reaction, bidirectional transfer, teardown.
 //
-// Harness: two hosts wired NIC-to-NIC (a 10G, ~4us-RTT point-to-point link),
-// optionally with impairment filters in the datapath.
+// Harness: HostPair (host_pair_fixture.h), two hosts wired NIC-to-NIC,
+// optionally with an impairment filter in the datapath.
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <vector>
 
-#include "host/host.h"
-#include "net/datapath.h"
-#include "sim/simulator.h"
+#include "host_pair_fixture.h"
 #include "tcp/cc/algorithms.h"
 #include "tcp/seq.h"
 #include "tcp/tcp_connection.h"
@@ -18,8 +16,6 @@
 namespace acdc {
 namespace {
 
-using host::Host;
-using host::HostConfig;
 using tcp::TcpConfig;
 using tcp::TcpConnection;
 
@@ -66,25 +62,6 @@ class CeMarkFilter : public net::DuplexFilter {
   int marked_ = 0;
 };
 
-struct Pair {
-  sim::Simulator sim;
-  std::unique_ptr<Host> a;
-  std::unique_ptr<Host> b;
-
-  explicit Pair(net::DuplexFilter* a_filter = nullptr) {
-    HostConfig hc;
-    // This switchless link has no fabric buffer; absorb slow-start bursts
-    // in the NIC so protocol tests see a loss-free path unless a filter
-    // injects loss deliberately.
-    hc.nic_queue_bytes = 8 * 1024 * 1024;
-    a = std::make_unique<Host>(&sim, "A", net::make_ip(10, 0, 0, 1), hc);
-    b = std::make_unique<Host>(&sim, "B", net::make_ip(10, 0, 0, 2), hc);
-    if (a_filter != nullptr) a->add_filter(a_filter);
-    a->nic().tx_port().set_peer(&b->nic());
-    b->nic().tx_port().set_peer(&a->nic());
-  }
-};
-
 TcpConfig cfg(tcp::CcId cc = tcp::CcId::kCubic) {
   TcpConfig c;
   c.cc = cc;
@@ -107,7 +84,7 @@ TEST(TcpSeqTest, ModularComparisons) {
 }
 
 TEST(TcpHandshakeTest, EstablishesAndNegotiates) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   bool established = false;
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
@@ -130,7 +107,7 @@ TEST(TcpHandshakeTest, EstablishesAndNegotiates) {
 
 TEST(TcpHandshakeTest, EcnNegotiationRequiresBothSides) {
   {
-    Pair net;
+    HostPair net;
     TcpConfig e = cfg(tcp::CcId::kDctcp);
     ASSERT_TRUE(e.ecn || (e.ecn = true));
     net.b->listen(80, e);
@@ -140,7 +117,7 @@ TEST(TcpHandshakeTest, EcnNegotiationRequiresBothSides) {
     EXPECT_TRUE(net.b->connections()[0]->ecn_negotiated());
   }
   {
-    Pair net;
+    HostPair net;
     TcpConfig e = cfg(tcp::CcId::kDctcp);
     e.ecn = true;
     net.b->listen(80, cfg());  // server refuses ECN
@@ -151,7 +128,7 @@ TEST(TcpHandshakeTest, EcnNegotiationRequiresBothSides) {
 }
 
 TEST(TcpHandshakeTest, MssIsMinimumOfBothSides) {
-  Pair net;
+  HostPair net;
   TcpConfig small = cfg();
   small.mss = 1000;
   net.b->listen(80, small);
@@ -163,7 +140,7 @@ TEST(TcpHandshakeTest, MssIsMinimumOfBothSides) {
 TEST(TcpHandshakeTest, SynRetransmitsOnLoss) {
   // Drop nothing via LossFilter (it only drops payload); instead point A at
   // a black hole first, then reconnect the wire after 300ms.
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   net.a->nic().tx_port().set_peer(nullptr);
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
@@ -175,7 +152,7 @@ TEST(TcpHandshakeTest, SynRetransmitsOnLoss) {
 }
 
 TEST(TcpTransferTest, DeliversExactByteCount) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(1'000'000); };
@@ -188,7 +165,7 @@ TEST(TcpTransferTest, DeliversExactByteCount) {
 }
 
 TEST(TcpTransferTest, SmallMessageSingleSegment) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(100); };
@@ -197,7 +174,7 @@ TEST(TcpTransferTest, SmallMessageSingleSegment) {
 }
 
 TEST(TcpTransferTest, ApproachesLineRate) {
-  Pair net;
+  HostPair net;
   TcpConfig c9 = cfg();
   c9.mss = 8960;
   net.b->listen(80, c9);
@@ -217,7 +194,7 @@ TEST(TcpTransferTest, ApproachesLineRate) {
 }
 
 TEST(TcpTransferTest, ReceiveWindowLimitsThroughput) {
-  Pair net;
+  HostPair net;
   TcpConfig tiny = cfg();
   tiny.receive_buffer_bytes = 64 * 1024;  // ~64KB window
   net.b->listen(80, tiny);
@@ -230,7 +207,7 @@ TEST(TcpTransferTest, ReceiveWindowLimitsThroughput) {
 }
 
 TEST(TcpTransferTest, IgnorePeerRwndExceedsWindow) {
-  Pair net;
+  HostPair net;
   TcpConfig tiny = cfg();
   tiny.receive_buffer_bytes = 16 * 1024;
   net.b->listen(80, tiny);
@@ -247,7 +224,7 @@ TEST(TcpTransferTest, IgnorePeerRwndExceedsWindow) {
 }
 
 TEST(TcpTransferTest, CwndClampBoundsInflight) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConfig clamped = cfg();
   clamped.cwnd_clamp_packets = 4;
@@ -261,7 +238,7 @@ TEST(TcpTransferTest, CwndClampBoundsInflight) {
 
 TEST(TcpLossTest, SingleLossFastRetransmit) {
   LossFilter loss({20});
-  Pair net(&loss);
+  HostPair net(&loss);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(1'000'000); };
@@ -274,7 +251,7 @@ TEST(TcpLossTest, SingleLossFastRetransmit) {
 
 TEST(TcpLossTest, MultipleLossesRecover) {
   LossFilter loss({10, 11, 12, 40, 90});
-  Pair net(&loss);
+  HostPair net(&loss);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(2'000'000); };
@@ -286,7 +263,7 @@ TEST(TcpLossTest, TailLossRecoversViaRto) {
   // Drop the very last data packet: no dupACKs can save us.
   // 100'000 bytes / 1448 = 70 segments, index 69 is last.
   LossFilter loss({69});
-  Pair net(&loss);
+  HostPair net(&loss);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(100'000); };
@@ -297,7 +274,7 @@ TEST(TcpLossTest, TailLossRecoversViaRto) {
 
 TEST(TcpLossTest, NoSackStillRecovers) {
   LossFilter loss({15, 30});
-  Pair net(&loss);
+  HostPair net(&loss);
   TcpConfig nosack = cfg();
   nosack.sack = false;
   net.b->listen(80, nosack);
@@ -309,7 +286,7 @@ TEST(TcpLossTest, NoSackStillRecovers) {
 
 TEST(TcpEcnTest, ClassicEcnReducesOncePerWindow) {
   CeMarkFilter mark;
-  Pair net(&mark);
+  HostPair net(&mark);
   TcpConfig e = cfg();
   e.ecn = true;
   net.b->listen(80, e);
@@ -325,7 +302,7 @@ TEST(TcpEcnTest, ClassicEcnReducesOncePerWindow) {
 
 TEST(TcpEcnTest, DctcpAlphaRisesUnderPersistentMarking) {
   CeMarkFilter mark;
-  Pair net(&mark);
+  HostPair net(&mark);
   TcpConfig e = cfg(tcp::CcId::kDctcp);
   e.ecn = true;
   net.b->listen(80, e);
@@ -340,7 +317,7 @@ TEST(TcpEcnTest, DctcpAlphaRisesUnderPersistentMarking) {
 
 TEST(TcpEcnTest, NonEcnFlowNeverMarksData) {
   CeMarkFilter mark;
-  Pair net(&mark);
+  HostPair net(&mark);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg());
   c->on_established = [&] { c->send(100'000); };
@@ -349,7 +326,7 @@ TEST(TcpEcnTest, NonEcnFlowNeverMarksData) {
 }
 
 TEST(TcpBidirectionalTest, EchoRoundTrip) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg(), [](TcpConnection* server) {
     server->on_deliver = [server, echoed = std::int64_t{0}](
                              std::int64_t total) mutable {
@@ -364,7 +341,7 @@ TEST(TcpBidirectionalTest, EchoRoundTrip) {
 }
 
 TEST(TcpCloseTest, FinHandshakeBothDirections) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg(), [](TcpConnection* server) {
     server->on_deliver = [server](std::int64_t total) {
       if (total >= 1000) server->close();
@@ -385,7 +362,7 @@ TEST(TcpCloseTest, FinHandshakeBothDirections) {
 }
 
 TEST(TcpDelayedAckTest, DelayedAckStillDelivers) {
-  Pair net;
+  HostPair net;
   TcpConfig d = cfg();
   d.delayed_ack = true;
   net.b->listen(80, d);
@@ -403,7 +380,7 @@ TEST(TcpDelayedAckTest, DelayedAckStillDelivers) {
 class CcSweepTest : public ::testing::TestWithParam<tcp::CcId> {};
 
 TEST_P(CcSweepTest, CleanTransfer) {
-  Pair net;
+  HostPair net;
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg(GetParam()));
   c->on_established = [&] { c->send(2'000'000); };
@@ -413,7 +390,7 @@ TEST_P(CcSweepTest, CleanTransfer) {
 
 TEST_P(CcSweepTest, LossyTransfer) {
   LossFilter loss({5, 25, 50, 100, 200});
-  Pair net(&loss);
+  HostPair net(&loss);
   net.b->listen(80, cfg());
   TcpConnection* c = net.a->connect(net.b->ip(), 80, cfg(GetParam()));
   c->on_established = [&] { c->send(2'000'000); };
