@@ -382,7 +382,10 @@ void convergence(exp::Mode mode) {
       flows);
 
   std::vector<std::string> headers{"epoch", "active"};
-  for (int i = 1; i <= kFlows; ++i) headers.push_back("F" + std::to_string(i));
+  for (int i = 1; i <= kFlows; ++i) {
+    headers.push_back("F");
+    headers.back() += std::to_string(i);
+  }
   stats::Table t(headers);
   const auto buckets_per_epoch =
       static_cast<std::size_t>(step / sim::milliseconds(100));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 #include "sim/check.h"
@@ -117,8 +118,12 @@ void RpcServer::start_service(Pending p) {
 }
 
 void RpcServer::end_service(int worker) {
-  // Copied out: the worker may take the next request below.
-  const InService done = serving_[static_cast<std::size_t>(worker)];
+  // Copied out: the worker may take the next request below, and a
+  // respond() from the handler erases the awaiting entry.
+  const InService& served = serving_[static_cast<std::size_t>(worker)];
+  const Request req = served.p.req;
+  const std::uint64_t key = next_awaiting_++;
+  awaiting_[key] = served;
   // Async server model: the worker slot covers the modeled CPU time;
   // downstream I/O (fan-out, nested RPCs) does not hold it.
   idle_workers_.push_back(worker);
@@ -127,18 +132,25 @@ void RpcServer::end_service(int worker) {
     backlog_.pop_front();
     start_service(std::move(next));
   }
-  auto responded = std::make_shared<bool>(false);
-  Respond respond = [this, done, responded](bool ok,
-                                            sim::Time downstream_ns) {
-    if (*responded) return;
-    *responded = true;
-    finish(done.p, done.queue_ns, done.service_ns, ok, downstream_ns);
-  };
   if (handler_) {
-    handler_(done.p.req, std::move(respond));
+    const auto on_respond = [this, key](bool ok, sim::Time downstream_ns) {
+      respond(key, ok, downstream_ns);
+    };
+    // What libstdc++'s std::function stores without allocating.
+    static_assert(sizeof(on_respond) <= 16 &&
+                  std::is_trivially_copyable_v<decltype(on_respond)>);
+    handler_(req, on_respond);
   } else {
-    respond(true, 0);
+    respond(key, true, 0);
   }
+}
+
+void RpcServer::respond(std::uint64_t key, bool ok, sim::Time downstream_ns) {
+  const InService* found = awaiting_.find(key);
+  if (found == nullptr) return;  // already responded
+  const InService done = *found;
+  awaiting_.erase(key);
+  finish(done.p, done.queue_ns, done.service_ns, ok, downstream_ns);
 }
 
 void RpcServer::finish(const Pending& p, sim::Time queue_ns,

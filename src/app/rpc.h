@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -30,6 +29,7 @@
 
 #include "host/host.h"
 #include "net/packet.h"
+#include "sim/fifo.h"
 #include "sim/flat_map.h"
 #include "sim/hash.h"
 #include "sim/rng.h"
@@ -89,7 +89,7 @@ class FrameStream {
 
  private:
   std::mutex mutex_;
-  std::deque<RpcFrame> frames_;
+  sim::Fifo<RpcFrame> frames_;
   std::int64_t consumed_ = 0;  // bytes covered by completed frames
 };
 
@@ -168,9 +168,9 @@ class RpcServer {
     sim::Time arrival = 0;              // last byte delivered
   };
   // Application hook, invoked after the modeled service time. Must call
-  // respond(ok, downstream_ns) exactly once (synchronously or later);
-  // downstream_ns is added to the echoed TierBreakdown. The default
-  // handler responds immediately with ok = true.
+  // respond(ok, downstream_ns) (synchronously or later); only the first
+  // call, from any copy, responds. downstream_ns is added to the echoed
+  // TierBreakdown. The default handler responds immediately with ok = true.
   using Respond = std::function<void(bool ok, sim::Time downstream_ns)>;
   using Handler = std::function<void(const Request&, Respond)>;
 
@@ -215,6 +215,8 @@ class RpcServer {
   }
   void start_service(Pending p);
   void end_service(int worker);
+  // The Respond of awaiting_ entry `key`: finishes it on the first call.
+  void respond(std::uint64_t key, bool ok, sim::Time downstream_ns);
   void finish(const Pending& p, sim::Time queue_ns, sim::Time service_ns,
               bool ok, sim::Time downstream_ns);
   void maybe_close(std::uint64_t serial);
@@ -231,12 +233,18 @@ class RpcServer {
   // erase, i.e. at on_accept() or teardown(); see rpc.cc for who holds one.
   sim::FlatMap<std::uint64_t, ConnState> conns_;
   std::uint64_t next_serial_ = 1;
-  std::deque<Pending> backlog_;
+  sim::Fifo<Pending> backlog_;
   // One record per worker, and the workers not serving (a stack). A service
   // timer carries its worker's index rather than the request, which keeps
   // its closure inline in the event slot.
   std::vector<InService> serving_;
   std::vector<int> idle_workers_;
+  // Served requests whose handler has not responded yet, by a server-local
+  // key. A Respond carries only {this, key}, so it stores inline in its
+  // std::function, and the first call erases the entry: later calls find
+  // nothing.
+  sim::FlatMap<std::uint64_t, InService> awaiting_;
+  std::uint64_t next_awaiting_ = 1;
 };
 
 // ---- Client ----

@@ -53,6 +53,9 @@ UserGroup::UserGroup(host::Host* host, ConduitRegistry* registry,
              "user group: sessions must be positive (sessions=%lld)",
              static_cast<long long>(sessions));
   stats_.sessions = sessions;
+  // A session has at most one think pending, and the start tick arms them
+  // all.
+  thinks_.reserve(sessions_.size());
   sim()->schedule_at(start_, [this] {
     if (config_.curve == LoadCurve::kBurst) {
       burst_on_ = true;

@@ -10,8 +10,9 @@ Dumbbell::Dumbbell(const DumbbellConfig& config)
   bottleneck_ = lr;
 
   for (int i = 0; i < config.pairs; ++i) {
-    host::Host* s = scenario_.add_host("s" + std::to_string(i + 1));
-    host::Host* r = scenario_.add_host("r" + std::to_string(i + 1));
+    const std::string pair = std::to_string(i + 1);
+    host::Host* s = scenario_.add_host("s" + pair);
+    host::Host* r = scenario_.add_host("r" + pair);
     scenario_.attach(s, left_);
     scenario_.attach(r, right_);
     // Cross-trunk routes.

@@ -15,9 +15,11 @@ LeafSpine::LeafSpine(const LeafSpineConfig& config)
 
   // Hosts onto leaves.
   for (int l = 0; l < config.leaves; ++l) {
+    std::string leaf = "h";
+    leaf += std::to_string(l);
+    leaf += '.';
     for (int h = 0; h < config.hosts_per_leaf; ++h) {
-      host::Host* host = scenario_.add_host(
-          "h" + std::to_string(l) + "." + std::to_string(h));
+      host::Host* host = scenario_.add_host(leaf + std::to_string(h));
       scenario_.attach(host, leaf_switches_[static_cast<std::size_t>(l)]);
       hosts_.push_back(host);
     }

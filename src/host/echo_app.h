@@ -4,9 +4,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 
 #include "host/host.h"
+#include "sim/fifo.h"
 #include "stats/percentile.h"
 
 namespace acdc::host {
@@ -38,7 +39,7 @@ class EchoApp {
   bool established_ = false;
   tcp::TcpConnection* conn_ = nullptr;
   std::int64_t echoed_target_ = 0;
-  std::deque<std::pair<std::int64_t, sim::Time>> in_flight_;  // (target, sent)
+  sim::Fifo<std::pair<std::int64_t, sim::Time>> in_flight_;  // (target, sent)
   stats::Sampler rtt_ms_;
 };
 

@@ -214,9 +214,10 @@ void Host::rebind_simulator(sim::Simulator* sim) {
 }
 
 void Host::trace_connection(tcp::TcpConnection& conn) const {
-  if (trace_ == nullptr) return;
-  conn.set_tap(obs::Tap(
-      trace_, name_ + ".tcp:" + std::to_string(conn.local().port)));
+  conn.set_tap(trace_ == nullptr
+                   ? obs::Tap()
+                   : obs::Tap(trace_, name_ + ".tcp:" +
+                                          std::to_string(conn.local().port)));
 }
 
 void Host::set_trace(obs::FlightRecorder* recorder) {

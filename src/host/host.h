@@ -85,6 +85,7 @@ class Host : public net::PacketSink {
 
   // Wires the flight recorder into the NIC and into every connection —
   // existing and future (each gets its own "<host>.tcp:<port>" source).
+  // nullptr turns all of them off, so the old recorder may then be freed.
   void set_trace(obs::FlightRecorder* recorder);
   // Absorbs NIC counters and a live connection-count gauge as "<host>.*",
   // plus a "<host>.rtt_ns" histogram fed by every connection's RTT samples.
@@ -116,8 +117,8 @@ class Host : public net::PacketSink {
   tcp::TcpConnection* make_connection(const tcp::TcpConfig& config,
                                       tcp::Endpoint local,
                                       tcp::Endpoint remote);
-  // Taps `conn` into the recorder as "<host>.tcp:<local port>"; untraced
-  // hosts format no name.
+  // Taps `conn` into the recorder as "<host>.tcp:<local port>"; an
+  // untraced host turns the tap off and formats no name.
   void trace_connection(tcp::TcpConnection& conn) const;
   void on_nic_drain();
   net::TcpPort alloc_ephemeral(net::IpAddr remote_ip,

@@ -6,10 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 
 #include "host/host.h"
+#include "sim/fifo.h"
 #include "stats/fct_collector.h"
 
 namespace acdc::host {
@@ -65,7 +65,7 @@ class MessageApp {
   bool established_ = false;
   tcp::TcpConnection* conn_ = nullptr;
   std::int64_t written_total_ = 0;
-  std::deque<Outstanding> outstanding_;
+  sim::Fifo<Outstanding> outstanding_;
   std::int64_t messages_sent_ = 0;
   std::int64_t messages_completed_ = 0;
   std::int64_t delivered_bytes_ = 0;  // cumulative acked payload

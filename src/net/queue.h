@@ -2,13 +2,13 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "net/packet.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
+#include "sim/fifo.h"
 
 namespace acdc::net {
 
@@ -113,7 +113,7 @@ class Queue {
     std::int64_t wire_bytes;
   };
 
-  std::deque<Queued> packets_;
+  sim::Fifo<Queued> packets_;
   std::int64_t bytes_ = 0;
   QueueStats stats_;
   SharedBufferPool* pool_ = nullptr;

@@ -3,10 +3,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 
 #include "net/datapath.h"
 #include "net/packet.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 
 namespace acdc::net {
@@ -42,7 +42,7 @@ class TokenBucketShaper : public DuplexFilter {
   std::int64_t dropped_packets_ = 0;
   double tokens_bytes_;
   sim::Time last_refill_ = 0;
-  std::deque<Queued> backlog_;
+  sim::Fifo<Queued> backlog_;
   std::int64_t backlog_bytes_ = 0;
   bool drain_scheduled_ = false;
 };

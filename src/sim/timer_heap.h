@@ -16,6 +16,7 @@
 // fires as one event, so Simulator::executed_events() is unchanged too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -41,6 +42,9 @@ class TimerHeap {
 
   // Arms one more timer to fire `delay` (>= 0) from now with `tag`.
   void arm(Time delay, std::uint64_t tag);
+
+  // Room for `n` pending timers without regrowing the heap.
+  void reserve(std::size_t n) { heap_.reserve(n); }
 
  private:
   struct Entry {

@@ -274,6 +274,8 @@ net::PacketPtr TcpConnection::build_packet(const TxSegment& seg) const {
   return p;
 }
 
+// Reads `seg` only before transmit(): transmitting can re-enter try_send(),
+// whose push may grow segments_ and move `seg` (see process_ack).
 void TcpConnection::send_segment(TxSegment& seg) {
   const bool is_retx = seg.retransmitted;
   const sim::Time prev_sent_at = seg.sent_at;
@@ -502,7 +504,12 @@ void TcpConnection::process_ack(const net::Packet& p) {
       } else {
         // Go-back-N after an RTO: refill the hole with retransmissions,
         // clocked like slow start (~2 segments per ACKed segment) instead
-        // of sending new data past it.
+        // of sending new data past it. send_segment() can reach try_send()
+        // again (transmit -> NIC drain -> Host::on_nic_drain -> poke), which
+        // may push onto segments_ and grow it, moving every element. The
+        // loop survives that because its iterator is a (queue, position)
+        // pair and its cached end() stays at the segments it started with;
+        // nothing in the body reads `seg` after send_segment().
         int budget = std::max(1, 2 * acked_packets);
         for (TxSegment& seg : segments_) {
           if (budget == 0) break;

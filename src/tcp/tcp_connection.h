@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -22,6 +21,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "sim/deadline_timer.h"
+#include "sim/fifo.h"
 #include "sim/simulator.h"
 #include "tcp/cc/congestion_control.h"
 #include "tcp/rtt_estimator.h"
@@ -238,7 +238,7 @@ class TcpConnection {
   Seq snd_una_ = 0;
   Seq snd_nxt_ = 0;
   Seq write_seq_ = 0;  // next unqueued byte (app watermark)
-  std::deque<TxSegment> segments_;
+  sim::Fifo<TxSegment> segments_;
   std::int64_t peer_rwnd_bytes_ = 0;
   std::uint8_t peer_wscale_ = 0;
   bool wscale_ok_ = false;

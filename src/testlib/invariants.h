@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -33,6 +32,7 @@
 #include "net/queue.h"
 #include "net/switch.h"
 #include "obs/flight_recorder.h"
+#include "sim/fifo.h"
 
 namespace acdc::testlib {
 
@@ -90,7 +90,7 @@ class InvariantChecker {
   };
   struct HostState {
     std::unordered_map<std::uint64_t, PendingAck> pending;
-    std::deque<std::uint64_t> order;
+    sim::Fifo<std::uint64_t> order;
   };
 
   void on_event(const obs::TraceEvent& ev);

@@ -1,7 +1,8 @@
 // RPC layer unit tests (src/app/rpc.h): out-of-band frame reassembly
 // across partial deliveries, request/response id matching over a real
 // TcpConnection, worker-pool backlog limits, late-response accounting, a
-// close() that waits out its calls' deadlines, a hand-computed
+// Respond that answers once across repeat calls and copies, a close()
+// that waits out its calls' deadlines, a hand-computed
 // 1-client/1-server latency check (2 x RTT + service time — the request
 // rides the connection handshake, so the client-observed latency is the
 // handshake RTT plus the request/response RTT plus the modeled service),
@@ -232,6 +233,68 @@ TEST(RpcTest, HandComputedLatencyIsTwoRttPlusServiceTime) {
   EXPECT_GE(latency, floor);
   EXPECT_LE(latency, floor + sim::microseconds(10))
       << "more than serialization slack above 2 x RTT + service";
+}
+
+// A server whose handler must answer each request first with
+// respond(true, kFirstDownstream), whatever else it calls.
+constexpr sim::Time kFirstDownstream = sim::microseconds(3);
+constexpr sim::Time kLaterDownstream = sim::microseconds(7);
+
+struct RespondOnceRun {
+  RpcPair net;
+  RpcServer server{&net.server_host, &net.registry, tcp::TcpConfig{},
+                   RpcServerConfig{}, sim::Rng(testlib::test_seed(106))};
+  RpcClient client{&net.client_host, &net.registry, net.server_host.ip(),
+                   RpcServerConfig{}.port, tcp::TcpConfig{}};
+
+  // Four calls, each answered exactly once by its first respond: one
+  // finish() per request, counted as a response, none orphaned.
+  void expect_one_response_per_request() {
+    std::vector<RpcResult> results;
+    for (int i = 0; i < 4; ++i) {
+      client.call(200, sim::milliseconds(20),
+                  [&results](const RpcResult& r) { results.push_back(r); });
+    }
+    net.sim.run_until(sim::milliseconds(20));
+
+    ASSERT_EQ(results.size(), 4u);
+    for (const RpcResult& r : results) {
+      EXPECT_TRUE(r.ok) << "id " << r.id;
+      EXPECT_FALSE(r.timed_out) << "id " << r.id;
+      EXPECT_EQ(r.server_cost.downstream_ns, kFirstDownstream)
+          << "id " << r.id;
+    }
+    EXPECT_EQ(server.stats().requests, 4);
+    EXPECT_EQ(server.stats().responses, 4);
+    EXPECT_EQ(server.stats().orphaned, 0);
+    EXPECT_EQ(client.stats().late, 0);
+    EXPECT_EQ(client.outstanding(), 0);
+  }
+};
+
+TEST(RpcTest, RespondCalledTwiceAnswersOnce) {
+  RespondOnceRun run;
+  run.server.set_handler(
+      [](const RpcServer::Request&, RpcServer::Respond respond) {
+        respond(true, kFirstDownstream);
+        respond(false, kLaterDownstream);
+      });
+  run.expect_one_response_per_request();
+}
+
+TEST(RpcTest, TwoCopiesOfRespondAnswerOnce) {
+  RespondOnceRun run;
+  sim::Simulator& sim = run.net.sim;
+  run.server.set_handler(
+      [&sim](const RpcServer::Request&, RpcServer::Respond respond) {
+        const RpcServer::Respond copy = respond;
+        copy(true, kFirstDownstream);
+        // The original calls after the server has taken newer requests:
+        // it must find its own request answered, not answer a newer one.
+        sim.schedule(sim::microseconds(40),
+                     [respond] { respond(false, kLaterDownstream); });
+      });
+  run.expect_one_response_per_request();
 }
 
 TEST(RpcTest, CloseWaitsForDeadlinesThenReleasesConnections) {

@@ -1,7 +1,9 @@
 // Host-layer tests: connection demux, listeners, datapath filter ordering,
-// TSQ back-pressure, and the applications (bulk, message, echo) on a small
-// star topology.
+// TSQ back-pressure, detaching the trace, and the applications (bulk,
+// message, echo) on a small star topology.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "exp/mode.h"
 #include "exp/star.h"
@@ -10,6 +12,7 @@
 #include "host/host.h"
 #include "host/message_app.h"
 #include "net/datapath.h"
+#include "obs/flight_recorder.h"
 #include "stats/fct_collector.h"
 #include "workload/churn.h"
 
@@ -67,6 +70,41 @@ TEST(HostTest, FilterOrdering) {
   ASSERT_GE(ingress.size(), 2u);
   EXPECT_EQ(ingress[0], 2);
   EXPECT_EQ(ingress[1], 1);
+}
+
+// set_trace(nullptr) turns every tap the host handed out off, its
+// connections' included, so the old recorder may be freed under live
+// connections: nothing records into it, and ASan sees no use after free.
+TEST(HostTest, DetachedTraceLeavesNoTapOnTheOldRecorder) {
+  sim::Simulator sim;
+  HostConfig hc;
+  Host a(&sim, "A", net::make_ip(10, 0, 0, 1), hc);
+  Host b(&sim, "B", net::make_ip(10, 0, 0, 2), hc);
+  a.nic().tx_port().set_peer(&b.nic());
+  b.nic().tx_port().set_peer(&a.nic());
+  auto recorder = std::make_unique<obs::FlightRecorder>(1 << 12);
+  recorder->set_enabled(true);
+  a.set_trace(recorder.get());
+  b.set_trace(recorder.get());
+
+  b.listen(80, tcp::TcpConfig{});
+  tcp::TcpConnection* conn = a.connect(b.ip(), 80, tcp::TcpConfig{});
+  sim.run_until(sim::milliseconds(1));
+  ASSERT_EQ(conn->state(), tcp::TcpConnection::State::kEstablished);
+  ASSERT_GT(recorder->recorded_events(), 0u);
+
+  a.set_trace(nullptr);
+  b.set_trace(nullptr);
+  const std::uint64_t recorded = recorder->recorded_events();
+  conn->send(100'000);
+  sim.run_until(sim::milliseconds(2));
+  EXPECT_EQ(recorder->recorded_events(), recorded);
+  EXPECT_GT(conn->acked_payload_bytes(), 0);
+
+  recorder.reset();
+  conn->send(100'000);
+  sim.run_until(sim::milliseconds(4));
+  EXPECT_EQ(conn->acked_payload_bytes(), 200'000);
 }
 
 // Host preconditions hold in every build, NDEBUG included: an open
