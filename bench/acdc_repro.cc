@@ -483,14 +483,18 @@ CoexResult run_coexistence(bool with_acdc) {
   return out;
 }
 
+// Every other 100 ms bucket of the longer series: a starved flow's series
+// ends early, and its missing buckets delivered nothing.
 void print_series(const char* title, const CoexResult& r) {
+  const auto at = [](const std::vector<double>& series, std::size_t i) {
+    return stats::Table::num(i < series.size() ? series[i] : 0.0);
+  };
+  const std::size_t n =
+      std::max(r.cubic_series.size(), r.dctcp_series.size());
   stats::Table t({"t (s)", "CUBIC Gbps", "DCTCP Gbps"});
-  for (std::size_t i = 0; i + 1 < r.cubic_series.size(); i += 2) {
+  for (std::size_t i = 0; i + 1 < n; i += 2) {
     t.add_row({stats::Table::num(0.1 * static_cast<double>(i)),
-               stats::Table::num(r.cubic_series[i]),
-               stats::Table::num(i < r.dctcp_series.size()
-                                     ? r.dctcp_series[i]
-                                     : 0.0)});
+               at(r.cubic_series, i), at(r.dctcp_series, i)});
   }
   t.print(title);
 }

@@ -163,7 +163,8 @@ void print_percentiles(const std::string& title,
   for (double p : percentiles) {
     std::vector<std::string> row{stats::Table::num(p)};
     for (const stats::Sampler* c : columns) {
-      row.push_back(stats::Table::num(c->percentile(p)));
+      // An empty sampler would read 0 at every percentile: it has none.
+      row.push_back(c->empty() ? "n/a" : stats::Table::num(c->percentile(p)));
     }
     t.add_row(std::move(row));
   }

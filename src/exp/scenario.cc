@@ -12,12 +12,8 @@ namespace acdc::exp {
 
 namespace {
 
-// Per-switch RNG substreams live far above the per-link fault-injector
-// streams (1..N), so adding links never collides with adding switches.
-constexpr std::uint64_t kSwitchRngStreamBase = 0x5357'0000'0000'0000ull;
-
-// Churn sources likewise get substreams far from both the per-link fault
-// streams (1..N) and the per-switch block above.
+// Churn and service sources get substreams far from the per-link fault
+// streams (1..N), so adding links never collides with adding sources.
 constexpr std::uint64_t kChurnRngStreamBase = 0x4348'0000'0000'0000ull;
 constexpr std::uint64_t kServiceRngStreamBase = 0x5E52'0000'0000'0000ull;
 
@@ -60,19 +56,8 @@ net::Switch* Scenario::add_switch(const std::string& name) {
       name.c_str());
   net::SwitchConfig sc;
   sc.shared_buffer_bytes = config_.switch_buffer_bytes;
-  if (config_.red_enabled) {
-    sc.red_min_bytes = config_.derived_red_k();
-    sc.red_max_bytes = config_.derived_red_k();
-    sc.red_max_probability = 1.0;
-  }
-  // Each switch draws (RED marking) from its own RNG substream: shards must
-  // not share mutable RNG state, and per-switch streams also keep draws
-  // independent of unrelated switches in serial runs.
-  const std::uint64_t stream =
-      kSwitchRngStreamBase + static_cast<std::uint64_t>(switches_.size());
-  switch_rngs_.push_back(std::make_unique<sim::Rng>(rng_.split(stream)));
-  switches_.push_back(std::make_unique<net::Switch>(
-      &sim_, name, sc, switch_rngs_.back().get()));
+  if (config_.red_enabled) sc.mark_threshold_bytes = config_.derived_red_k();
+  switches_.push_back(std::make_unique<net::Switch>(&sim_, name, sc));
   net::Switch* raw = switches_.back().get();
   switch_index_.emplace(raw, static_cast<int>(switches_.size()) - 1);
   if (!shard_recorders_.empty()) trace_switch(raw);

@@ -108,7 +108,8 @@ class Scenario {
   // ---- Topology ----
   // Topology calls are legal only before enable_parallel.
   host::Host* add_host(const std::string& name);
-  // A switch with the ScenarioConfig's shared buffer and WRED/ECN profile.
+  // A switch with the ScenarioConfig's shared buffer, marking at
+  // derived_red_k() when red_enabled.
   net::Switch* add_switch(const std::string& name);
   // Full-duplex host <-> switch attachment with routes installed.
   // delay == 0 inherits ScenarioConfig::host_link_delay; a positive value
@@ -165,17 +166,12 @@ class Scenario {
                                     sim::Time interval, std::int64_t bytes,
                                     stats::FctCollector* collector);
 
-  const std::vector<std::unique_ptr<host::BulkApp>>& bulk_flows() const {
-    return bulk_apps_;
-  }
-
   // ---- Churn workload ----
   // One open-loop flow-churn source driving sender -> receiver on a fresh
   // port. Timers run on the sender's shard simulator and the receiver side
   // is wired through its own listener, so churn sources are parallel-shard
   // safe; each source draws from its own RNG substream split from the
-  // scenario seed, so adding one never perturbs switches, links or other
-  // sources.
+  // scenario seed, so adding one never perturbs links or other sources.
   workload::ChurnSource* add_churn_workload(host::Host* sender,
                                             host::Host* receiver,
                                             const tcp::TcpConfig& cfg,
@@ -209,10 +205,6 @@ class Scenario {
   // ---- Fault injection ----
   // Aggregate fault-injection statistics across all links.
   net::FaultStats fault_stats() const;
-  const std::vector<std::unique_ptr<net::FaultInjector>>& fault_injectors()
-      const {
-    return injectors_;
-  }
 
   // ---- Observability ----
   // Turns on the flight recorder + metrics registry and wires them into
@@ -298,7 +290,6 @@ class Scenario {
   std::vector<std::unique_ptr<net::MailboxPeer>> mailbox_peers_;
 
   std::vector<std::unique_ptr<host::Host>> hosts_;
-  std::vector<std::unique_ptr<sim::Rng>> switch_rngs_;
   std::vector<std::unique_ptr<net::Switch>> switches_;
   std::vector<std::unique_ptr<net::DuplexFilter>> filters_;
   std::vector<std::unique_ptr<net::FaultInjector>> injectors_;

@@ -8,8 +8,7 @@ Nic::Nic(sim::Simulator* sim, std::string name, sim::Rate rate,
          sim::Time propagation_delay, std::int64_t tx_queue_bytes)
     : sim_(sim),
       name_(std::move(name)),
-      tx_port_(sim, name_ + ":tx", rate, propagation_delay,
-               std::make_unique<DropTailQueue>(tx_queue_bytes)) {}
+      tx_port_(sim, name_ + ":tx", rate, propagation_delay, tx_queue_bytes) {}
 
 void Nic::receive(PacketPtr packet) {
   ++received_packets_;

@@ -4,7 +4,6 @@
 // there is no same-tick batch to coalesce.
 #pragma once
 
-#include <memory>
 #include <string>
 
 #include "net/packet.h"

@@ -49,12 +49,13 @@ struct Delivery {
 }  // namespace
 
 Port::Port(sim::Simulator* sim, std::string name, sim::Rate rate,
-           sim::Time propagation_delay, std::unique_ptr<Queue> queue)
+           sim::Time propagation_delay, std::int64_t queue_capacity_bytes,
+           std::int64_t mark_threshold_bytes)
     : sim_(sim),
       name_(std::move(name)),
       rate_(rate),
       propagation_delay_(propagation_delay),
-      queue_(std::move(queue)),
+      queue_(queue_capacity_bytes, mark_threshold_bytes),
       tx_done_(sim) {
   // A zero rate would divide by zero in sim::transmission_time on the first
   // packet.
@@ -71,7 +72,7 @@ void Port::check_idle(const char* what) const {
 
 void Port::send(PacketPtr packet) {
   packet->enqueued_at = sim_->now();
-  if (!queue_->enqueue(std::move(packet))) return;
+  if (!queue_.enqueue(std::move(packet))) return;
   if (tx_done_.passed()) {
     start_transmission();
   } else {
@@ -83,13 +84,13 @@ void Port::send(PacketPtr packet) {
 
 void Port::set_trace(obs::FlightRecorder* recorder) {
   tap_ = obs::Tap(recorder, name_);
-  queue_->set_tap(tap_);
+  queue_.set_tap(tap_);
 }
 
 void Port::register_metrics(obs::MetricsRegistry& registry) const {
   registry.register_counter(name_ + ".tx_packets", &transmitted_packets_);
   registry.register_counter(name_ + ".tx_bytes", &transmitted_bytes_);
-  queue_->register_metrics(registry, name_);
+  queue_.register_metrics(registry, name_);
   sojourn_ns_ = &registry.histogram(name_ + ".sojourn_ns");
 }
 
@@ -97,7 +98,7 @@ void Port::start_transmission() {
   // Only reached with a packet waiting: from send(), or from a completion
   // that was scheduled because one was.
   std::int64_t wire_bytes = 0;
-  PacketPtr packet = queue_->dequeue(&wire_bytes);
+  PacketPtr packet = queue_.dequeue(&wire_bytes);
   ACDC_CHECK(packet != nullptr, "port %s: transmission started at %lld ns "
              "with an empty queue", name_.c_str(),
              static_cast<long long>(sim_->now()));
@@ -105,7 +106,7 @@ void Port::start_transmission() {
   ++transmitted_packets_;
   transmitted_bytes_ += wire_bytes;
   if (telemetry_ != nullptr) {
-    telemetry_->stamp(*packet, queue_->byte_length(), sim_->now());
+    telemetry_->stamp(*packet, queue_.byte_length(), sim_->now());
   }
 
   // Observation taps at transmission start: queue sojourn for the
@@ -125,8 +126,8 @@ void Port::start_transmission() {
                 static_cast<double>(sim_->now() - packet->enqueued_at));
     } else {
       tap_.emit(obs::EventType::kQueueOccupancy, sim_->now(), {},
-                queue_->byte_length(),
-                static_cast<std::int64_t>(queue_->packet_length()));
+                queue_.byte_length(),
+                static_cast<std::int64_t>(queue_.packet_length()));
     }
   }
   if (pcap_ != nullptr) pcap_->write(*packet, sim_->now());
@@ -149,7 +150,7 @@ void Port::start_transmission() {
                          Delivery{peer_, packet.release()});
   }
   tx_done_.reserve(tx);
-  if (!queue_->empty()) tx_done_.schedule([this] { start_transmission(); });
+  if (!queue_.empty()) tx_done_.schedule([this] { start_transmission(); });
   if (on_drain_) on_drain_();
 }
 

@@ -36,9 +36,12 @@ class RemotePeer {
 // enters the event queue when a packet waits behind the one on the wire.
 class Port : public PacketSink {
  public:
-  // `rate` must be positive (checked in every build).
+  // `rate` must be positive (checked in every build). The egress queue is
+  // built from `queue_capacity_bytes` (0: only a shared pool bounds it) and
+  // the marking threshold `mark_threshold_bytes` (0: never marks).
   Port(sim::Simulator* sim, std::string name, sim::Rate rate,
-       sim::Time propagation_delay, std::unique_ptr<Queue> queue);
+       sim::Time propagation_delay, std::int64_t queue_capacity_bytes,
+       std::int64_t mark_threshold_bytes = 0);
 
   void set_peer(PacketSink* peer) { peer_ = peer; }
   // Routes deliveries through a cross-shard mailbox instead of `peer`;
@@ -58,12 +61,12 @@ class Port : public PacketSink {
     propagation_delay_ = delay;
   }
 
-  // Queues the packet for transmission (may drop per the queue's policy).
+  // Queues the packet for transmission (the queue may drop or mark it).
   void receive(PacketPtr packet) override { send(std::move(packet)); }
   void send(PacketPtr packet);
 
-  Queue& queue() { return *queue_; }
-  const Queue& queue() const { return *queue_; }
+  Queue& queue() { return queue_; }
+  const Queue& queue() const { return queue_; }
   const std::string& name() const { return name_; }
   sim::Rate rate() const { return rate_; }
   sim::Time propagation_delay() const { return propagation_delay_; }
@@ -116,7 +119,7 @@ class Port : public PacketSink {
   std::string name_;
   sim::Rate rate_;
   sim::Time propagation_delay_;
-  std::unique_ptr<Queue> queue_;
+  Queue queue_;
   PacketSink* peer_ = nullptr;
   RemotePeer* remote_peer_ = nullptr;
   std::function<void()> on_drain_;

@@ -4,6 +4,30 @@
 
 namespace acdc::net {
 
+bool Queue::enqueue(PacketPtr packet) {
+  const std::int64_t bytes = packet->wire_bytes();
+  if ((capacity_ > 0 && bytes_ + bytes > capacity_) ||
+      (pool_ != nullptr && !pool_->admit(bytes_, bytes))) {
+    drop(*packet, bytes);
+    return false;
+  }
+  if (mark_threshold_ > 0 && bytes_ >= mark_threshold_) {
+    if (!ecn_capable(packet->ip.ecn)) {
+      // Non-ECT packets past K are dropped (WRED drop action).
+      drop(*packet, bytes);
+      return false;
+    }
+    packet->ip.ecn = Ecn::kCe;
+    ++stats_.marked_packets;
+    if (tap_) {
+      tap_.emit(obs::EventType::kEcnMark, packet->enqueued_at,
+                packet->flow(), bytes_, bytes);
+    }
+  }
+  accept(std::move(packet), bytes);
+  return true;
+}
+
 PacketPtr Queue::dequeue(std::int64_t* wire_bytes) {
   if (packets_.empty()) return nullptr;
   PacketPtr p = std::move(packets_.front().packet);
@@ -60,16 +84,6 @@ void Queue::register_metrics(obs::MetricsRegistry& registry,
   registry.register_gauge(prefix + ".queue_bytes", [this] {
     return static_cast<double>(bytes_);
   });
-}
-
-bool DropTailQueue::enqueue(PacketPtr packet) {
-  const std::int64_t bytes = packet->wire_bytes();
-  if (bytes_ + bytes > capacity_ || !pool_admits(bytes)) {
-    drop(*packet, bytes);
-    return false;
-  }
-  accept(std::move(packet), bytes);
-  return true;
 }
 
 }  // namespace acdc::net

@@ -1,8 +1,12 @@
-// Packet queues with byte accounting and drop/mark counters.
+// A port's egress queue: byte accounting, drop/mark counters, and the
+// DCTCP-style step marking configured on the paper's switches (§5 "In DCTCP
+// and AC/DC, WRED/ECN is configured on the switches"). A packet that
+// arrives at a queue holding at least K bytes is CE-marked when it is
+// ECN-capable (ECT) and DROPPED otherwise; that asymmetry is the
+// ECN-coexistence problem of Figs. 15/16.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "net/packet.h"
@@ -43,17 +47,15 @@ struct QueueStats {
 };
 
 // A shared memory pool, modelling a switch ASIC's shared packet buffer with
-// dynamic threshold admission (Broadcom-style): a queue may grow while
-// queue_bytes < alpha * (capacity - total_used).
+// dynamic threshold admission (Broadcom-style, alpha = 1): a queue may grow
+// while queue_bytes < capacity - total_used.
 class SharedBufferPool {
  public:
-  SharedBufferPool(std::int64_t capacity_bytes, double alpha)
-      : capacity_(capacity_bytes), alpha_(alpha) {}
+  explicit SharedBufferPool(std::int64_t capacity_bytes)
+      : capacity_(capacity_bytes) {}
 
   bool admit(std::int64_t queue_bytes, std::int64_t packet_bytes) const {
-    if (used_ + packet_bytes > capacity_) return false;
-    const double headroom = static_cast<double>(capacity_ - used_);
-    return static_cast<double>(queue_bytes) < alpha_ * headroom;
+    return used_ + packet_bytes <= capacity_ && queue_bytes < capacity_ - used_;
   }
 
   void on_enqueue(std::int64_t bytes) { used_ += bytes; }
@@ -64,17 +66,20 @@ class SharedBufferPool {
 
  private:
   std::int64_t capacity_;
-  double alpha_;
   std::int64_t used_ = 0;
 };
 
 class Queue {
  public:
-  virtual ~Queue() = default;
+  // `capacity_bytes` caps the queue (0: only a shared pool bounds it);
+  // `mark_threshold_bytes` is the marking threshold K (0: never marks).
+  explicit Queue(std::int64_t capacity_bytes,
+                 std::int64_t mark_threshold_bytes = 0)
+      : capacity_(capacity_bytes), mark_threshold_(mark_threshold_bytes) {}
 
   // Takes ownership; returns false (and drops) when the packet is not
-  // admitted.
-  virtual bool enqueue(PacketPtr packet) = 0;
+  // admitted, or is a non-ECT packet arriving at K bytes or more.
+  bool enqueue(PacketPtr packet);
 
   // Pops the head packet (nullptr when empty). `wire_bytes`, when given,
   // receives its wire size as computed at enqueue: nothing changes a
@@ -99,10 +104,7 @@ class Queue {
   void register_metrics(obs::MetricsRegistry& registry,
                         const std::string& prefix) const;
 
- protected:
-  bool pool_admits(std::int64_t packet_bytes) const {
-    return pool_ == nullptr || pool_->admit(bytes_, packet_bytes);
-  }
+ private:
   // `bytes` is the packet's wire_bytes(), computed once by enqueue().
   void accept(PacketPtr packet, std::int64_t bytes);
   void drop(const Packet& packet, std::int64_t bytes);
@@ -113,22 +115,13 @@ class Queue {
     std::int64_t wire_bytes;
   };
 
+  std::int64_t capacity_;
+  std::int64_t mark_threshold_;
   sim::Fifo<Queued> packets_;
   std::int64_t bytes_ = 0;
   QueueStats stats_;
   SharedBufferPool* pool_ = nullptr;
   obs::Tap tap_;
-};
-
-class DropTailQueue : public Queue {
- public:
-  explicit DropTailQueue(std::int64_t capacity_bytes)
-      : capacity_(capacity_bytes) {}
-
-  bool enqueue(PacketPtr packet) override;
-
- private:
-  std::int64_t capacity_;
 };
 
 }  // namespace acdc::net

@@ -6,34 +6,18 @@
 
 namespace acdc::net {
 
-Switch::Switch(sim::Simulator* sim, std::string name, SwitchConfig config,
-               sim::Rng* rng)
+Switch::Switch(sim::Simulator* sim, std::string name, SwitchConfig config)
     : sim_(sim),
       name_(std::move(name)),
       config_(config),
-      rng_(rng),
-      pool_(config.shared_buffer_bytes, config.buffer_alpha) {}
-
-std::unique_ptr<Queue> Switch::make_queue() {
-  std::unique_ptr<Queue> q;
-  if (config_.red_enabled()) {
-    RedConfig red;
-    red.capacity_bytes = 0;  // bounded by the shared pool, not per queue
-    red.min_threshold_bytes = config_.red_min_bytes;
-    red.max_threshold_bytes = config_.red_max_bytes;
-    red.max_probability = config_.red_max_probability;
-    q = std::make_unique<RedQueue>(red, rng_);
-  } else {
-    q = std::make_unique<DropTailQueue>(config_.shared_buffer_bytes);
-  }
-  q->set_shared_pool(&pool_);
-  return q;
-}
+      pool_(config.shared_buffer_bytes) {}
 
 Port* Switch::add_port(sim::Rate rate, sim::Time propagation_delay) {
+  // Port queues have no cap of their own: the shared pool bounds them.
   auto port = std::make_unique<Port>(
       sim_, name_ + ":p" + std::to_string(ports_.size()), rate,
-      propagation_delay, make_queue());
+      propagation_delay, 0, config_.mark_threshold_bytes);
+  port->queue().set_shared_pool(&pool_);
   if (trace_ != nullptr) port->set_trace(trace_);
   ports_.push_back(std::move(port));
   return ports_.back().get();

@@ -1,6 +1,6 @@
-// Output-queued switch with a shared packet buffer and per-port WRED/ECN,
-// modelled on the paper's testbed switches (IBM G8264: 48x10G ports sharing a
-// 9MB buffer).
+// Output-queued switch with a shared packet buffer and per-port ECN step
+// marking, modelled on the paper's testbed switches (IBM G8264: 48x10G ports
+// sharing a 9MB buffer).
 #pragma once
 
 #include <cstdint>
@@ -10,30 +10,22 @@
 
 #include "net/packet.h"
 #include "net/port.h"
-#include "net/red_queue.h"
+#include "net/queue.h"
 #include "sim/flat_map.h"
-#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace acdc::net {
 
 struct SwitchConfig {
   std::int64_t shared_buffer_bytes = 9 * 1024 * 1024;
-  // Dynamic-threshold alpha: a queue may use up to alpha * free buffer.
-  double buffer_alpha = 1.0;
-  // WRED/ECN marking profile applied to every port queue. A zero
-  // max_threshold disables AQM (plain drop-tail on the shared buffer).
-  std::int64_t red_min_bytes = 0;
-  std::int64_t red_max_bytes = 0;
-  double red_max_probability = 1.0;
-
-  bool red_enabled() const { return red_max_bytes > 0; }
+  // Marking threshold K of every port queue (net/queue.h). 0 disables
+  // marking: plain drop-tail on the shared buffer.
+  std::int64_t mark_threshold_bytes = 0;
 };
 
 class Switch : public PacketSink {
  public:
-  Switch(sim::Simulator* sim, std::string name, SwitchConfig config,
-         sim::Rng* rng);
+  Switch(sim::Simulator* sim, std::string name, SwitchConfig config);
 
   // Adds an egress port towards some neighbour. The returned Port stays
   // owned by the Switch.
@@ -72,12 +64,9 @@ class Switch : public PacketSink {
   void register_metrics(obs::MetricsRegistry& registry) const;
 
  private:
-  std::unique_ptr<Queue> make_queue();
-
   sim::Simulator* sim_;
   std::string name_;
   SwitchConfig config_;
-  sim::Rng* rng_;
   SharedBufferPool pool_;
   std::vector<std::unique_ptr<Port>> ports_;
   sim::FlatMap<IpAddr, Port*> routes_;

@@ -120,15 +120,6 @@ void write_trace_jsonl(const MergedTrace& trace, std::ostream& os) {
   });
 }
 
-void write_trace_csv(const MergedTrace& trace, std::ostream& os) {
-  os << "t_ns,type,src,flow,a,b,x\n";
-  trace.for_each([&](const TraceEvent& ev) {
-    os << ev.t << ',' << event_meta(ev.type).name << ','
-       << trace.source_name(ev.source) << ',' << flow_to_string(ev) << ','
-       << ev.a << ',' << ev.b << ',' << ev.x << '\n';
-  });
-}
-
 void write_chrome_trace(const MergedTrace& trace,
                         const MetricsRegistry* metrics, std::ostream& os) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";

@@ -2,8 +2,8 @@
 // one recorder keeps its events and source ids) and optionally the metrics
 // snapshots into files an analysis tool can open.
 //
-//   - JSONL:  one JSON object per event; jq/pandas-friendly.
-//   - CSV:    fixed columns; spreadsheet-friendly.
+//   - JSONL:  one JSON object per event; jq/pandas-friendly, and the flat
+//     format forensics/trace_import reads back.
 //   - Chrome trace-event format: loads in chrome://tracing and Perfetto.
 //     Continuous quantities (enforced RWND, virtual cwnd, DCTCP alpha,
 //     queue occupancy) are emitted as counter tracks ("ph":"C") per source;
@@ -25,7 +25,6 @@ namespace acdc::obs {
 // sharded run exports one coherent trace instead of S arbitrarily
 // interleaved rings.
 void write_trace_jsonl(const MergedTrace& trace, std::ostream& os);
-void write_trace_csv(const MergedTrace& trace, std::ostream& os);
 void write_chrome_trace(const MergedTrace& trace,
                         const MetricsRegistry* metrics, std::ostream& os);
 

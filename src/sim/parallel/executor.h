@@ -96,7 +96,6 @@ class ParallelExecutor {
   void run_until(Time deadline);
 
   int threads() const { return thread_count_; }
-  int shard_count() const { return static_cast<int>(shards_.size()); }
 
   struct Stats {
     // Shard window advances (visits that executed events or raised the

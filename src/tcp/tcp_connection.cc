@@ -82,19 +82,8 @@ void TcpConnection::open_active() {
 void TcpConnection::open_passive(const net::Packet& syn) {
   assert(state_ == State::kClosed);
   assert(syn.tcp.flags.syn && !syn.tcp.flags.ack);
-  irs_ = syn.tcp.seq;
-  rcv_nxt_ = irs_ + 1;
-  if (syn.tcp.options.mss) {
-    effective_mss_ = std::min<std::uint32_t>(config_.mss, *syn.tcp.options.mss);
-    cc_state_.mss = effective_mss_;
-  }
-  if (syn.tcp.options.window_scale) {
-    wscale_ok_ = true;
-    peer_wscale_ = *syn.tcp.options.window_scale;
-  }
-  sack_ok_ = config_.sack && syn.tcp.options.sack_permitted;
+  learn_peer_syn(syn);
   ecn_ok_ = config_.ecn && syn.tcp.flags.ece && syn.tcp.flags.cwr;
-  peer_rwnd_bytes_ = effective_window(syn.tcp.window_raw, false, 0);
 
   enter_state(State::kSynReceived);
   TxSegment synack;
@@ -362,31 +351,39 @@ void TcpConnection::receive(net::PacketPtr packet) {
   if (p.payload_bytes > 0 || p.tcp.flags.fin) process_payload(p);
 }
 
+void TcpConnection::learn_peer_syn(const net::Packet& syn) {
+  irs_ = syn.tcp.seq;
+  rcv_nxt_ = irs_ + 1;
+  if (syn.tcp.options.mss) {
+    effective_mss_ = std::min<std::uint32_t>(config_.mss, *syn.tcp.options.mss);
+    cc_state_.mss = effective_mss_;
+  }
+  if (syn.tcp.options.window_scale) {
+    wscale_ok_ = true;
+    peer_wscale_ = *syn.tcp.options.window_scale;
+  }
+  sack_ok_ = config_.sack && syn.tcp.options.sack_permitted;
+  // A SYN's window is never scaled (RFC 7323 §2.2).
+  peer_rwnd_bytes_ = effective_window(syn.tcp.window_raw, false, 0);
+}
+
+void TcpConnection::take_rtt_sample(sim::Time sample) {
+  rtt_.add_sample(sample);
+  if (rtt_hist_ != nullptr) rtt_hist_->record(sample);
+  cc_state_.srtt = rtt_.srtt();
+  cc_state_.min_rtt = rtt_.min_rtt();
+}
+
 void TcpConnection::handle_syn_states(net::PacketPtr& packet) {
   const net::Packet& p = *packet;
   if (state_ == State::kSynSent) {
     if (!(p.tcp.flags.syn && p.tcp.flags.ack)) return;
     if (p.tcp.ack_seq != iss_ + 1) return;
-    irs_ = p.tcp.seq;
-    rcv_nxt_ = irs_ + 1;
-    if (p.tcp.options.mss) {
-      effective_mss_ = std::min<std::uint32_t>(config_.mss, *p.tcp.options.mss);
-      cc_state_.mss = effective_mss_;
-    }
-    if (p.tcp.options.window_scale) {
-      wscale_ok_ = true;
-      peer_wscale_ = *p.tcp.options.window_scale;
-    }
-    sack_ok_ = config_.sack && p.tcp.options.sack_permitted;
+    learn_peer_syn(p);
     ecn_ok_ = config_.ecn && p.tcp.flags.ece;
-    peer_rwnd_bytes_ = effective_window(p.tcp.window_raw, false, 0);
     snd_una_ = p.tcp.ack_seq;
     if (!segments_.empty() && !segments_.front().retransmitted) {
-      const sim::Time sample = sim_->now() - segments_.front().sent_at;
-      rtt_.add_sample(sample);
-      if (rtt_hist_ != nullptr) rtt_hist_->record(sample);
-      cc_state_.srtt = rtt_.srtt();
-      cc_state_.min_rtt = rtt_.min_rtt();
+      take_rtt_sample(sim_->now() - segments_.front().sent_at);
     }
     segments_.clear();  // the SYN is acked
     rto_timer_.disarm();
@@ -491,12 +488,7 @@ void TcpConnection::process_ack(const net::Packet& p) {
       any_sacked_ = false;  // scoreboard fully consumed
     }
 
-    if (rtt_sample > 0) {
-      rtt_.add_sample(rtt_sample);
-      if (rtt_hist_ != nullptr) rtt_hist_->record(rtt_sample);
-      cc_state_.srtt = rtt_.srtt();
-      cc_state_.min_rtt = rtt_.min_rtt();
-    }
+    if (rtt_sample > 0) take_rtt_sample(rtt_sample);
 
     if (in_rto_recovery_) {
       if (seq_ge(ack, rto_recovery_point_)) {
@@ -530,9 +522,7 @@ void TcpConnection::process_ack(const net::Packet& p) {
             std::max(CongestionControl::kMinCwnd, cc_state_.ssthresh);
       } else if (!sack_ok_) {
         // NewReno partial ACK: the next hole is lost too.
-        if (retransmit_first_unsacked(/*skip_retransmitted=*/false)) {
-          ++stats_.retransmissions;
-        }
+        if (retransmit_first_unsacked()) ++stats_.retransmissions;
       } else if (any_sacked_ && seq_lt(ack, highest_sacked_)) {
         // SACK scoreboard: a confirmed hole below the highest SACKed byte.
         if (retransmit_next_hole()) ++stats_.retransmissions;
@@ -610,17 +600,14 @@ void TcpConnection::enter_recovery() {
   cc_->on_window_reduction(cc_state_);
   trace_cwnd();
   ++stats_.fast_retransmits;
-  if (retransmit_first_unsacked(/*skip_retransmitted=*/false)) {
-    ++stats_.retransmissions;
-  }
+  if (retransmit_first_unsacked()) ++stats_.retransmissions;
   arm_rto();
 }
 
-bool TcpConnection::retransmit_first_unsacked(bool skip_retransmitted) {
+bool TcpConnection::retransmit_first_unsacked() {
   for (TxSegment& seg : segments_) {
     if (seg.sacked) continue;
     if (seq_lt(seg.seq, snd_una_)) continue;
-    if (skip_retransmitted && seg.retransmitted) continue;
     seg.retransmitted = true;
     send_segment(seg);
     return true;

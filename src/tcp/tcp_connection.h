@@ -188,6 +188,12 @@ class TcpConnection {
   void enqueue_fin_if_ready();
 
   // ---- Receive path ----
+  // Takes the peer's SYN or SYN-ACK options: its initial sequence, MSS,
+  // window scale, SACK permission and (unscaled) window. The ECN rule
+  // differs between the two and stays with each caller.
+  void learn_peer_syn(const net::Packet& syn);
+  // Feeds one RTT sample to the estimator, the histogram and cc_state_.
+  void take_rtt_sample(sim::Time sample);
   void handle_syn_states(net::PacketPtr& packet);
   void process_ack(const net::Packet& packet);
   void process_payload(const net::Packet& packet);
@@ -200,7 +206,7 @@ class TcpConnection {
   void enter_recovery();
   void on_dupack(const net::Packet& packet);
   void apply_sack(const net::SackBlocks& blocks);
-  bool retransmit_first_unsacked(bool skip_retransmitted);
+  bool retransmit_first_unsacked();
   bool retransmit_next_hole();
   void on_rto_fire();
   void arm_rto();  // (re)arms rto_timer_ for rto * backoff from now

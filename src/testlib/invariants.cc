@@ -100,7 +100,6 @@ InvariantChecker::HostState& InvariantChecker::host_state(
 // ---------------------------------------------------------- event stream
 
 void InvariantChecker::on_event(const obs::TraceEvent& ev) {
-  ++events_checked_;
   std::ostringstream msg;
   const char* name = obs::event_meta(ev.type).name;
 

@@ -73,7 +73,6 @@ class InvariantChecker {
   bool ok() const { return violation_count_ == 0; }
   const std::vector<std::string>& violations() const { return violations_; }
   std::uint64_t violation_count() const { return violation_count_; }
-  std::uint64_t events_checked() const { return events_checked_; }
   std::uint64_t packets_checked() const { return packets_checked_; }
 
  private:
@@ -108,7 +107,6 @@ class InvariantChecker {
   sim::Time last_event_time_ = 0;
   std::vector<std::string> violations_;
   std::uint64_t violation_count_ = 0;
-  std::uint64_t events_checked_ = 0;
   std::uint64_t packets_checked_ = 0;
 };
 

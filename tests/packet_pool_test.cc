@@ -153,8 +153,7 @@ TEST(PacketPoolTest, TeardownReturnsJitteredPackets) {
 TEST(PacketPoolTest, PeerlessPortReturnsPacketsToThePool) {
   const std::int64_t before = PacketPool::instance().live();
   sim::Simulator sim;
-  Port port(&sim, "open", sim::gigabits_per_second(10), 1000,
-            std::make_unique<DropTailQueue>(100'000));
+  Port port(&sim, "open", sim::gigabits_per_second(10), 1000, 100'000);
   for (int i = 0; i < 3; ++i) port.send(make_packet());
   sim.run();
   EXPECT_EQ(PacketPool::instance().live(), before);

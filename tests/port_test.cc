@@ -40,11 +40,11 @@ constexpr sim::Rate kRate = sim::gigabits_per_second(1);
 class ReferencePort : public PacketSink {
  public:
   ReferencePort(sim::Simulator* sim, std::string /*name*/, sim::Rate rate,
-                sim::Time propagation_delay, std::unique_ptr<Queue> queue)
+                sim::Time propagation_delay, std::int64_t queue_bytes)
       : sim_(sim),
         rate_(rate),
         propagation_delay_(propagation_delay),
-        queue_(std::move(queue)) {}
+        queue_(queue_bytes) {}
 
   void set_peer(PacketSink* peer) { peer_ = peer; }
   void set_drain_callback(std::function<void()> fn) {
@@ -53,17 +53,17 @@ class ReferencePort : public PacketSink {
   void receive(PacketPtr packet) override { send(std::move(packet)); }
   void send(PacketPtr packet) {
     packet->enqueued_at = sim_->now();
-    if (!queue_->enqueue(std::move(packet))) return;
+    if (!queue_.enqueue(std::move(packet))) return;
     if (!transmitting_) start_transmission();
   }
 
-  Queue& queue() { return *queue_; }
+  Queue& queue() { return queue_; }
   std::int64_t transmitted_packets() const { return transmitted_packets_; }
   std::int64_t transmitted_bytes() const { return transmitted_bytes_; }
 
  private:
   void start_transmission() {
-    PacketPtr packet = queue_->dequeue();
+    PacketPtr packet = queue_.dequeue();
     if (packet == nullptr) {
       transmitting_ = false;
       return;
@@ -84,7 +84,7 @@ class ReferencePort : public PacketSink {
   sim::Simulator* sim_;
   sim::Rate rate_;
   sim::Time propagation_delay_;
-  std::unique_ptr<Queue> queue_;
+  Queue queue_;
   PacketSink* peer_ = nullptr;
   std::function<void()> on_drain_;
   bool transmitting_ = false;
@@ -112,8 +112,7 @@ class Harness : public PacketSink {
       : rng_(seed),
         propagation_delay_(rng_.chance(0.5) ? 0 : tx_time(draw_payload())),
         queue_bytes_(rng_.uniform_int(3, 8) * 1078),
-        port_(&sim_, "port", kRate, propagation_delay_,
-              std::make_unique<DropTailQueue>(queue_bytes_)),
+        port_(&sim_, "port", kRate, propagation_delay_, queue_bytes_),
         timer_(&sim_, this, &Harness::on_timer) {
     port_.set_peer(this);
     port_.set_drain_callback([this] { on_drain(); });
@@ -345,7 +344,7 @@ TEST(ReservedEventTest, ScheduledEventRunsAtItsReservedPosition) {
 TEST(PortDeathTest, ZeroRateDiesAtConstruction) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   sim::Simulator sim;
-  EXPECT_DEATH(Port(&sim, "dead", 0, 0, std::make_unique<DropTailQueue>(1)),
+  EXPECT_DEATH(Port(&sim, "dead", 0, 0, 1),
                "port dead: link rate must be positive, rate=0");
 }
 
@@ -353,7 +352,7 @@ TEST(PortDeathTest, ReconfiguringWhileTransmittingDies) {
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   sim::Simulator sim;
   sim::Simulator other;
-  Port port(&sim, "busy", kRate, 0, std::make_unique<DropTailQueue>(10'000));
+  Port port(&sim, "busy", kRate, 0, 10'000);
   port.send(make_packet());
   const std::string until = std::to_string(tx_time(0));
   EXPECT_DEATH(port.set_propagation_delay(5),

@@ -9,7 +9,6 @@
 #include "exp/star.h"
 #include "net/switch.h"
 #include "net/token_bucket.h"
-#include "testlib/seed.h"
 
 namespace acdc {
 namespace {
@@ -29,8 +28,7 @@ class CollectSink : public net::PacketSink {
 
 TEST(SwitchTest, RoutesByDestination) {
   sim::Simulator sim;
-  sim::Rng rng(testlib::test_seed(1));
-  net::Switch sw(&sim, "sw", net::SwitchConfig{}, &rng);
+  net::Switch sw(&sim, "sw", net::SwitchConfig{});
   net::Port* p1 = sw.add_port(sim::gigabits_per_second(10),
                               sim::microseconds(1));
   net::Port* p2 = sw.add_port(sim::gigabits_per_second(10),
@@ -54,16 +52,14 @@ TEST(SwitchTest, RoutesByDestination) {
 
 TEST(SwitchTest, UnroutablePacketsCounted) {
   sim::Simulator sim;
-  sim::Rng rng(testlib::test_seed(1));
-  net::Switch sw(&sim, "sw", net::SwitchConfig{}, &rng);
+  net::Switch sw(&sim, "sw", net::SwitchConfig{});
   sw.receive(packet_to(net::make_ip(1, 2, 3, 4)));
   EXPECT_EQ(sw.routing_failures(), 1);
 }
 
 TEST(SwitchTest, DefaultRouteCatchesRest) {
   sim::Simulator sim;
-  sim::Rng rng(testlib::test_seed(1));
-  net::Switch sw(&sim, "sw", net::SwitchConfig{}, &rng);
+  net::Switch sw(&sim, "sw", net::SwitchConfig{});
   net::Port* trunk = sw.add_port(sim::gigabits_per_second(10),
                                  sim::microseconds(1));
   CollectSink far;
@@ -77,11 +73,9 @@ TEST(SwitchTest, DefaultRouteCatchesRest) {
 
 TEST(SwitchTest, SharedBufferAccountsAcrossPorts) {
   sim::Simulator sim;
-  sim::Rng rng(testlib::test_seed(1));
   net::SwitchConfig cfg;
   cfg.shared_buffer_bytes = 100'000;
-  cfg.buffer_alpha = 8.0;
-  net::Switch sw(&sim, "sw", cfg, &rng);
+  net::Switch sw(&sim, "sw", cfg);
   // A port with no peer still queues (transmission drains to nowhere).
   net::Port* p = sw.add_port(sim::kilobits_per_second(1), 0);
   const net::IpAddr ip = net::make_ip(10, 0, 0, 1);
@@ -92,11 +86,75 @@ TEST(SwitchTest, SharedBufferAccountsAcrossPorts) {
   EXPECT_LE(sw.buffer_pool().used_bytes(), 100'000);
 }
 
+net::PacketPtr ect_packet_to(net::IpAddr dst) {
+  auto p = packet_to(dst);
+  p->ip.ecn = net::Ecn::kEct0;
+  return p;
+}
+
+TEST(SwitchTest, MarksEctAndDropsNonEctAtTheThreshold) {
+  constexpr std::int64_t kK = 10'000;
+  const net::IpAddr ip = net::make_ip(10, 0, 0, 1);
+  const std::int64_t wire = packet_to(ip)->wire_bytes();
+  {
+    sim::Simulator sim;
+    net::SwitchConfig cfg;
+    cfg.mark_threshold_bytes = kK;
+    net::Switch sw(&sim, "sw", cfg);
+    net::Port* p = sw.add_port(sim::gigabits_per_second(10), 0);
+    CollectSink sink;
+    p->set_peer(&sink);
+    sw.add_route(ip, p);
+    // The first packet goes straight onto the wire; the rest wait (the
+    // simulator does not run until the end), each arriving below K.
+    sw.receive(ect_packet_to(ip));
+    int below = 1;
+    for (; p->queue().byte_length() < kK; ++below) {
+      sw.receive(ect_packet_to(ip));
+    }
+    EXPECT_EQ(sw.total_stats().marked_packets, 0);
+    // At K bytes or more, an ECT packet is CE-marked and accepted...
+    sw.receive(ect_packet_to(ip));
+    EXPECT_EQ(sw.total_stats().marked_packets, 1);
+    EXPECT_EQ(sw.total_stats().dropped_packets, 0);
+    // ...and a non-ECT packet in the same position is dropped and counted.
+    const std::int64_t queued = p->queue().byte_length();
+    sw.receive(packet_to(ip));
+    EXPECT_EQ(sw.total_stats().dropped_packets, 1);
+    EXPECT_EQ(sw.total_stats().dropped_bytes, wire);
+    EXPECT_EQ(sw.total_stats().marked_packets, 1);
+    EXPECT_EQ(p->queue().byte_length(), queued);
+    sim.run();
+    ASSERT_EQ(sink.packets.size(), static_cast<std::size_t>(below + 1));
+    for (int i = 0; i < below; ++i) {
+      EXPECT_EQ(sink.packets[i]->ip.ecn, net::Ecn::kEct0) << i;
+    }
+    EXPECT_EQ(sink.packets[below]->ip.ecn, net::Ecn::kCe);
+  }
+  {
+    // K = 0 never marks, and only the shared pool bounds the port: a lone
+    // queue grows while it holds less than the free buffer, so it stops
+    // just past half the pool.
+    sim::Simulator sim;
+    net::SwitchConfig cfg;
+    cfg.shared_buffer_bytes = 100'000;
+    net::Switch sw(&sim, "sw", cfg);
+    net::Port* p = sw.add_port(sim::gigabits_per_second(10), 0);
+    sw.add_route(ip, p);
+    for (int i = 0; i < 200; ++i) sw.receive(ect_packet_to(ip));
+    const std::int64_t queued = p->queue().byte_length();
+    EXPECT_EQ(sw.total_stats().marked_packets, 0);
+    EXPECT_EQ(sw.buffer_pool().used_bytes(), queued);
+    EXPECT_GE(queued, 50'000);
+    EXPECT_LT(queued, 50'000 + wire);
+    EXPECT_EQ(sw.total_stats().dropped_packets, 200 - 1 - queued / wire);
+  }
+}
+
 TEST(PortTest, SerialisesAtLinkRate) {
   sim::Simulator sim;
   net::Port port(&sim, "p", sim::gigabits_per_second(1),
-                 sim::microseconds(5),
-                 std::make_unique<net::DropTailQueue>(1 << 20));
+                 sim::microseconds(5), 1 << 20);
   CollectSink sink;
   port.set_peer(&sink);
   // Two packets of 1000 wire bytes (922 + 40 + 38) at 1G: 8us each to
